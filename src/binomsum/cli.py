@@ -99,11 +99,17 @@ def _pair_label(ref: tuple) -> str:
 # Parallel map with deterministic ordered merge
 # ---------------------------------------------------------------------------
 
+def _worker_count(jobs: int, n_items: int) -> int:
+    """Processes to start: --jobs clamped to the items and the CPUs."""
+    return max(1, min(jobs, n_items, os.cpu_count() or 1))
+
+
 def _pmap(worker, items: list, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
+    workers = _worker_count(jobs, len(items))
+    if workers == 1:
         return [worker(item) for item in items]
-    chunk = max(1, len(items) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(items) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, items, chunksize=chunk))
 
 

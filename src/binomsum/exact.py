@@ -3,46 +3,28 @@
 All functions operate on Python ints (arbitrary precision) and
 fractions.Fraction; nothing here ever rounds. The factorial cache grows
 incrementally so repeated audits over a contiguous range stay amortized
-linear, and is synchronized so concurrent audits may share it.
+linear. It is per process: parallel audits run in worker processes,
+each of which fills its own copy.
 """
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 
-DEFAULT_FACTORIAL_CACHE_LIMIT = 10_000
+FACTORIAL_CACHE_LIMIT = 10_000
 
-_cache_lock = threading.Lock()
 _factorials: list[int] = [1, 1]
-_cache_limit = DEFAULT_FACTORIAL_CACHE_LIMIT
-
-
-def set_factorial_cache_limit(limit: int) -> None:
-    """Set the largest argument kept in the factorial cache.
-
-    Larger arguments are still computed exactly, just not stored.
-    """
-    global _cache_limit
-    if limit < 1:
-        raise ValueError("cache limit must be positive")
-    with _cache_lock:
-        _cache_limit = limit
-        del _factorials[limit + 1:]
 
 
 def factorial(n: int) -> int:
-    """n! for n >= 0, memoized up to the configured cache limit."""
+    """n! for n >= 0, memoized up to FACTORIAL_CACHE_LIMIT."""
     if n < 0:
         raise ValueError(f"factorial of negative argument {n}")
-    if n <= _cache_limit:
+    if n <= FACTORIAL_CACHE_LIMIT:
         if n >= len(_factorials):
-            with _cache_lock:
-                # re-check under the lock; another thread may have extended
-                last = len(_factorials) - 1
-                acc = _factorials[last]
-                for m in range(last + 1, n + 1):
-                    acc *= m
-                    _factorials.append(acc)
+            acc = _factorials[-1]
+            for m in range(len(_factorials), n + 1):
+                acc *= m
+                _factorials.append(acc)
         return _factorials[n]
     # beyond the cache limit: compute from the cached prefix without storing
     base = min(len(_factorials) - 1, n)

@@ -14,11 +14,12 @@ argument goes negative.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exact import binomial
+from .exact import binomial, int_valuation, primes_upto
 from .polyalg import BivarPoly, RationalFunction
 
 DEFAULT_MAX_SHIFT = 4
@@ -125,12 +126,16 @@ def eval_term(term: HypergeometricTerm, n: int, k: int) -> Fraction:
     A binomial factor that vanishes under the zero convention makes the
     whole term 0 when its power is positive; vanishing under a negative
     power raises TermEvalError, as does a zero denominator polynomial.
+
+    Evaluation stays exact and normalises once: every factor is
+    multiplied into one integer numerator or one integer denominator,
+    by the sign of its power, and only the returned Fraction is reduced.
     """
-    den = term.denom_poly.evaluate(n, k)
-    if den == 0:
+    denom_value = term.denom_poly.evaluate(n, k)
+    if denom_value == 0:
         raise TermEvalError(f"denominator polynomial vanishes at (n={n}, k={k})")
+    num = den = 1
     vanishes = False
-    binom_value = Fraction(1)
     for bf in term.binom_factors:
         v = binomial(bf.top.evaluate(n, k), bf.bottom.evaluate(n, k))
         if v == 0:
@@ -140,15 +145,24 @@ def eval_term(term: HypergeometricTerm, n: int, k: int) -> Fraction:
                     f"(n={n}, k={k}) but has power {bf.power}")
             vanishes = True
         elif not vanishes:
-            binom_value *= Fraction(v) ** bf.power
+            if bf.power >= 0:
+                num *= v ** bf.power
+            else:
+                den *= v ** -bf.power
     if vanishes:
         return Fraction(0)
-    value = binom_value * term.numer_poly.evaluate(n, k) / den
+    numer_value = term.numer_poly.evaluate(n, k)
+    num *= numer_value.numerator * denom_value.denominator
+    den *= numer_value.denominator * denom_value.numerator
     for bf in term.base_factors:
-        value *= Fraction(bf.base) ** bf.exponent.evaluate(n, k)
+        e = bf.exponent.evaluate(n, k)
+        if e >= 0:
+            num *= bf.base ** e
+        else:
+            den *= bf.base ** -e
     if term.sign_exponent.evaluate(n, k) % 2:
-        value = -value
-    return value
+        num = -num
+    return Fraction(num, den)
 
 
 def _factorial_atoms(term: HypergeometricTerm) -> dict[LinearForm, int]:
@@ -196,19 +210,6 @@ def shift_quotient(term: HypergeometricTerm, dn: int, dk: int,
     return RationalFunction.from_factors(factors, scalar)
 
 
-def _prime_factorize(m: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
-
-
 def term_quotient(t1: HypergeometricTerm,
                   t2: HypergeometricTerm) -> RationalFunction:
     """t1(n, k) / t2(n, k) as a formal rational function.
@@ -245,9 +246,15 @@ def term_quotient(t1: HypergeometricTerm,
         for bf in term.base_factors:
             if bf.base < 0:
                 sign = sign + bf.exponent.scale(sgn)
-            for p, m in _prime_factorize(abs(bf.base)).items():
+            m = abs(bf.base)
+            powers = {p: int_valuation(p, m)
+                      for p in primes_upto(math.isqrt(m)) if m % p == 0}
+            rest = m // math.prod(p ** e for p, e in powers.items())
+            if rest > 1:  # what is left above sqrt(|base|) is one prime
+                powers[rest] = 1
+            for p, e in powers.items():
                 cur = prime_exps.get(p, ZERO_FORM)
-                prime_exps[p] = cur + bf.exponent.scale(sgn * m)
+                prime_exps[p] = cur + bf.exponent.scale(sgn * e)
 
     scalar = Fraction(1)
     for p in sorted(prime_exps):

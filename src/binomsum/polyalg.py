@@ -163,10 +163,18 @@ class BivarPoly:
         return out
 
     def evaluate(self, n: Fraction | int, k: Fraction | int) -> Fraction:
-        total = Fraction(0)
+        """Exact value at (n, k), normalised once.
+
+        Coefficients are brought to their common denominator L and the
+        scaled numerators summed; only the final Fraction(total, L) is
+        reduced. Integer arguments keep the sum an int; Fraction
+        arguments make it a Fraction, which Fraction(total, L) accepts.
+        """
+        den = math.lcm(*(c.denominator for c in self._c.values()))
+        total = 0
         for (i, j), c in self._c.items():
-            total += c * Fraction(n) ** i * Fraction(k) ** j
-        return total
+            total += c.numerator * (den // c.denominator) * n ** i * k ** j
+        return Fraction(total, den)
 
     def shift(self, dn: int, dk: int) -> "BivarPoly":
         """Substitute n -> n + dn, k -> k + dk."""

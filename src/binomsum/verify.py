@@ -15,9 +15,7 @@ from fractions import Fraction
 from .exact import binomial, factorial, floor_div, int_valuation, \
     legendre_valuation, primes_upto, rat_valuation
 from .hyperterm import eval_term
-from .pairs import builtin_pair
-
-DIVISOR_KINDS = ("weak", "strong")
+from .pairs import DIVISOR_KINDS, builtin_pair
 
 
 # ---------------------------------------------------------------------------

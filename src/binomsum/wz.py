@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hyperterm import TermEvalError, eval_term, shift_quotient, term_quotient
+from .hyperterm import HypergeometricTerm, TermEvalError, eval_term, \
+    shift_quotient, term_quotient
 from .pairs import WZPairSpec
 from .polyalg import RationalFunction
 from .verify import divisor
@@ -34,6 +35,20 @@ class GridReport:
         return not self.violations
 
 
+def _eval_or_error(term: HypergeometricTerm, n: int,
+                   k: int) -> Fraction | TermEvalError:
+    try:
+        return eval_term(term, n, k)
+    except TermEvalError as exc:
+        return exc
+
+
+def _value(result: Fraction | TermEvalError) -> Fraction:
+    if isinstance(result, TermEvalError):
+        raise result
+    return result
+
+
 def wz_grid_row(pair: WZPairSpec, n: int) -> tuple[
         int,
         list[tuple[GridPoint, Fraction, Fraction]],
@@ -41,17 +56,20 @@ def wz_grid_row(pair: WZPairSpec, n: int) -> tuple[
     """Check one grid row 1 <= k <= n; returns (checked, violations, skipped).
 
     Points where some term is undefined (a denominator vanishes) are
-    reported as skipped rather than failing the audit.
+    reported as skipped rather than failing the audit; the reason is the
+    first failure among F(n,k-1), F(n,k), G(n+1,k), G(n,k) in that order.
+    F(n,k) is evaluated once for k = 0..n and shared by neighbouring points.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     f, g = pair.f.term, pair.g.term
+    f_row = [_eval_or_error(f, n, k) for k in range(n + 1)]
     checked = 0
     violations: list[tuple[GridPoint, Fraction, Fraction]] = []
     skipped: list[tuple[GridPoint, str]] = []
     for k in range(1, n + 1):
         try:
-            lhs = eval_term(f, n, k - 1) - eval_term(f, n, k)
+            lhs = _value(f_row[k - 1]) - _value(f_row[k])
             rhs = eval_term(g, n + 1, k) - eval_term(g, n, k)
         except TermEvalError as exc:
             skipped.append(((n, k), str(exc)))

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from binomsum.cli import main
+import binomsum.cli as cli_module
+from binomsum.cli import _worker_count, main
 from binomsum.pairs import builtin_document_text
 
 
@@ -389,3 +390,16 @@ def test_usage_error_exit_code():
         capture_output=True, text=True)
     # no subcommand: argparse usage failure
     assert proc.returncode == 2
+
+
+def test_worker_count_clamped_to_items_and_cpus(monkeypatch):
+    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 2)
+    assert _worker_count(10 ** 6, 50) == 2
+    assert _worker_count(10 ** 6, 1) == 1
+    assert _worker_count(1, 50) == 1
+    assert _worker_count(2, 0) == 1
+    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 8)
+    assert _worker_count(3, 50) == 3
+    assert _worker_count(16, 5) == 5
+    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: None)
+    assert _worker_count(4, 50) == 1

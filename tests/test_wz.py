@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from binomsum.cli import main
+from binomsum.dsl import parse_document
 from binomsum.hyperterm import NotProportionalError, TermDocument, eval_term
 from binomsum.pairs import WZPairSpec, builtin_pair, builtin_pair_names
 from binomsum.polyalg import BivarPoly
@@ -149,3 +151,88 @@ def test_telescope_weak_divisor_override():
 def test_telescope_requires_n_at_least_two():
     with pytest.raises(ValueError):
         telescope_audit(builtin_pair("guillera1"), 1)
+
+
+# guillera1 with F and G each multiplied by a removable factor: F by
+# (k-5)(k-6)/((k-5)(k-6)) and G by (k-3)/(k-3). The pair still telescopes
+# wherever it is defined, and the grid meets both poles.
+SKIP_PAIR_F = """term s.F
+sign (-1)^(n+k)
+base 4^(-6*n+2*k)
+factor binom(2*n,n)^3
+factor binom(2*n+2*k,n+k)
+factor binom(2*n-2*k,n-k)
+factor binom(n+k,n-k)
+factor binom(2*k,k)^-1
+poly 20*n^2*k^2-220*n^2*k+600*n^2-12*n*k^3+140*n*k^2-448*n*k+240*n-2*k^3+23*k^2-71*k+30
+denompoly k^2-11*k+30
+end
+"""
+
+SKIP_PAIR_G = """term s.G
+sign (-1)^(n+k)
+base 16^(-3*n+k+1)
+factor binom(2*n,n)^3
+factor binom(2*n+2*k,n+k)
+factor binom(2*n-2*k,n-k)
+factor binom(n+k,n-k)
+factor binom(2*k,k)^-1
+poly 2*n^3*k-6*n^3
+denompoly 2*n*k-6*n+2*k^2-7*k+3
+end
+"""
+
+SKIP_PAIR_CSV = r'''check,params,status,witness
+wzcheck,"{""mode"":""grid"",""n_max"":7,""pair"":""skips""}",pass,"{""points"":""17"",""skipped"":""11"",""violations"":""0""}"
+wzcheck,"{""k"":3,""mode"":""grid"",""n"":3,""pair"":""skips""}",skipped,"{""reason"":""denominator polynomial vanishes at (n=4, k=3)""}"
+wzcheck,"{""k"":3,""mode"":""grid"",""n"":4,""pair"":""skips""}",skipped,"{""reason"":""denominator polynomial vanishes at (n=5, k=3)""}"
+wzcheck,"{""k"":3,""mode"":""grid"",""n"":5,""pair"":""skips""}",skipped,"{""reason"":""denominator polynomial vanishes at (n=6, k=3)""}"
+wzcheck,"{""k"":5,""mode"":""grid"",""n"":5,""pair"":""skips""}",skipped,"{""reason"":""denominator polynomial vanishes at (n=5, k=5)""}"
+wzcheck,"{""k"":3,""mode"":""grid"",""n"":6,""pair"":""skips""}",skipped,"{""reason"":""denominator polynomial vanishes at (n=7, k=3)""}"
+wzcheck,"{""k"":5,""mode"":""grid"",""n"":6,""pair"":""skips""}",skipped,"{""reason"":""denominator polynomial vanishes at (n=6, k=5)""}"
+wzcheck,"{""k"":6,""mode"":""grid"",""n"":6,""pair"":""skips""}",skipped,"{""reason"":""denominator polynomial vanishes at (n=6, k=5)""}"
+wzcheck,"{""k"":3,""mode"":""grid"",""n"":7,""pair"":""skips""}",skipped,"{""reason"":""denominator polynomial vanishes at (n=8, k=3)""}"
+wzcheck,"{""k"":5,""mode"":""grid"",""n"":7,""pair"":""skips""}",skipped,"{""reason"":""denominator polynomial vanishes at (n=7, k=5)""}"
+wzcheck,"{""k"":6,""mode"":""grid"",""n"":7,""pair"":""skips""}",skipped,"{""reason"":""denominator polynomial vanishes at (n=7, k=5)""}"
+wzcheck,"{""k"":7,""mode"":""grid"",""n"":7,""pair"":""skips""}",skipped,"{""reason"":""denominator polynomial vanishes at (n=7, k=6)""}"
+'''
+
+
+@pytest.fixture
+def skip_pair_dir(tmp_path):
+    pair_dir = tmp_path / "skips"
+    pair_dir.mkdir()
+    (pair_dir / "s.F").write_text(SKIP_PAIR_F, "utf-8")
+    (pair_dir / "s.G").write_text(SKIP_PAIR_G, "utf-8")
+    return pair_dir
+
+
+def test_grid_row_skip_reasons_follow_evaluation_order(skip_pair_dir):
+    pair = WZPairSpec(
+        name="skips",
+        f=parse_document((skip_pair_dir / "s.F").read_text("utf-8")),
+        g=parse_document((skip_pair_dir / "s.G").read_text("utf-8")),
+        scale_base=-4096, divisor_kind="strong", sum_id="")
+    # k=3: G(n+1,3) fails first; k=5: F(n,5); k=6: F(n,5) again as
+    # F(n,k-1) although F(n,6) fails too; k=7: F(n,6) as F(n,k-1).
+    assert wz_grid_row(pair, 7) == (3, [], [
+        ((7, 3), "denominator polynomial vanishes at (n=8, k=3)"),
+        ((7, 5), "denominator polynomial vanishes at (n=7, k=5)"),
+        ((7, 6), "denominator polynomial vanishes at (n=7, k=5)"),
+        ((7, 7), "denominator polynomial vanishes at (n=7, k=6)"),
+    ])
+    assert wz_grid_row(pair, 2) == (2, [], [])
+
+
+def test_grid_skips_csv_pinned_and_identical_across_jobs(skip_pair_dir,
+                                                         tmp_path):
+    outputs = []
+    for jobs in ("1", "2"):
+        target = tmp_path / f"grid{jobs}.csv"
+        code = main(["wzcheck", "--pair", str(skip_pair_dir), "--mode",
+                     "grid", "--n-max", "7", "--format", "csv",
+                     "--jobs", jobs, "--output", str(target)])
+        assert code == 0
+        outputs.append(target.read_bytes())
+    assert outputs[0] == SKIP_PAIR_CSV.encode("utf-8")
+    assert outputs[1] == outputs[0]
