@@ -7,8 +7,8 @@ telescoping makes those divisibilities visible term by term.
 """
 from .dsl import DslError, ParseError, SemanticError, parse_document, parse_term, \
     serialize_document, serialize_term
-from .exact import binomial, factorial, floor_div, int_valuation, \
-    legendre_valuation, primes_upto, rat_valuation
+from .exact import binomial, factorial, int_valuation, legendre_valuation, \
+    primes_upto, rat_valuation
 from .hyperterm import BaseFactor, BinomFactor, HypergeometricTerm, LinearForm, \
     NotProportionalError, TermDocument, TermEvalError, eval_term, shift_quotient, \
     term_quotient
@@ -40,7 +40,7 @@ __all__ = [
     "binomial", "builtin_document", "builtin_document_names",
     "builtin_document_text", "builtin_pair", "builtin_pair_names",
     "check_divisibility", "check_divisibility_valuations", "divisor",
-    "eval_sum", "eval_term", "factorial", "floor_div", "floor_margin",
+    "eval_sum", "eval_term", "factorial", "floor_margin",
     "floor_margin_fractional", "int_valuation", "iter_sums", "legendre_valuation",
     "lemma22_point", "lemma23_point", "lemma24_scan", "lemma25_scan",
     "lemma25_valuations", "lemma25_w", "lemma26_floor_margin",

@@ -1,8 +1,18 @@
 """Command-line front end: run audits and emit machine-readable reports.
 
 Scans parallelize over their outer parameter with an ordered merge, so
-report bytes are identical for every --jobs value.  Exit codes: 0 when no
-record failed, 1 when any audit failed, 2 for usage/config/parse errors.
+report bytes are identical for every --jobs value.
+
+Exit codes:
+  0  no record failed;
+  1  an audit failed: at least one record has status FAIL;
+  2  usage, configuration or parse error; nothing was audited;
+  3  internal error: the program itself went wrong.  No report is written
+     and stderr carries one line, ``binomsum: internal error: <Type>: <msg>``.
+
+A mismatch between the two independent routes of one check (floor against
+fractional margin, binomial against factorial form) is an internal error,
+not a FAIL record: it means the program is wrong, not the mathematics.
 """
 from __future__ import annotations
 
@@ -10,7 +20,6 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -26,28 +35,20 @@ from .wz import telescope_audit, wz_certificate, wz_grid_row, wz_symbolic_check
 
 JOBS_ENV = "BINOMSUM_JOBS"
 
-LEMMA_IDS = ("2.2", "2.3", "2.4", "2.5", "2.6")
+# Default (--n-max, --m-max) per lemma; None: the lemma takes no such bound.
+LEMMA_DEFAULTS = {
+    "2.2": (200, None),
+    "2.3": (500, None),
+    "2.4": (None, 50),
+    "2.5": (200, None),
+    "2.6": (300, 200),
+}
+
+LEMMA_IDS = tuple(LEMMA_DEFAULTS)
 
 
 class ConfigError(Exception):
     """Invalid configuration detected after argument parsing (exit 2)."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs: command, ranges, and output plan."""
-
-    command: str
-    format: str = "human"
-    output: str | None = None
-    jobs: int = 1
-    options: tuple[tuple[str, object], ...] = ()
-
-    def option(self, key: str):
-        for name, value in self.options:
-            if name == key:
-                return value
-        raise KeyError(key)
 
 
 # ---------------------------------------------------------------------------
@@ -85,18 +86,14 @@ def _resolve_pair(ref: tuple) -> WZPairSpec:
     try:
         f_doc = parse_document(Path(f_path).read_text("utf-8"))
         g_doc = parse_document(Path(g_path).read_text("utf-8"))
-    except (OSError, DslError) as exc:
+        return WZPairSpec(name=name, f=f_doc, g=g_doc, scale_base=scale_base,
+                          divisor_kind=divisor_kind, sum_id="")
+    except (OSError, ValueError) as exc:  # DslError is a ValueError
         raise ConfigError(f"cannot load pair from {f_path!r}/{g_path!r}: {exc}")
-    return WZPairSpec(name=name, f=f_doc, g=g_doc, scale_base=scale_base,
-                      divisor_kind=divisor_kind, sum_id="")
-
-
-def _pair_label(ref: tuple) -> str:
-    return ref[1] if ref[0] == "builtin" else ref[3]
 
 
 # ---------------------------------------------------------------------------
-# Parallel map with deterministic ordered merge
+# Parallel map with deterministic ordered merge, and shared record shapes
 # ---------------------------------------------------------------------------
 
 def _worker_count(jobs: int, n_items: int) -> int:
@@ -113,8 +110,30 @@ def _pmap(worker, items: list, jobs: int) -> list:
         return list(pool.map(worker, items, chunksize=chunk))
 
 
-def _flatten(groups: list[list[ReportRecord]]) -> list[ReportRecord]:
-    return [record for group in groups for record in group]
+def _n_range(args: argparse.Namespace, what: str) -> range:
+    """--n-min..--n-max; `what` names the audit and its verb for errors."""
+    if args.n_min < 2:
+        raise ConfigError(f"{what} --n-min >= 2")
+    if args.n_max < args.n_min:
+        raise ConfigError("--n-max must be >= --n-min")
+    return range(args.n_min, args.n_max + 1)
+
+
+def _division_witness(division) -> list[tuple[str, str]]:
+    """value, divisor, then the quotient on success or the remainder."""
+    last = (("quotient", str(division.quotient)) if division.ok
+            else ("remainder", str(division.remainder)))
+    return [("value", str(division.value)),
+            ("divisor", str(division.divisor)), last]
+
+
+def _summary(check: str, params: tuple, count_key: str, count: int,
+             failures: list[ReportRecord]) -> list[ReportRecord]:
+    """A summary record counting points and violations, then the failures."""
+    summary = ReportRecord(
+        check, params, PASS if not failures else FAIL,
+        ((count_key, str(count)), ("violations", str(len(failures)))))
+    return [summary] + failures
 
 
 # ---------------------------------------------------------------------------
@@ -126,38 +145,23 @@ def _sum_record(args: tuple) -> ReportRecord:
     spec = sum_spec(name)
     used_kind = spec.divisor_kind if kind is None else kind
     division = check_divisibility(spec, kind, n)
-    witness = [("value", str(division.value)), ("divisor", str(division.divisor))]
-    if division.ok:
-        witness.append(("quotient", str(division.quotient)))
-    else:
-        witness.append(("remainder", str(division.remainder)))
-    status = PASS if division.ok else FAIL
+    witness = _division_witness(division)
+    agree = True
     if valuation:
         val_ok, _failures = check_divisibility_valuations(spec, kind, n)
         agree = val_ok == division.ok
         witness.append(("valuation", "agree" if agree else "disagree"))
-        if not agree:
-            status = FAIL
     params = (("sum", name), ("divisor", used_kind), ("n", n))
-    return ReportRecord("sumcheck", params, status, tuple(witness))
+    return ReportRecord("sumcheck", params,
+                        PASS if division.ok and agree else FAIL, tuple(witness))
 
 
-def _cmd_sumcheck(config: RunConfig) -> list[ReportRecord]:
-    which = config.option("sum")
-    names = list(SUM_SPECS) if which == "all" else [which]
-    for name in names:
-        sum_spec(name)  # validate early
-    kind = config.option("divisor")
-    kind = None if kind == "default" else kind
-    n_min, n_max = config.option("n_min"), config.option("n_max")
-    if n_min < 2:
-        raise ConfigError("sumcheck needs --n-min >= 2")
-    if n_max < n_min:
-        raise ConfigError("--n-max must be >= --n-min")
-    valuation = config.option("valuation_check")
-    items = [(name, kind, n, valuation)
-             for name in names for n in range(n_min, n_max + 1)]
-    return _pmap(_sum_record, items, config.jobs)
+def _cmd_sumcheck(args: argparse.Namespace) -> list[ReportRecord]:
+    names = list(SUM_SPECS) if args.sum == "all" else [args.sum]
+    kind = None if args.divisor == "default" else args.divisor
+    items = [(name, kind, n, args.valuation_check)
+             for name in names for n in _n_range(args, "sumcheck needs")]
+    return _pmap(_sum_record, items, args.jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +176,12 @@ def _grid_row_records(args: tuple) -> tuple[int, list[ReportRecord]]:
     for (vn, vk), lhs, rhs in violations:
         records.append(ReportRecord(
             "wzcheck",
-            (("pair", _pair_label(ref)), ("mode", "grid"), ("n", vn), ("k", vk)),
+            (("pair", pair.name), ("mode", "grid"), ("n", vn), ("k", vk)),
             FAIL, (("lhs", str(lhs)), ("rhs", str(rhs)))))
     for (sn, sk), message in skipped:
         records.append(ReportRecord(
             "wzcheck",
-            (("pair", _pair_label(ref)), ("mode", "grid"), ("n", sn), ("k", sk)),
+            (("pair", pair.name), ("mode", "grid"), ("n", sn), ("k", sk)),
             SKIPPED, (("reason", message),)))
     return checked, records
 
@@ -186,7 +190,7 @@ def _telescope_record(args: tuple) -> ReportRecord:
     ref, big_n, scale_exp, kind = args
     pair = _resolve_pair(ref)
     audit = telescope_audit(pair, big_n, scale_exp=scale_exp, divisor_kind=kind)
-    params = (("pair", _pair_label(ref)), ("mode", "telescope"), ("N", big_n),
+    params = (("pair", pair.name), ("mode", "telescope"), ("N", big_n),
               ("divisor_kind", audit.divisor_kind), ("scale_exp", audit.scale_exp))
     witness: list[tuple[str, str]] = [("divisor", str(audit.divisor))]
     if audit.ok:
@@ -205,34 +209,30 @@ def _telescope_record(args: tuple) -> ReportRecord:
     return ReportRecord("wzcheck", params, FAIL, tuple(witness))
 
 
-def _cmd_wzcheck(config: RunConfig) -> list[ReportRecord]:
-    mode = config.option("mode")
-    divisor_kind = config.option("divisor")
-    ref = _pair_ref(config.option("pair"), config.option("scale_base"),
-                    "strong" if divisor_kind is None else divisor_kind)
-    label = _pair_label(ref)
+def _cmd_wzcheck(args: argparse.Namespace) -> list[ReportRecord]:
+    ref = _pair_ref(args.pair, args.scale_base,
+                    "strong" if args.divisor is None else args.divisor)
     pair = _resolve_pair(ref)  # validate documents up front
 
-    if mode == "grid":
-        n_max = config.option("n_max")
-        if n_max < 1:
+    if args.mode == "grid":
+        if args.n_max < 1:
             raise ConfigError("--n-max must be >= 1")
         rows = _pmap(_grid_row_records,
-                     [(ref, n) for n in range(1, n_max + 1)], config.jobs)
+                     [(ref, n) for n in range(1, args.n_max + 1)], args.jobs)
         checked = sum(c for c, _ in rows)
-        point_records = _flatten([recs for _, recs in rows])
-        failures = sum(1 for r in point_records if r.status == FAIL)
-        skips = sum(1 for r in point_records if r.status == SKIPPED)
+        point_records = [rec for _, recs in rows for rec in recs]
+        statuses = [rec.status for rec in point_records]
         summary = ReportRecord(
             "wzcheck",
-            (("pair", label), ("mode", "grid"), ("n_max", n_max)),
-            PASS if failures == 0 else FAIL,
-            (("points", str(checked)), ("violations", str(failures)),
-             ("skipped", str(skips))))
+            (("pair", pair.name), ("mode", "grid"), ("n_max", args.n_max)),
+            FAIL if FAIL in statuses else PASS,
+            (("points", str(checked)),
+             ("violations", str(statuses.count(FAIL))),
+             ("skipped", str(statuses.count(SKIPPED)))))
         return [summary] + point_records
 
-    if mode == "symbolic":
-        params = (("pair", label), ("mode", "symbolic"))
+    if args.mode == "symbolic":
+        params = (("pair", pair.name), ("mode", "symbolic"))
         try:
             ok, residual = wz_symbolic_check(pair)
             certificate = wz_certificate(pair)
@@ -243,17 +243,11 @@ def _cmd_wzcheck(config: RunConfig) -> list[ReportRecord]:
                    ("certificate", certificate.render()))
         return [ReportRecord("wzcheck", params, PASS if ok else FAIL, witness)]
 
-    # telescope
-    n_min, n_max = config.option("n_min"), config.option("n_max")
-    if n_min < 2:
-        raise ConfigError("telescope audits need --n-min >= 2")
-    if n_max < n_min:
-        raise ConfigError("--n-max must be >= --n-min")
-    if ref[0] == "path" and config.option("scale_base") is None:
+    big_ns = _n_range(args, "telescope audits need")
+    if ref[0] == "path" and args.scale_base is None:
         raise ConfigError("telescope mode on a path pair needs --scale-base")
-    items = [(ref, big_n, config.option("scale_exp"), divisor_kind)
-             for big_n in range(n_min, n_max + 1)]
-    return _pmap(_telescope_record, items, config.jobs)
+    items = [(ref, big_n, args.scale_exp, args.divisor) for big_n in big_ns]
+    return _pmap(_telescope_record, items, args.jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -261,51 +255,34 @@ def _cmd_wzcheck(config: RunConfig) -> list[ReportRecord]:
 # ---------------------------------------------------------------------------
 
 def _lemma22_row(n: int) -> list[ReportRecord]:
-    records = []
     failures = []
     for k in range(1, n + 1):
         division = lemma22_point(n, k)
         if not division.ok:
             failures.append(ReportRecord(
                 "lemma", (("id", "2.2"), ("n", n), ("k", k)), FAIL,
-                (("value", str(division.value)),
-                 ("divisor", str(division.divisor)),
-                 ("remainder", str(division.remainder)))))
-    records.append(ReportRecord(
-        "lemma", (("id", "2.2"), ("n", n)),
-        PASS if not failures else FAIL,
-        (("k_checked", str(n)), ("violations", str(len(failures))))))
-    records.extend(failures)
-    return records
+                tuple(_division_witness(division))))
+    return _summary("lemma", (("id", "2.2"), ("n", n)), "k_checked", n,
+                    failures)
 
 
 def _lemma23_record(n: int) -> ReportRecord:
     point = lemma23_point(n)
-    witness = [("value", str(point.division.value)),
-               ("divisor", str(point.division.divisor)),
-               ("closed_form", str(point.closed_form))]
-    if point.division.ok:
-        witness.insert(2, ("quotient", str(point.division.quotient)))
-    else:
-        witness.insert(2, ("remainder", str(point.division.remainder)))
+    witness = _division_witness(point.division) + [
+        ("closed_form", str(point.closed_form))]
     return ReportRecord("lemma", (("id", "2.3"), ("n", n)),
                         PASS if point.ok else FAIL, tuple(witness))
 
 
 def _lemma26_record(n: int) -> ReportRecord:
     division = lemma26_point(n)
-    witness = [("value", str(division.value)), ("divisor", str(division.divisor))]
-    if division.ok:
-        witness.append(("quotient", str(division.quotient)))
-    else:
-        witness.append(("remainder", str(division.remainder)))
     return ReportRecord("lemma", (("id", "2.6"), ("n", n)),
-                        PASS if division.ok else FAIL, tuple(witness))
+                        PASS if division.ok else FAIL,
+                        tuple(_division_witness(division)))
 
 
 def _lemma25_violation_record(violation: tuple) -> ReportRecord:
-    kind = violation[0]
-    n, k = violation[1], violation[2]
+    kind, n, k = violation[:3]
     params = (("id", "2.5"), ("n", n), ("k", k))
     if kind == "non-integral":
         witness = (("reason", kind), ("value", str(violation[3])))
@@ -319,78 +296,66 @@ def _lemma25_violation_record(violation: tuple) -> ReportRecord:
     return ReportRecord("lemma", params, FAIL, witness)
 
 
-def _cmd_lemma(config: RunConfig) -> list[ReportRecord]:
-    lemma_id = config.option("id")
-    n_max = config.option("n_max")
-    m_max = config.option("m_max")
+def _lemma_bounds(args: argparse.Namespace) -> tuple[int | None, int | None]:
+    """(n_max, m_max) from the flags or LEMMA_DEFAULTS; rejects a bound or a
+    2.4 option that the chosen lemma would ignore."""
+    lemma = args.id
+    bounds = []
+    for flag, given, default in zip(("--n-max", "--m-max"),
+                                    (args.n_max, args.m_max),
+                                    LEMMA_DEFAULTS[lemma]):
+        if default is None and given is not None:
+            raise ConfigError(f"lemma {lemma} takes no {flag}")
+        bounds.append(default if given is None else given)
+    if lemma != "2.4" and (args.region != "all"
+                           or args.full_range is not None):
+        raise ConfigError("--region and --full-range apply to lemma 2.4 only")
+    n_max, m_max = bounds
+    if lemma == "2.3" and n_max < 2:
+        raise ConfigError("lemma 2.3 needs --n-max >= 2")
+    if n_max is not None and n_max < 1:
+        raise ConfigError("--n-max must be >= 1")
+    if m_max is not None and m_max < 2:
+        raise ConfigError(f"lemma {lemma} needs --m-max >= 2")
+    if args.full_range is not None and args.full_range < 0:
+        raise ConfigError("--full-range must be >= 0")
+    return n_max, m_max
 
-    if lemma_id == "2.2":
-        n_max = 200 if n_max is None else n_max
-        if n_max < 1:
-            raise ConfigError("--n-max must be >= 1")
-        return _flatten(_pmap(_lemma22_row, list(range(1, n_max + 1)),
-                              config.jobs))
 
-    if lemma_id == "2.3":
-        n_max = 500 if n_max is None else n_max
-        if n_max < 2:
-            raise ConfigError("lemma 2.3 needs --n-max >= 2")
-        return _pmap(_lemma23_record, list(range(2, n_max + 1)), config.jobs)
+def _cmd_lemma(args: argparse.Namespace) -> list[ReportRecord]:
+    n_max, m_max = _lemma_bounds(args)
 
-    if lemma_id == "2.4":
-        m_max = 50 if m_max is None else m_max
-        if m_max < 2:
-            raise ConfigError("lemma 2.4 needs --m-max >= 2")
-        region = config.option("region")
-        full_range = config.option("full_range")
-        audit = lemma24_scan(m_max, region=region, full_range=full_range)
-        summary = ReportRecord(
-            "lemma", (("id", "2.4"),) + audit.params,
-            PASS if audit.ok else FAIL,
-            (("checked", str(audit.checked)),
-             ("violations", str(len(audit.violations)))))
-        records = [summary]
-        for rec in audit.violations:
-            records.append(ReportRecord(
-                "lemma",
-                (("id", "2.4"), ("m", rec.m), ("n", rec.n), ("k", rec.k)),
-                FAIL, (("margin", str(rec.margin)),)))
-        return records
+    if args.id == "2.2":
+        rows = _pmap(_lemma22_row, list(range(1, n_max + 1)), args.jobs)
+        return [rec for row in rows for rec in row]
 
-    if lemma_id == "2.5":
-        n_max = 200 if n_max is None else n_max
-        if n_max < 1:
-            raise ConfigError("--n-max must be >= 1")
+    if args.id == "2.3":
+        return _pmap(_lemma23_record, list(range(2, n_max + 1)), args.jobs)
+
+    if args.id == "2.4":
+        audit = lemma24_scan(m_max, region=args.region,
+                             full_range=args.full_range)
+        failures = [ReportRecord(
+            "lemma", (("id", "2.4"), ("m", rec.m), ("n", rec.n), ("k", rec.k)),
+            FAIL, (("margin", str(rec.margin)),)) for rec in audit.violations]
+        return _summary("lemma", (("id", "2.4"),) + audit.params, "checked",
+                        audit.checked, failures)
+
+    if args.id == "2.5":
         audit = lemma25_scan(n_max)
-        summary = ReportRecord(
-            "lemma", (("id", "2.5"),) + audit.params,
-            PASS if audit.ok else FAIL,
-            (("checked", str(audit.checked)),
-             ("violations", str(len(audit.violations)))))
-        return [summary] + [_lemma25_violation_record(v)
-                            for v in audit.violations]
+        failures = [_lemma25_violation_record(v) for v in audit.violations]
+        return _summary("lemma", (("id", "2.5"),) + audit.params, "checked",
+                        audit.checked, failures)
 
     # 2.6: pointwise quotients plus the five-floor inequality scan
-    n_max = 300 if n_max is None else n_max
-    m_max = 200 if m_max is None else m_max
-    if n_max < 1:
-        raise ConfigError("--n-max must be >= 1")
-    if m_max < 2:
-        raise ConfigError("lemma 2.6 needs --m-max >= 2")
-    records = _pmap(_lemma26_record, list(range(1, n_max + 1)), config.jobs)
+    records = _pmap(_lemma26_record, list(range(1, n_max + 1)), args.jobs)
     audit = lemma26_ineq_scan(m_max)
-    records.append(ReportRecord(
-        "lemma", (("id", "2.6"), ("inequality", "five-floor")) + audit.params,
-        PASS if audit.ok else FAIL,
-        (("checked", str(audit.checked)),
-         ("violations", str(len(audit.violations))))))
-    for rec in audit.violations:
-        records.append(ReportRecord(
-            "lemma",
-            (("id", "2.6"), ("inequality", "five-floor"),
-             ("m", rec.m), ("n", rec.n)),
-            FAIL, (("margin", str(rec.margin)),)))
-    return records
+    params = (("id", "2.6"), ("inequality", "five-floor"))
+    failures = [ReportRecord(
+        "lemma", params + (("m", rec.m), ("n", rec.n)),
+        FAIL, (("margin", str(rec.margin)),)) for rec in audit.violations]
+    return records + _summary("lemma", params + audit.params, "checked",
+                              audit.checked, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -414,24 +379,16 @@ def _ratio_records(args: tuple) -> list[ReportRecord]:
             failures.append(ReportRecord(
                 "ratio", (("id", identity), ("N", big_n), ("k", k)), FAIL,
                 (("lhs", str(check.lhs)), ("rhs", str(check.rhs)))))
-    summary = ReportRecord(
-        "ratio", (("id", identity), ("N", big_n)),
-        PASS if not failures else FAIL,
-        (("k_checked", str(len(k_range))), ("violations", str(len(failures)))))
-    return [summary] + failures
+    return _summary("ratio", (("id", identity), ("N", big_n)), "k_checked",
+                    len(k_range), failures)
 
 
-def _cmd_ratio(config: RunConfig) -> list[ReportRecord]:
-    which = config.option("id")
-    identities = list(RATIO_IDENTITIES) if which == "all" else [which]
-    n_min, n_max = config.option("n_min"), config.option("n_max")
-    if n_min < 2:
-        raise ConfigError("ratio identities need --n-min >= 2")
-    if n_max < n_min:
-        raise ConfigError("--n-max must be >= --n-min")
-    items = [(identity, big_n)
-             for identity in identities for big_n in range(n_min, n_max + 1)]
-    return _flatten(_pmap(_ratio_records, items, config.jobs))
+def _cmd_ratio(args: argparse.Namespace) -> list[ReportRecord]:
+    identities = list(RATIO_IDENTITIES) if args.id == "all" else [args.id]
+    items = [(identity, big_n) for identity in identities
+             for big_n in _n_range(args, "ratio identities need")]
+    return [rec for group in _pmap(_ratio_records, items, args.jobs)
+            for rec in group]
 
 
 # ---------------------------------------------------------------------------
@@ -446,53 +403,56 @@ def _load_document(source: str):
         except ValueError as exc:
             raise ConfigError(str(exc))
     try:
-        text = Path(source).read_text("utf-8")
+        return parse_document(Path(source).read_text("utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read {source!r}: {exc}")
-    try:
-        return parse_document(text)
     except DslError as exc:
         raise ConfigError(f"{source}: {exc}")
 
 
-def _cmd_term(config: RunConfig) -> tuple[list[ReportRecord], str | None]:
-    action = config.option("action")
-    doc = _load_document(config.option("source"))
-    if action == "serialize":
-        return [], serialize_document(doc)
-    if action == "parse":
+def _cmd_term(args: argparse.Namespace) -> list[ReportRecord] | str:
+    """Report records, or for serialize the canonical text itself."""
+    doc = _load_document(args.source)
+    if args.action == "serialize":
+        return serialize_document(doc)
+    if args.action == "parse":
         term = doc.term
         witness = (("name", doc.name),
                    ("sign", term.sign_exponent.render()),
                    ("base_factors", str(len(term.base_factors))),
                    ("binom_factors", str(len(term.binom_factors))))
-        return [ReportRecord("term", (("action", "parse"),), PASS, witness)], None
-    n, k = config.option("n"), config.option("k")
-    if n is None or k is None:
+        return [ReportRecord("term", (("action", "parse"),), PASS, witness)]
+    if args.n is None or args.k is None:
         raise ConfigError("term eval needs --n and --k")
-    params = (("action", "eval"), ("name", doc.name), ("n", n), ("k", k))
+    params = (("action", "eval"), ("name", doc.name), ("n", args.n),
+              ("k", args.k))
     try:
-        value = eval_term(doc.term, n, k)
+        value = eval_term(doc.term, args.n, args.k)
     except TermEvalError as exc:
-        return [ReportRecord("term", params, FAIL,
-                             (("reason", str(exc)),))], None
-    return [ReportRecord("term", params, PASS,
-                         (("value", str(value)),))], None
+        return [ReportRecord("term", params, FAIL, (("reason", str(exc)),))]
+    return [ReportRecord("term", params, PASS, (("value", str(value)),))]
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV)
-    if raw is None:
-        return 1
+def _jobs(flag: int | None) -> int:
+    """--jobs, else $BINOMSUM_JOBS, else 1."""
+    raw = os.environ.get(JOBS_ENV, "1") if flag is None else flag
     try:
         jobs = int(raw)
     except ValueError:
         raise ConfigError(f"{JOBS_ENV} must be an integer, got {raw!r}")
+    if jobs < 1:
+        raise ConfigError("--jobs must be at least 1")
     return jobs
+
+
+def _lemma_defaults_help(index: int) -> str:
+    return ", ".join(f"{bounds[index]} ({lemma})"
+                     for lemma, bounds in LEMMA_DEFAULTS.items()
+                     if bounds[index] is not None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -513,6 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sumcheck", parents=[common],
                        help="divisibility of the built-in binomial sums")
+    p.set_defaults(run=_cmd_sumcheck)
     p.add_argument("--sum", default="all",
                    choices=["all"] + sorted(SUM_SPECS),
                    help="which sum to audit (default: all)")
@@ -526,6 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wzcheck", parents=[common],
                        help="grid, symbolic, and telescoping pair audits")
+    p.set_defaults(run=_cmd_wzcheck)
     p.add_argument("--pair", required=True,
                    help="builtin:<name> or a directory with one .F and one .G")
     p.add_argument("--mode", required=True,
@@ -543,12 +505,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemma", parents=[common],
                        help="proof-level audits (quotients, floors, valuations)")
+    p.set_defaults(run=_cmd_lemma)
     p.add_argument("--id", required=True, choices=LEMMA_IDS)
     p.add_argument("--n-max", type=int, default=None,
-                   help="per-lemma default: 200 (2.2), 500 (2.3), "
-                        "200 (2.5), 300 (2.6)")
+                   help=f"per-lemma default: {_lemma_defaults_help(0)}")
     p.add_argument("--m-max", type=int, default=None,
-                   help="modulus bound; default: 50 (2.4), 200 (2.6)")
+                   help=f"modulus bound; default: {_lemma_defaults_help(1)}")
     p.add_argument("--region", default="all", choices=LEMMA24_REGIONS,
                    help="2.4 only: restrict to the k=0 slice or the "
                         "2n+k-1 >= 3m/2 region")
@@ -557,6 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ratio", parents=[common],
                        help="closed-form identities for the scaled pair terms")
+    p.set_defaults(run=_cmd_ratio)
     p.add_argument("--id", default="all",
                    choices=["all"] + list(RATIO_IDENTITIES))
     p.add_argument("--n-min", type=int, default=2)
@@ -565,6 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("term", parents=[common],
                        help="parse, evaluate, or canonically serialize a "
                             "term document")
+    p.set_defaults(run=_cmd_term)
     p.add_argument("action", choices=["parse", "eval", "serialize"])
     p.add_argument("source",
                    help="path to a document, or builtin:<name>.F / .G")
@@ -572,27 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
 
     return parser
-
-
-_OPTION_KEYS = {
-    "sumcheck": ("sum", "divisor", "n_min", "n_max", "valuation_check"),
-    "wzcheck": ("pair", "mode", "n_min", "n_max", "scale_exp", "scale_base",
-                "divisor"),
-    "lemma": ("id", "n_max", "m_max", "region", "full_range"),
-    "ratio": ("id", "n_min", "n_max"),
-    "term": ("action", "source", "n", "k"),
-}
-
-
-def parse_config(argv: list[str]) -> RunConfig:
-    args = build_parser().parse_args(argv)
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    if jobs < 1:
-        raise ConfigError("--jobs must be at least 1")
-    options = tuple((key, getattr(args, key))
-                    for key in _OPTION_KEYS[args.command])
-    return RunConfig(command=args.command, format=args.format,
-                     output=args.output, jobs=jobs, options=options)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -605,37 +548,24 @@ def _emit(text: str, output: str | None) -> None:
         raise ConfigError(f"cannot write report to {output!r}: {exc}")
 
 
-def run(config: RunConfig) -> int:
-    """Execute one configured audit; returns the process exit code."""
-    raw_text: str | None = None
-    if config.command == "sumcheck":
-        records = _cmd_sumcheck(config)
-    elif config.command == "wzcheck":
-        records = _cmd_wzcheck(config)
-    elif config.command == "lemma":
-        records = _cmd_lemma(config)
-    elif config.command == "ratio":
-        records = _cmd_ratio(config)
-    elif config.command == "term":
-        records, raw_text = _cmd_term(config)
-    else:
-        raise ConfigError(f"unknown command {config.command!r}")
-    if raw_text is not None:
-        _emit(raw_text, config.output)
-        return 0
-    _emit(render(records, config.format), config.output)
-    return 1 if any(rec.status == FAIL for rec in records) else 0
-
-
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    """Run one audit from argv (default: sys.argv[1:]); returns the exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        config = parse_config(argv)
-        return run(config)
+        args.jobs = _jobs(args.jobs)
+        result = args.run(args)
+        if isinstance(result, str):
+            _emit(result, args.output)
+            return 0
+        _emit(render(result, args.format), args.output)
+        return 1 if any(rec.status == FAIL for rec in result) else 0
     except ConfigError as exc:
         print(f"binomsum: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"binomsum: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 3
 
 
 def console_main() -> None:

@@ -84,13 +84,6 @@ def rat_valuation(p: int, x: Fraction | int) -> int:
     return v
 
 
-def floor_div(a: int, b: int) -> int:
-    """floor(a / b) for b > 0, rounding toward minus infinity."""
-    if b <= 0:
-        raise ValueError(f"floor_div by non-positive divisor {b}")
-    return a // b
-
-
 def primes_upto(limit: int) -> list[int]:
     """All primes <= limit, ascending (simple sieve)."""
     if limit < 2:

@@ -301,11 +301,14 @@ def _divisors(m: int) -> list[int]:
     return sorted(out)
 
 
-def _upoly_eval(cof: dict[int, Fraction], x: Fraction) -> Fraction:
-    total = Fraction(0)
-    for e, c in cof.items():
-        total += c * x ** e
-    return total
+def _upoly_vanishes_at(cof: dict[int, int], p: int, q: int) -> bool:
+    """Whether the integer polynomial cof vanishes at p/q (q > 0).
+
+    Tests q^d * cof(p/q) = sum c_e p^e q^(d-e) == 0 in integers, d the
+    degree, so no Fraction is built or reduced.
+    """
+    d = max(cof)
+    return sum(c * p ** e * q ** (d - e) for e, c in cof.items()) == 0
 
 
 def _upoly_primitive(cof: dict[int, Fraction]) -> dict[int, int]:
@@ -356,14 +359,15 @@ def _rational_roots(cof_in: dict[int, Fraction]) -> list[Fraction]:
     trail = cof[0]
     if abs(lead) > _ROOT_COEFF_LIMIT or abs(trail) > _ROOT_COEFF_LIMIT:
         return roots
-    fr = {e: Fraction(c) for e, c in cof.items()}
-    seen = set(roots)
+    # each root p/q in lowest terms is met once, at its reduced (p, q):
+    # a non-reduced pair repeats a value already met at a smaller q
     for q in _divisors(lead):
         for p in _divisors(trail):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand not in seen and _upoly_eval(fr, cand) == 0:
-                    roots.append(cand)
-                    seen.add(cand)
+            if math.gcd(p, q) != 1:
+                continue
+            for s in (p, -p):
+                if _upoly_vanishes_at(cof, s, q):
+                    roots.append(Fraction(s, q))
     return roots
 
 

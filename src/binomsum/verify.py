@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import binomial, factorial, floor_div, int_valuation, \
-    legendre_valuation, primes_upto, rat_valuation
+from .exact import binomial, factorial, int_valuation, legendre_valuation, \
+    primes_upto, rat_valuation
 from .hyperterm import eval_term
 from .pairs import DIVISOR_KINDS, builtin_pair
 
@@ -251,7 +251,7 @@ def lemma23_point(n: int) -> QuotientIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Eight-floor inequality (and its fractional-part reformulation)
+# Floor forms of lemmas 2.4 (eight floors) and 2.6 (five floors), two routes
 # ---------------------------------------------------------------------------
 
 def _floor_terms(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -265,31 +265,44 @@ def _floor_terms(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return pos, neg
 
 
+def _five_floor_terms(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The five arguments of lemma 2.6; both sides sum to 7n-6."""
+    return (6 * n - 5, n - 1), (2 * n - 1, 2 * n - 2, 3 * n - 3)
+
+
+def _form_sum(terms: tuple[tuple[int, ...], tuple[int, ...]], f):
+    """Sum of f over the positive arguments minus the sum over the negative."""
+    pos, neg = terms
+    return sum(f(a) for a in pos) - sum(f(b) for b in neg)
+
+
+def _floor_route(terms, m: int) -> int:
+    return _form_sum(terms, lambda a: a // m)
+
+
+def _fractional_route(terms, m: int) -> Fraction:
+    """The floor margin from fractional parts only: with equal linear sums
+    on both sides, sum(floor(a/m)) - sum(floor(b/m)) equals
+    (sum(b mod m) - sum(a mod m)) / m, which never touches floor division."""
+    return Fraction(-_form_sum(terms, lambda a: a % m), m)
+
+
 def floor_margin(m: int, n: int, k: int) -> MarginRecord:
     """Margin of the eight-floor inequality, via floor division only."""
     if m < 2:
         raise ValueError("floor_margin needs m >= 2")
     if not 0 <= k <= n:
         raise ValueError("floor_margin needs n >= k >= 0")
-    pos, neg = _floor_terms(n, k)
-    margin = (sum(floor_div(a, m) for a in pos)
-              - sum(floor_div(b, m) for b in neg))
-    return MarginRecord(m, n, k, margin)
+    return MarginRecord(m, n, k, _floor_route(_floor_terms(n, k), m))
 
 
 def floor_margin_fractional(m: int, n: int, k: int) -> Fraction:
-    """The same margin computed from fractional parts only.
-
-    Since both sides of the inequality have equal linear sums, the floor
-    margin equals sum({b/m}) - sum({a/m}) over the negative/positive
-    arguments; this never touches floor division.
-    """
+    """The same margin computed from fractional parts only."""
     if m < 2:
         raise ValueError("floor_margin_fractional needs m >= 2")
     if not 0 <= k <= n:
         raise ValueError("floor_margin_fractional needs n >= k >= 0")
-    pos, neg = _floor_terms(n, k)
-    return Fraction(sum(b % m for b in neg) - sum(a % m for a in pos), m)
+    return _fractional_route(_floor_terms(n, k), m)
 
 
 LEMMA24_REGIONS = ("all", "k0", "case3a")
@@ -315,23 +328,20 @@ def lemma24_scan(m_max: int, *, region: str = "all",
     checked = 0
     violations = []
     for m in range(2, m_max + 1):
-        if full_range is None:
-            rows = list(range(m)) + [m]
-        else:
-            rows = range(full_range + 1)
-        for n in rows:
+        for n in range(m + 1 if full_range is None else full_range + 1):
             for k in range(n + 1):
                 if region == "k0" and k != 0:
                     continue
                 if region == "case3a" and 2 * (2 * n + k - 1) < 3 * m:
                     continue
-                rec = floor_margin(m, n, k)
-                if rec.margin != floor_margin_fractional(m, n, k):
+                terms = _floor_terms(n, k)
+                margin = _floor_route(terms, m)
+                if margin != _fractional_route(terms, m):
                     raise ArithmeticError(
                         f"floor/fractional margin mismatch at {(m, n, k)}")
                 checked += 1
-                if rec.violation:
-                    violations.append(rec)
+                if margin < 0:
+                    violations.append(MarginRecord(m, n, k, margin))
     params = (("m_max", m_max), ("region", region),
               ("full_range", "none" if full_range is None else full_range))
     return LemmaAudit("2.4", params, checked, tuple(violations))
@@ -360,16 +370,6 @@ def lemma25_w(n: int, k: int) -> Fraction:
     return value
 
 
-def _legendre_margin_sum(table: list[int], n: int, k: int) -> int:
-    """Sum over i of the eight-floor margin at m = p**i, via a v_p(j!) table.
-
-    Summing each floor term over all prime powers turns it into a factorial
-    valuation, so the whole sum collapses to eight table lookups.
-    """
-    pos, neg = _floor_terms(n, k)
-    return sum(table[a] for a in pos) - sum(table[b] for b in neg)
-
-
 def lemma25_valuations(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
     """Per-prime triples (p, margin-sum route, direct-valuation route).
 
@@ -378,13 +378,10 @@ def lemma25_valuations(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
     reduces W(n,k) to lowest terms and counts powers of p directly.
     """
     w = lemma25_w(n, k)
-    out = []
-    for p in primes_upto(4 * n + 2 * k - 2):
-        pos, neg = _floor_terms(n, k)
-        margin_sum = (sum(legendre_valuation(p, a) for a in pos)
-                      - sum(legendre_valuation(p, b) for b in neg))
-        out.append((p, margin_sum, rat_valuation(p, w)))
-    return tuple(out)
+    terms = _floor_terms(n, k)
+    return tuple((p, _form_sum(terms, lambda a: legendre_valuation(p, a)),
+                  rat_valuation(p, w))
+                 for p in primes_upto(4 * n + 2 * k - 2))
 
 
 def lemma25_scan(n_max: int) -> LemmaAudit:
@@ -414,12 +411,15 @@ def lemma25_scan(n_max: int) -> LemmaAudit:
                 violations.append(("non-integral", n, k, w))
                 continue
             point_bound = 4 * n + 2 * k - 2
+            terms = _floor_terms(n, k)
             reconstructed = 1
             negative = []
             for p, table in tables:
                 if p > point_bound:
                     break
-                s = _legendre_margin_sum(table, n, k)
+                # Summing the eight-floor margin over all powers of p turns
+                # each floor into v_p(j!): eight lookups in the table.
+                s = _form_sum(terms, table.__getitem__)
                 if s < 0:
                     negative.append((p, s))
                 elif s:
@@ -455,9 +455,7 @@ def lemma26_floor_margin(m: int, n: int) -> int:
         raise ValueError("lemma26_floor_margin needs m >= 2")
     if n < 1:
         raise ValueError("lemma26_floor_margin needs n >= 1")
-    return (floor_div(6 * n - 5, m) + floor_div(n - 1, m)
-            - floor_div(2 * n - 1, m) - floor_div(2 * n - 2, m)
-            - floor_div(3 * n - 3, m))
+    return _floor_route(_five_floor_terms(n), m)
 
 
 def lemma26_ineq_scan(m_max: int) -> LemmaAudit:
@@ -472,11 +470,9 @@ def lemma26_ineq_scan(m_max: int) -> LemmaAudit:
     violations = []
     for m in range(2, m_max + 1):
         for n in range(1, m + 1):
-            margin = lemma26_floor_margin(m, n)
-            pos = (6 * n - 5, n - 1)
-            neg = (2 * n - 1, 2 * n - 2, 3 * n - 3)
-            frac = Fraction(sum(b % m for b in neg) - sum(a % m for a in pos), m)
-            if margin != frac:
+            terms = _five_floor_terms(n)
+            margin = _floor_route(terms, m)
+            if margin != _fractional_route(terms, m):
                 raise ArithmeticError(
                     f"floor/fractional margin mismatch at {(m, n)}")
             checked += 1

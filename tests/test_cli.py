@@ -403,3 +403,56 @@ def test_worker_count_clamped_to_items_and_cpus(monkeypatch):
     assert _worker_count(16, 5) == 5
     monkeypatch.setattr(cli_module.os, "cpu_count", lambda: None)
     assert _worker_count(4, 50) == 1
+
+
+# ---------------------------------------------------------------------------
+# Exit codes 2 and 3: rejected input and internal errors
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv,message", [
+    (["lemma", "--id", "2.4", "--full-range", "-1"],
+     "--full-range must be >= 0"),
+    (["lemma", "--id", "2.4", "--n-max", "0"], "lemma 2.4 takes no --n-max"),
+    (["lemma", "--id", "2.2", "--m-max", "5"], "lemma 2.2 takes no --m-max"),
+    (["lemma", "--id", "2.3", "--m-max", "5"], "lemma 2.3 takes no --m-max"),
+    (["lemma", "--id", "2.5", "--m-max", "5"], "lemma 2.5 takes no --m-max"),
+    (["lemma", "--id", "2.5", "--region", "k0"],
+     "--region and --full-range apply to lemma 2.4 only"),
+    (["lemma", "--id", "2.6", "--full-range", "3"],
+     "--region and --full-range apply to lemma 2.4 only"),
+    (["wzcheck", "--pair", "{pair}", "--mode", "grid", "--scale-base", "0"],
+     "scale base must be nonzero"),
+])
+def test_rejects_bad_or_ignored_input(tmp_path, capsys, argv, message):
+    (tmp_path / "a.F").write_text(builtin_document_text("guillera1.F"),
+                                  "utf-8")
+    (tmp_path / "a.G").write_text(builtin_document_text("guillera1.G"),
+                                  "utf-8")
+    argv = [arg.format(pair=tmp_path) for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("binomsum: error: ") and err.endswith("\n")
+    assert message in err and err.count("\n") == 1
+
+
+def _mismatched_route(terms, m):
+    return 1234
+
+
+def _broken_point(n):
+    raise ArithmeticError("binomial and factorial forms disagree")
+
+
+@pytest.mark.parametrize("target,replacement,argv,kind", [
+    ("binomsum.verify._fractional_route", _mismatched_route,
+     ["lemma", "--id", "2.4", "--m-max", "3"], "ArithmeticError"),
+    ("binomsum.cli.lemma23_point", _broken_point,
+     ["lemma", "--id", "2.3", "--n-max", "5"], "ArithmeticError"),
+])
+def test_internal_error_exits_three(monkeypatch, capsys, target, replacement,
+                                    argv, kind):
+    monkeypatch.setattr(target, replacement)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"binomsum: internal error: {kind}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")

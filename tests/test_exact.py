@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from binomsum.exact import binomial, factorial, floor_div, int_valuation, \
+from binomsum.exact import binomial, factorial, int_valuation, \
     legendre_valuation, primes_upto, rat_valuation
 
 
@@ -75,19 +75,6 @@ def test_rat_valuation_signs():
     assert rat_valuation(2, Fraction(3, 8)) == -3
     assert rat_valuation(2, Fraction(-355, 256)) == -8
     assert rat_valuation(3, Fraction(9, 5)) == 2
-
-
-def test_floor_div_matches_python_floor():
-    assert floor_div(7, 2) == 3
-    assert floor_div(-7, 2) == -4
-    assert floor_div(0, 5) == 0
-
-
-def test_floor_div_requires_positive_modulus():
-    with pytest.raises(ValueError):
-        floor_div(5, 0)
-    with pytest.raises(ValueError):
-        floor_div(5, -3)
 
 
 def test_primes_upto_inclusive():

@@ -229,6 +229,16 @@ def test_lemma26_floor_margin_spots():
     assert lemma26_floor_margin(5, 3) == 0
 
 
+@pytest.mark.parametrize("margin,args", [
+    (floor_margin, (1, 2, 1)), (floor_margin, (0, 2, 1)),
+    (floor_margin, (3, 1, 2)), (floor_margin_fractional, (1, 2, 1)),
+    (floor_margin_fractional, (3, 1, 2)), (lemma26_floor_margin, (1, 3)),
+    (lemma26_floor_margin, (-2, 3)), (lemma26_floor_margin, (3, 0))])
+def test_floor_margins_reject_bad_arguments(margin, args):
+    with pytest.raises(ValueError):
+        margin(*args)
+
+
 def test_lemma26_ineq_scan_clean():
     audit = lemma26_ineq_scan(100)
     assert audit.ok
