@@ -28,9 +28,9 @@ from .hyperterm import NotProportionalError, TermEvalError, eval_term
 from .pairs import WZPairSpec, builtin_document, builtin_pair, builtin_pair_names
 from .report import FAIL, FORMATS, PASS, SKIPPED, ReportRecord, render
 from .verify import LEMMA24_REGIONS, RATIO_IDENTITIES, SUM_SPECS, \
-    check_divisibility, check_divisibility_valuations, lemma22_point, \
-    lemma23_point, lemma24_scan, lemma25_scan, lemma26_ineq_scan, \
-    lemma26_point, ratio_identity, ratio_k_values, sum_spec
+    check_divisibility, lemma22_point, lemma23_point, lemma24_scan, \
+    lemma25_scan, lemma26_ineq_scan, lemma26_point, ratio_identity, \
+    ratio_k_values, sum_spec, valuation_failures
 from .wz import telescope_audit, wz_certificate, wz_grid_row, wz_symbolic_check
 
 JOBS_ENV = "BINOMSUM_JOBS"
@@ -45,6 +45,9 @@ LEMMA_DEFAULTS = {
 }
 
 LEMMA_IDS = tuple(LEMMA_DEFAULTS)
+
+# wzcheck defaults: first N (telescope) and grid size / last N (grid, telescope).
+WZ_N_MIN, WZ_N_MAX = 2, 60
 
 
 class ConfigError(Exception):
@@ -148,7 +151,7 @@ def _sum_record(args: tuple) -> ReportRecord:
     witness = _division_witness(division)
     agree = True
     if valuation:
-        val_ok, _failures = check_divisibility_valuations(spec, kind, n)
+        val_ok = not valuation_failures(division.value, used_kind, n)
         agree = val_ok == division.ok
         witness.append(("valuation", "agree" if agree else "disagree"))
     params = (("sum", name), ("divisor", used_kind), ("n", n))
@@ -209,9 +212,30 @@ def _telescope_record(args: tuple) -> ReportRecord:
     return ReportRecord("wzcheck", params, FAIL, tuple(witness))
 
 
+def _wz_options(args: argparse.Namespace, ref: tuple) -> None:
+    """Reject options the chosen mode or pair would ignore, then fill in
+    the --n-min/--n-max defaults."""
+    if ref[0] == "builtin" and args.scale_base is not None:
+        raise ConfigError("--scale-base applies to path pairs only")
+    unused = {}
+    if args.mode != "telescope":
+        unused = {"--n-min": args.n_min, "--scale-exp": args.scale_exp,
+                  "--divisor": args.divisor}
+    if args.mode == "symbolic":
+        unused["--n-max"] = args.n_max
+    for flag, given in unused.items():
+        if given is not None:
+            raise ConfigError(f"wzcheck --mode {args.mode} takes no {flag}")
+    if args.n_min is None:
+        args.n_min = WZ_N_MIN
+    if args.n_max is None:
+        args.n_max = WZ_N_MAX
+
+
 def _cmd_wzcheck(args: argparse.Namespace) -> list[ReportRecord]:
     ref = _pair_ref(args.pair, args.scale_base,
                     "strong" if args.divisor is None else args.divisor)
+    _wz_options(args, ref)
     pair = _resolve_pair(ref)  # validate documents up front
 
     if args.mode == "grid":
@@ -412,6 +436,10 @@ def _load_document(source: str):
 
 def _cmd_term(args: argparse.Namespace) -> list[ReportRecord] | str:
     """Report records, or for serialize the canonical text itself."""
+    if args.action != "eval":
+        for flag, given in (("--n", args.n), ("--k", args.k)):
+            if given is not None:
+                raise ConfigError(f"term {args.action} takes no {flag}")
     doc = _load_document(args.source)
     if args.action == "serialize":
         return serialize_document(doc)
@@ -492,10 +520,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="builtin:<name> or a directory with one .F and one .G")
     p.add_argument("--mode", required=True,
                    choices=["grid", "symbolic", "telescope"])
-    p.add_argument("--n-min", type=int, default=2,
-                   help="first N for telescope mode (default 2)")
-    p.add_argument("--n-max", type=int, default=60,
-                   help="grid size / last N for telescope (default 60)")
+    p.add_argument("--n-min", type=int, default=None,
+                   help=f"first N for telescope mode (default {WZ_N_MIN})")
+    p.add_argument("--n-max", type=int, default=None,
+                   help=f"grid size / last N for telescope (default {WZ_N_MAX})")
     p.add_argument("--scale-exp", type=int, default=None,
                    help="telescope scaling exponent (default N-1)")
     p.add_argument("--scale-base", type=int, default=None,

@@ -18,6 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import binomial, int_valuation, primes_upto
 from .polyalg import BivarPoly, RationalFunction
@@ -163,6 +164,28 @@ def eval_term(term: HypergeometricTerm, n: int, k: int) -> Fraction:
     if term.sign_exponent.evaluate(n, k) % 2:
         num = -num
     return Fraction(num, den)
+
+
+@lru_cache(maxsize=1)
+def _k0_prefix_table(term: HypergeometricTerm) -> list[Fraction]:
+    """Entry i is the sum of term(n, 0) over n < i, as far as computed."""
+    return [Fraction(0)]
+
+
+def k0_prefix_sum(term: HypergeometricTerm, big_n: int) -> Fraction:
+    """The sum of term(n, 0) over 0 <= n < big_n.
+
+    Each term(n, 0) is evaluated once per process: the prefix sums of the
+    most recent term are kept and grown to the largest big_n asked for.
+    A TermEvalError at some n < big_n propagates, and the table keeps the
+    sums before that n.
+    """
+    if big_n < 0:
+        raise ValueError("k0_prefix_sum needs big_n >= 0")
+    table = _k0_prefix_table(term)
+    for n in range(len(table) - 1, big_n):
+        table.append(table[-1] + eval_term(term, n, 0))
+    return table[big_n]
 
 
 def _factorial_atoms(term: HypergeometricTerm) -> dict[LinearForm, int]:

@@ -6,15 +6,22 @@ floor division.  Where a fact can be established along two independent
 routes (division with remainder vs. prime valuations, floor terms vs.
 fractional parts, binomial products vs. factorial quotients), both routes
 are implemented separately and compared rather than merged.
+
+Summands t(k) of a sum do not depend on n, so each is computed once per
+process: eval_sum reads them from a table that grows to the largest n
+asked for.  One sum's table is held at a time, and it costs O(n_max^2)
+bits.  iter_sums computes its summands afresh, so the recurrence stays an
+independent route to the same values.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import binomial, factorial, int_valuation, legendre_valuation, \
     primes_upto, rat_valuation
-from .hyperterm import eval_term
+from .hyperterm import eval_term, k0_prefix_sum
 from .pairs import DIVISOR_KINDS, builtin_pair
 
 
@@ -71,20 +78,42 @@ def _summand(spec: SumSpec, k: int) -> int:
     return t
 
 
+@lru_cache(maxsize=1)
+def _summand_table(spec: SumSpec) -> list[int]:
+    """t(0), t(1), ... of one sum as far as computed; eval_sum grows it."""
+    return []
+
+
 def eval_sum(spec: SumSpec | str, n: int) -> int:
-    """Direct evaluation of the length-n partial sum."""
+    """Direct evaluation of the length-n partial sum, sum t(k)*base**(n-1-k).
+
+    Each t(k) is computed once per process and kept in a table that grows
+    to the largest n asked for.  Only the table of the most recent sum is
+    held, so callers that go sum by sum rebuild it once per sum; it costs
+    O(n_max^2) bits, about 3 MB for guillera2 at n = 2000.  A summand that
+    raises leaves the table with the terms finished before it.
+    """
     if isinstance(spec, str):
         spec = sum_spec(spec)
     if n < 1:
         raise ValueError("eval_sum needs n >= 1")
-    return sum(_summand(spec, k) * spec.base ** (n - k - 1) for k in range(n))
+    table = _summand_table(spec)
+    for k in range(len(table), n):
+        table.append(_summand(spec, k))
+    total = 0
+    power = 1
+    for k in range(n - 1, -1, -1):
+        total += table[k] * power
+        power *= spec.base
+    return total
 
 
 def iter_sums(spec: SumSpec | str, n_max: int):
     """Yield (n, S(n)) for n = 1..n_max via S(n+1) = base*S(n) + t(n).
 
-    A second route to the same values as eval_sum; the two are compared
-    in the test suite rather than shared.
+    A second route to the same values as eval_sum; it computes every
+    summand itself rather than reading eval_sum's table, and the two are
+    compared in the test suite rather than shared.
     """
     if isinstance(spec, str):
         spec = sum_spec(spec)
@@ -161,11 +190,19 @@ def check_divisibility_valuations(spec: SumSpec | str, kind: str | None,
         raise ValueError("check_divisibility_valuations needs n >= 2")
     if kind is None:
         kind = spec.divisor_kind
+    failures = valuation_failures(eval_sum(spec, n), kind, n)
+    return not failures, failures
+
+
+def valuation_failures(value: int, kind: str,
+                       n: int) -> tuple[tuple[int, int, int], ...]:
+    """Primes p <= 2n with v_p(divisor(kind, n)) > v_p(value), as triples
+    (p, v_p(divisor), v_p(value)); v_p(divisor) comes from Legendre's
+    formula, never from the divisor integer.  Empty when value is 0."""
     if kind not in DIVISOR_KINDS:
         raise ValueError(f"divisor kind must be one of {DIVISOR_KINDS}")
-    value = eval_sum(spec, n)
     if value == 0:
-        return True, ()
+        return ()
     e = 1 if kind == "weak" else 2
     failures = []
     for p in primes_upto(2 * n):
@@ -177,7 +214,7 @@ def check_divisibility_valuations(spec: SumSpec | str, kind: str | None,
         v_val = int_valuation(p, value)
         if v_div > v_val:
             failures.append((p, v_div, v_val))
-    return not failures, tuple(failures)
+    return tuple(failures)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +640,6 @@ def ratio_identity(identity: str, big_n: int, k: int | None = None) -> RatioChec
     else:  # telescoped_sum
         pair = builtin_pair("guillera2")
         scale = Fraction(pair.scale_base) ** (n - 1)
-        lhs = scale * sum((eval_term(pair.f.term, j, 0) for j in range(n)),
-                          Fraction(0))
+        lhs = scale * k0_prefix_sum(pair.f.term, n)
         rhs = Fraction(eval_sum(pair.sum_id, n))
     return RatioCheck(identity, n, k, lhs, rhs, alt)

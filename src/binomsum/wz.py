@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hyperterm import HypergeometricTerm, TermEvalError, eval_term, \
-    shift_quotient, term_quotient
+    k0_prefix_sum, shift_quotient, term_quotient
 from .pairs import WZPairSpec
 from .polyalg import RationalFunction
 from .verify import divisor
@@ -195,7 +195,6 @@ def telescope_audit(pair: WZPairSpec, big_n: int, *,
         g_terms.append((k, _scaled_check(value, div)))
     g_sum = _scaled_check(total, div)
     corner = _scaled_check(scale * eval_term(f, big_n - 1, big_n - 1), div)
-    conclusion_value = scale * sum(eval_term(f, n, 0) for n in range(big_n))
-    conclusion = _scaled_check(conclusion_value, div)
+    conclusion = _scaled_check(scale * k0_prefix_sum(f, big_n), div)
     return TelescopeAudit(pair.name, big_n, kind, div, exp,
                           tuple(g_terms), g_sum, corner, conclusion)

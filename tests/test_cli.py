@@ -422,6 +422,29 @@ def test_worker_count_clamped_to_items_and_cpus(monkeypatch):
      "--region and --full-range apply to lemma 2.4 only"),
     (["wzcheck", "--pair", "{pair}", "--mode", "grid", "--scale-base", "0"],
      "scale base must be nonzero"),
+    (["wzcheck", "--pair", "builtin:guillera1", "--mode", "grid", "--n-max",
+      "3", "--n-min", "50", "--scale-base", "0", "--scale-exp", "7"],
+     "--scale-base applies to path pairs only"),
+    (["wzcheck", "--pair", "builtin:guillera1", "--mode", "telescope",
+      "--scale-base", "4"], "--scale-base applies to path pairs only"),
+    (["wzcheck", "--pair", "builtin:guillera1", "--mode", "grid", "--n-min",
+      "50"], "wzcheck --mode grid takes no --n-min"),
+    (["wzcheck", "--pair", "{pair}", "--mode", "symbolic", "--n-min", "2"],
+     "wzcheck --mode symbolic takes no --n-min"),
+    (["wzcheck", "--pair", "builtin:guillera1", "--mode", "grid",
+      "--scale-exp", "7"], "wzcheck --mode grid takes no --scale-exp"),
+    (["wzcheck", "--pair", "builtin:guillera2", "--mode", "symbolic",
+      "--divisor", "weak"], "wzcheck --mode symbolic takes no --divisor"),
+    (["wzcheck", "--pair", "{pair}", "--mode", "grid", "--divisor", "strong"],
+     "wzcheck --mode grid takes no --divisor"),
+    (["wzcheck", "--pair", "builtin:guillera1", "--mode", "symbolic",
+      "--n-max", "5"], "wzcheck --mode symbolic takes no --n-max"),
+    (["term", "parse", "builtin:guillera1.F", "--n", "3"],
+     "term parse takes no --n"),
+    (["term", "parse", "builtin:guillera1.F", "--k", "0"],
+     "term parse takes no --k"),
+    (["term", "serialize", "builtin:guillera2.G", "--n", "1", "--k", "1"],
+     "term serialize takes no --n"),
 ])
 def test_rejects_bad_or_ignored_input(tmp_path, capsys, argv, message):
     (tmp_path / "a.F").write_text(builtin_document_text("guillera1.F"),

@@ -23,6 +23,8 @@ CASES = [
     ("sumcheck_all", ["sumcheck", "--n-max", "8"], 0),
     ("sumcheck_valuation", ["sumcheck", "--sum", "guillera1", "--n-max",
                             "10", "--valuation-check"], 0),
+    ("sumcheck_valuation_wide", ["sumcheck", "--sum", "all", "--n-min", "60",
+                                 "--n-max", "70", "--valuation-check"], 0),
     ("sumcheck_fail", ["sumcheck", "--sum", "sun_a", "--divisor", "strong",
                        "--n-max", "6"], 1),
     ("wz_grid", ["wzcheck", "--pair", "builtin:guillera1", "--mode", "grid",

@@ -1,7 +1,10 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import binomsum.verify as verify_module
 from binomsum.exact import binomial, rat_valuation
 from binomsum.verify import RATIO_IDENTITIES, SUM_SPECS, check_divisibility, \
     check_divisibility_valuations, divisor, eval_sum, floor_margin, \
@@ -44,6 +47,40 @@ def test_iter_sums_matches_direct_evaluation():
         direct = [eval_sum(name, n) for n in range(1, 31)]
         recurrent = [s for _, s in iter_sums(name, 30)]
         assert direct == recurrent
+
+
+def test_eval_sum_matches_recurrence_in_any_call_order():
+    expected = {name: dict(iter_sums(name, 60)) for name in SUM_SPECS}
+    rng = random.Random(4)
+    for name in SUM_SPECS:
+        ns = list(range(1, 61))
+        rng.shuffle(ns)
+        assert [eval_sum(name, n) for n in ns] == [expected[name][n]
+                                                    for n in ns]
+    calls = [(name, n) for name in SUM_SPECS for n in range(1, 61)]
+    rng.shuffle(calls)
+    for name, n in calls:
+        assert eval_sum(name, n) == expected[name][n], (name, n)
+    fresh = replace(sum_spec("guillera2"))
+    assert fresh == sum_spec("guillera2") and fresh is not sum_spec("guillera2")
+    for n in (60, 1, 37, 59, 2):
+        assert eval_sum(fresh, n) == expected["guillera2"][n]
+
+
+def test_eval_sum_keeps_only_finished_summands(monkeypatch):
+    spec = replace(sum_spec("sun_b"), name="sun_b_copy")
+    summand = verify_module._summand
+
+    def fails_at_five(s, k):
+        if k == 5:
+            raise ArithmeticError("summand 5")
+        return summand(s, k)
+
+    monkeypatch.setattr(verify_module, "_summand", fails_at_five)
+    with pytest.raises(ArithmeticError):
+        eval_sum(spec, 10)
+    monkeypatch.setattr(verify_module, "_summand", summand)
+    assert eval_sum(spec, 10) == dict(iter_sums(spec, 10))[10]
 
 
 def test_divisor_values():

@@ -5,7 +5,9 @@ import pytest
 
 from binomsum.cli import main
 from binomsum.dsl import parse_document
-from binomsum.hyperterm import NotProportionalError, TermDocument, eval_term
+import binomsum.hyperterm as hyperterm_module
+from binomsum.hyperterm import NotProportionalError, TermDocument, \
+    TermEvalError, eval_term
 from binomsum.pairs import WZPairSpec, builtin_pair, builtin_pair_names
 from binomsum.polyalg import BivarPoly
 from binomsum.verify import eval_sum
@@ -151,6 +153,37 @@ def test_telescope_weak_divisor_override():
 def test_telescope_requires_n_at_least_two():
     with pytest.raises(ValueError):
         telescope_audit(builtin_pair("guillera1"), 1)
+
+
+def test_telescope_audit_independent_of_call_order():
+    for name in builtin_pair_names():
+        pair = builtin_pair(name)
+        hyperterm_module._k0_prefix_table.cache_clear()
+        descending = [telescope_audit(pair, n) for n in range(30, 1, -1)]
+        hyperterm_module._k0_prefix_table.cache_clear()
+        ascending = [telescope_audit(pair, n) for n in range(2, 31)]
+        assert descending[::-1] == ascending
+        for audit in ascending:
+            n = audit.big_n
+            assert audit.conclusion.value == pair.scale_base ** (n - 1) * sum(
+                eval_term(pair.f.term, j, 0) for j in range(n))
+
+
+def test_telescope_pole_in_conclusion_propagates():
+    f_doc = parse_document("term p.F\npoly 1\ndenompoly n+k-3\nend\n")
+    pair = WZPairSpec(name="pole", f=f_doc, g=builtin_pair("guillera1").g,
+                      scale_base=2, divisor_kind="strong", sum_id="")
+    with pytest.raises(TermEvalError) as pole:
+        eval_term(f_doc.term, 3, 0)
+    for big_n in (5, 3, 4, 6):
+        if big_n > 3:
+            with pytest.raises(TermEvalError) as raised:
+                telescope_audit(pair, big_n)
+            assert str(raised.value) == str(pole.value)
+        else:
+            audit = telescope_audit(pair, big_n)
+            assert audit.conclusion.value == 4 * (Fraction(-1, 3)
+                                                  + Fraction(-1, 2) - 1)
 
 
 # guillera1 with F and G each multiplied by a removable factor: F by
