@@ -8,6 +8,7 @@ each of which fills its own copy.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 FACTORIAL_CACHE_LIMIT = 10_000
@@ -90,7 +91,7 @@ def primes_upto(limit: int) -> list[int]:
         return []
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0
-    for p in range(2, int(limit ** 0.5) + 1):
+    for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p:: p] = bytearray((limit - p * p) // p + 1)
     return [i for i, flag in enumerate(sieve) if flag]

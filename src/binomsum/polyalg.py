@@ -3,22 +3,21 @@
 BivarPoly is a sparse map (n-exponent, k-exponent) -> coefficient with no
 zero entries, ordered lexicographically with n before k. RationalFunction
 keeps an integer-coefficient numerator/denominator pair in a canonical
-form: coprime contents, denominator lex-leading coefficient positive, no
-common factor discoverable by content-and-candidate trial division (see
-the project notes for the candidate search). Equality and zero tests use
-cross-multiplication, so they stay exact even when reduction leaves a
-common factor behind.
+form: numerator and denominator coprime in Z[n, k], their integer contents
+coprime, and the denominator's lex-leading coefficient positive. Equal
+rational functions therefore have the same pair, render and hash. The
+gcds behind the form are exact: a subresultant pseudo-remainder sequence
+over Z[n, k] (W. S. Brown, "On Euclid's algorithm and the computation of
+polynomial greatest common divisors", J. ACM, 1971).
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from typing import Iterator, Mapping
 
 Monomial = tuple[int, int]
-
-# divisor enumeration guard for rational root searches
-_ROOT_COEFF_LIMIT = 10 ** 6
 
 
 class BivarPoly:
@@ -38,6 +37,13 @@ class BivarPoly:
         self._c = clean
 
     # ---- constructors ----
+
+    @classmethod
+    def _wrap(cls, coeffs: dict[Monomial, Fraction]) -> "BivarPoly":
+        """A polynomial on coeffs, which must hold no zero and only Fractions."""
+        p = cls.__new__(cls)
+        p._c = coeffs
+        return p
 
     @classmethod
     def zero(cls) -> "BivarPoly":
@@ -88,13 +94,6 @@ class BivarPoly:
             return -1
         return max(j for _, j in self._c)
 
-    def lex_lead(self) -> tuple[Monomial, Fraction]:
-        """Leading monomial and coefficient under lex order with n > k."""
-        if not self._c:
-            raise ValueError("zero polynomial has no leading term")
-        m = max(self._c)
-        return m, self._c[m]
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BivarPoly):
             return self._c == other._c
@@ -108,21 +107,10 @@ class BivarPoly:
     # ---- arithmetic ----
 
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
-        out = dict(self._c)
-        for m, c in other._c.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        p = BivarPoly.__new__(BivarPoly)
-        p._c = out
-        return p
+        return BivarPoly._wrap(_add(self._c, other._c))
 
     def __neg__(self) -> "BivarPoly":
-        p = BivarPoly.__new__(BivarPoly)
-        p._c = {m: -c for m, c in self._c.items()}
-        return p
+        return BivarPoly._wrap({m: -c for m, c in self._c.items()})
 
     def __sub__(self, other: "BivarPoly") -> "BivarPoly":
         return self + (-other)
@@ -130,23 +118,8 @@ class BivarPoly:
     def __mul__(self, other: "BivarPoly | int | Fraction") -> "BivarPoly":
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
-            if not f:
-                return BivarPoly.zero()
-            p = BivarPoly.__new__(BivarPoly)
-            p._c = {m: c * f for m, c in self._c.items()}
-            return p
-        out: dict[Monomial, Fraction] = {}
-        for (i1, j1), c1 in self._c.items():
-            for (i2, j2), c2 in other._c.items():
-                m = (i1 + i2, j1 + j2)
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        p = BivarPoly.__new__(BivarPoly)
-        p._c = out
-        return p
+            return BivarPoly._wrap({m: c * f for m, c in self._c.items()} if f else {})
+        return BivarPoly._wrap(_mul(self._c, other._c))
 
     __rmul__ = __mul__
 
@@ -201,14 +174,8 @@ class BivarPoly:
 
     def content(self) -> Fraction:
         """Positive rational c with self/c integer-primitive (0 for zero)."""
-        if not self._c:
-            return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self._c.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
+        return Fraction(math.gcd(*(c.numerator for c in self._c.values())),
+                        math.lcm(*(c.denominator for c in self._c.values())))
 
     def primitive(self) -> tuple[Fraction, "BivarPoly"]:
         """(content, primitive part); content carries no sign."""
@@ -218,38 +185,18 @@ class BivarPoly:
         return c, self * (1 / c)
 
     def divided_by(self, d: "BivarPoly") -> "BivarPoly | None":
-        """Exact quotient self/d, or None when d does not divide self."""
+        """Exact quotient self/d, or None when d does not divide self.
+
+        By Gauss's lemma d divides self over Q exactly when the primitive
+        part of d divides that of self over Z.
+        """
         if d.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero():
-            return BivarPoly.zero()
-        (di, dj), dc = d.lex_lead()
-        rem = dict(self._c)
-        quo: dict[Monomial, Fraction] = {}
-        while rem:
-            ri, rj = max(rem)
-            rc = rem[(ri, rj)]
-            qi, qj = ri - di, rj - dj
-            if qi < 0 or qj < 0:
-                return None
-            qc = rc / dc
-            quo[(qi, qj)] = qc
-            for (i, j), c in d._c.items():
-                m = (i + qi, j + qj)
-                s = rem.get(m, Fraction(0)) - qc * c
-                if s:
-                    rem[m] = s
-                else:
-                    rem.pop(m, None)
-        p = BivarPoly.__new__(BivarPoly)
-        p._c = quo
-        return p
-
-    def monomial_part(self) -> Monomial:
-        """Largest (i, j) with n^i k^j dividing every term (0,0 for zero)."""
-        if not self._c:
-            return (0, 0)
-        return (min(i for i, _ in self._c), min(j for _, j in self._c))
+        (c1, p1), (c2, p2) = self.primitive(), d.primitive()
+        try:
+            return BivarPoly(_quo(_ints(p1), _ints(p2))) * (c1 / c2)
+        except ArithmeticError:
+            return None
 
     # ---- rendering ----
 
@@ -286,188 +233,194 @@ def _render_term(m: Monomial, mag: Fraction) -> str:
     return "*".join(factors)
 
 
-# ---- univariate helpers for the candidate factor search ----
+# ---- exact gcd in Z[n, k] ----
+#
+# The gcd works on integer polynomials: dicts (i, j) -> int without zero
+# entries. For the pseudo-remainder sequence a polynomial is split into a
+# dense list, by powers of a main variable, of polynomials in the other
+# one; their gcds are again taken by _gcd, down to integer constants.
 
-def _divisors(m: int) -> list[int]:
-    m = abs(m)
-    out = []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            if d != m // d:
-                out.append(m // d)
-        d += 1
-    return sorted(out)
+IntPoly = dict[Monomial, int]
+
+_ONE: IntPoly = {(0, 0): 1}
 
 
-def _upoly_vanishes_at(cof: dict[int, int], p: int, q: int) -> bool:
-    """Whether the integer polynomial cof vanishes at p/q (q > 0).
-
-    Tests q^d * cof(p/q) = sum c_e p^e q^(d-e) == 0 in integers, d the
-    degree, so no Fraction is built or reduced.
-    """
-    d = max(cof)
-    return sum(c * p ** e * q ** (d - e) for e, c in cof.items()) == 0
-
-
-def _upoly_primitive(cof: dict[int, Fraction]) -> dict[int, int]:
-    num_gcd = 0
-    den_lcm = 1
-    for c in cof.values():
-        num_gcd = math.gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    scale = Fraction(den_lcm, num_gcd)
-    return {e: int(c * scale) for e, c in cof.items()}
-
-
-def _upoly_gcd(u: dict[int, Fraction], v: dict[int, Fraction]) -> dict[int, int]:
-    """Monic-free Euclid over Q; result integer-primitive."""
-    a, b = dict(u), dict(v)
-    while b:
-        da, db = max(a), max(b)
-        if da < db:
-            a, b = b, a
-            continue
-        lead = a[da] / b[db]
-        for e, c in b.items():
-            m = e + da - db
-            s = a.get(m, Fraction(0)) - lead * c
-            if s:
-                a[m] = s
-            else:
-                a.pop(m, None)
-        if not a:
-            a, b = b, {}
-            continue
-        if max(a) < db:
-            a, b = b, a
-    return _upoly_primitive(a) if a else {}
-
-
-def _rational_roots(cof_in: dict[int, Fraction]) -> list[Fraction]:
-    """Rational roots of a nonzero univariate polynomial, including 0."""
-    cof = _upoly_primitive(cof_in)
-    roots: list[Fraction] = []
-    m = min(cof)
-    if m > 0:
-        roots.append(Fraction(0))
-        cof = {e - m: c for e, c in cof.items()}
-    if max(cof) == 0:
-        return roots
-    lead = cof[max(cof)]
-    trail = cof[0]
-    if abs(lead) > _ROOT_COEFF_LIMIT or abs(trail) > _ROOT_COEFF_LIMIT:
-        return roots
-    # each root p/q in lowest terms is met once, at its reduced (p, q):
-    # a non-reduced pair repeats a value already met at a smaller q
-    for q in _divisors(lead):
-        for p in _divisors(trail):
-            if math.gcd(p, q) != 1:
-                continue
-            for s in (p, -p):
-                if _upoly_vanishes_at(cof, s, q):
-                    roots.append(Fraction(s, q))
-    return roots
-
-
-def _normalize_candidate(p: BivarPoly) -> BivarPoly | None:
-    if p.is_zero() or p.total_degree() < 1:
-        return None
-    _, prim = p.primitive()
-    _, lead = prim.lex_lead()
-    if lead < 0:
-        prim = -prim
-    return prim
-
-
-def _restrict_k(p: BivarPoly, kval: int) -> dict[int, Fraction]:
-    out: dict[int, Fraction] = {}
-    for (i, j), c in p.items():
-        s = out.get(i, Fraction(0)) + c * kval ** j
-        if s:
-            out[i] = s
-        else:
-            out.pop(i, None)
+def _power(x: IntPoly, e: int) -> IntPoly:
+    out = _ONE
+    for _ in range(e):
+        out = _mul(out, x)
     return out
 
 
-def _grouped_gcd(p: BivarPoly, by_n: bool) -> dict[int, int]:
-    """gcd over Q of the coefficient polynomials when grouping by one variable.
+def _prem(a: list[IntPoly], b: list[IntPoly]) -> list[IntPoly]:
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b."""
+    lead, top = b[-1], len(b) - 1
+    r = list(a)
+    e = len(a) - top
+    while len(r) > top:
+        c, s = {m: -v for m, v in r[-1].items()}, len(r) - len(b)
+        r = [_mul(lead, x) for x in r]
+        for i, y in enumerate(b):
+            r[s + i] = _add(r[s + i], _mul(c, y))
+        while r and not r[-1]:
+            r.pop()
+        e -= 1
+    return [_mul(_power(lead, e), x) for x in r]
 
-    by_n=True: view p as sum_j B_j(n) k^j and gcd the B_j (result in n);
-    by_n=False: symmetric, result in k.
+
+def _prs_gcd(a: list[IntPoly], b: list[IntPoly]) -> list[IntPoly]:
+    """gcd, up to sign and integer content, of nonzero a and b in D[x].
+
+    D is the ring of polynomials in the other variable. This is Brown's
+    subresultant algorithm as in Geddes, Czapor and Labahn, Algorithms
+    for Computer Algebra, algorithm 7.3: each pseudo-remainder is divided
+    by g * h^delta, which keeps the coefficients from growing
+    exponentially without taking a content at every step.
     """
-    groups: dict[int, dict[int, Fraction]] = {}
+    ca, cb = (reduce(_gcd, filter(None, p)) for p in (a, b))
+    a = [_quo(x, ca) for x in a]
+    b = [_quo(x, cb) for x in b]
+    if len(a) < len(b):
+        a, b = b, a
+    g = h = _ONE
+    while True:
+        delta = len(a) - len(b)
+        r = _prem(a, b)
+        if not r:
+            break
+        if len(r) == 1:
+            b = [_ONE]
+            break
+        a, b = b, [_quo(x, _mul(g, _power(h, delta))) for x in r]
+        g = a[-1]
+        if delta:
+            h = _quo(_power(g, delta), _power(h, delta - 1))
+    cg = reduce(_gcd, filter(None, b))
+    c = _gcd(ca, cb)
+    return [_mul(c, _quo(x, cg)) for x in b]
+
+
+def _split(p: IntPoly, v: int) -> list[IntPoly]:
+    """p by powers of n (v = 0) or of k (v = 1), as polynomials in the other."""
+    rows: list[IntPoly] = [{} for _ in range(max(m[v] for m in p) + 1)]
     for (i, j), c in p.items():
-        outer, inner = (j, i) if by_n else (i, j)
-        groups.setdefault(outer, {})[inner] = c
-    g: dict[int, Fraction] = {}
-    for cof in groups.values():
-        if not g:
-            g = {e: Fraction(c) for e, c in _upoly_primitive(cof).items()}
-        else:
-            g = {e: Fraction(c) for e, c in _upoly_gcd(g, cof).items()}
-        if g and max(g) == 0:
-            return {}
-    return {e: int(c) for e, c in g.items()}
+        rows[(i, j)[v]][(0, j) if v == 0 else (i, 0)] = c
+    return rows
 
 
-def _candidate_factors(p: BivarPoly) -> list[BivarPoly]:
-    """Degree <= 2 trial-division candidates harvested from p."""
-    cands: list[BivarPoly] = []
-    seen: set[frozenset] = set()
+def _gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Primitive gcd of a and b (not both zero), lex-leading coefficient positive.
 
-    def push(q: BivarPoly | None) -> None:
-        if q is None or q.total_degree() > 2:
-            return
-        key = frozenset(q._c.items())
-        if key not in seen:
-            seen.add(key)
-            cands.append(q)
+    The main variable of the sequence is the one of lower positive degree;
+    the contents it needs are gcds in the other variable.
+    """
+    if not a or not b:
+        g = a or b
+    elif len(a) == 1 and (0, 0) in a or len(b) == 1 and (0, 0) in b:
+        return _ONE
+    else:
+        dn = max(i for i, _ in (*a, *b))
+        dk = max(j for _, j in (*a, *b))
+        v = 1 if dn == 0 or 0 < dk < dn else 0
+        g = {}
+        for e, row in enumerate(_prs_gcd(_split(a, v), _split(b, v))):
+            for (i, j), c in row.items():
+                g[(e, j) if v == 0 else (i, e)] = c
+    c = math.gcd(*g.values())
+    if g[max(g)] < 0:
+        c = -c
+    return {m: x // c for m, x in g.items()}
 
-    if p.total_degree() <= 2:
-        push(_normalize_candidate(p))
 
-    # pure-variable factors divide every grouped coefficient polynomial
-    for by_n in (True, False):
-        g = _grouped_gcd(p, by_n)
-        if g and max(g) >= 1:
-            fr = {e: Fraction(c) for e, c in g.items()}
-            if max(g) <= 2:
-                push(_normalize_candidate(BivarPoly(
-                    {(e, 0) if by_n else (0, e): c for e, c in g.items()})))
-            for r in _rational_roots(fr):
-                mono = (1, 0) if by_n else (0, 1)
-                push(_normalize_candidate(BivarPoly(
-                    {mono: r.denominator, (0, 0): -r.numerator})))
+def _mul(a: dict, b: dict) -> dict:
+    """Product of coefficient dicts (of ints, or of Fractions)."""
+    out: dict = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            m = (i1 + i2, j1 + j2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
-    # mixed linear factors: pair roots of p(n, 0) with roots of p(n, 1)
-    u0 = _restrict_k(p, 0)
-    u1 = _restrict_k(p, 1)
-    if u0 and u1 and max(u0) >= 1 and max(u1) >= 1:
-        for r0 in _rational_roots(u0):
-            for r1 in _rational_roots(u1):
-                slope = r1 - r0
-                d = (r0.denominator * slope.denominator
-                     // math.gcd(r0.denominator, slope.denominator))
-                push(_normalize_candidate(BivarPoly({
-                    (1, 0): d,
-                    (0, 1): -slope * d,
-                    (0, 0): -r0 * d,
-                })))
-    return cands
+
+def _add(a: dict, b: dict) -> dict:
+    """Sum of coefficient dicts (of ints, or of Fractions)."""
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _quo(a: IntPoly, b: IntPoly) -> IntPoly:
+    """a / b in Z[n, k]; ArithmeticError when b does not divide a."""
+    if b == _ONE:
+        return a
+    bi, bj = max(b)
+    lead = b[(bi, bj)]
+    r = dict(a)
+    q: IntPoly = {}
+    while r:
+        ri, rj = max(r)
+        c, rest = divmod(r[(ri, rj)], lead)
+        qi, qj = ri - bi, rj - bj
+        if rest or qi < 0 or qj < 0:
+            raise ArithmeticError("inexact polynomial division")
+        q[(qi, qj)] = c
+        for (i, j), v in b.items():
+            m = (i + qi, j + qj)
+            s = r.get(m, 0) - c * v
+            if s:
+                r[m] = s
+            else:
+                del r[m]
+    return q
+
+
+def _ints(p: BivarPoly, scale: int = 1) -> IntPoly:
+    """scale * p as an integer polynomial; scale must clear p's denominators."""
+    return {m: c.numerator * (scale // c.denominator) for m, c in p.items()}
+
+
+def _normal(num: IntPoly, den: IntPoly) -> tuple[BivarPoly, BivarPoly]:
+    """num/den, free of common factors of positive degree, in canonical form.
+
+    Only the integer contents and the sign are left to fix: both are
+    divided by the gcd of all their coefficients, signed so that the
+    denominator's lex-leading coefficient comes out positive.
+    """
+    if not num:
+        den = _ONE
+    c = math.gcd(*num.values(), *den.values())
+    if den[max(den)] < 0:
+        c = -c
+    return (BivarPoly({m: v // c for m, v in num.items()}),
+            BivarPoly({m: v // c for m, v in den.items()}))
 
 
 class RationalFunction:
-    """Quotient of two BivarPoly values in the canonical form described above."""
+    """Quotient of two BivarPoly values in the canonical form described above.
+
+    Equal rational functions have equal numerators and equal denominators,
+    so equality and hashing compare the pair. The arithmetic is Henrici's
+    (Knuth, TAOCP vol. 2, 4.5.1): each operator takes gcds of its operands'
+    reduced parts and never of the full cross-products.
+    """
 
     __slots__ = ("_num", "_den")
 
     def __init__(self, num: BivarPoly, den: BivarPoly):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        self._num, self._den = _canonical_pair(num, den)
+        scale = math.lcm(*(c.denominator for p in (num, den) for _, c in p.items()))
+        a, b = _ints(num, scale), _ints(den, scale)
+        g = _gcd(a, b)
+        self._num, self._den = _normal(_quo(a, g), _quo(b, g))
+
+    @classmethod
+    def _reduced(cls, num: IntPoly, den: IntPoly) -> "RationalFunction":
+        """num/den for integer polynomials without common factors of positive degree."""
+        r = cls.__new__(cls)
+        r._num, r._den = _normal(num, den)
+        return r
 
     @classmethod
     def from_poly(cls, num: BivarPoly) -> "RationalFunction":
@@ -510,32 +463,43 @@ class RationalFunction:
             other = RationalFunction.const(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        # cross-multiplication: exact regardless of reduction
-        return self._num * other._den == other._num * self._den
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self) -> int:
         return hash((self._num, self._den))
 
+    def _sum(self, other: "RationalFunction", sign: int) -> "RationalFunction":
+        """self + sign * other by Henrici's method.
+
+        With d1 = gcd(b, d), a/b + c/d = t / (b/d1 * d) for
+        t = a * d/d1 + c * b/d1, and only d1 can share a factor with t.
+        """
+        a, b = _ints(self._num), _ints(self._den)
+        c, d = _ints(other._num, sign), _ints(other._den)
+        d1 = _gcd(b, d)
+        b1 = _quo(b, d1)
+        t = _add(_mul(a, _quo(d, d1)), _mul(c, b1))
+        d2 = _gcd(t, d1)
+        return RationalFunction._reduced(_quo(t, d2), _mul(b1, _quo(d, d2)))
+
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self._num * other._den + other._num * self._den,
-            self._den * other._den)
+        return self._sum(other, 1)
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self._num * other._den - other._num * self._den,
-            self._den * other._den)
+        return self._sum(other, -1)
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self._num, self._den)
+        return RationalFunction._reduced(_ints(self._num, -1), _ints(self._den))
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self._num * other._num, self._den * other._den)
+        return _product(_ints(self._num), _ints(self._den),
+                        _ints(other._num), _ints(other._den))
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         if other._num.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self._num * other._den, self._den * other._num)
+        return _product(_ints(self._num), _ints(self._den),
+                        _ints(other._den), _ints(other._num))
 
     def evaluate(self, n: Fraction | int, k: Fraction | int) -> Fraction:
         d = self._den.evaluate(n, k)
@@ -544,7 +508,9 @@ class RationalFunction:
         return self._num.evaluate(n, k) / d
 
     def shift(self, dn: int, dk: int) -> "RationalFunction":
-        return RationalFunction(self._num.shift(dn, dk), self._den.shift(dn, dk))
+        # a shift is a ring automorphism, so a coprime pair stays coprime
+        return RationalFunction._reduced(_ints(self._num.shift(dn, dk)),
+                                         _ints(self._den.shift(dn, dk)))
 
     def render(self) -> str:
         if self._den == BivarPoly.const(1):
@@ -555,49 +521,10 @@ class RationalFunction:
         return f"RationalFunction({self.render()})"
 
 
-def _canonical_pair(num: BivarPoly, den: BivarPoly) -> tuple[BivarPoly, BivarPoly]:
-    if num.is_zero():
-        return BivarPoly.zero(), BivarPoly.const(1)
-
-    cn, pn = num.primitive()
-    cd, pd = den.primitive()
-
-    # strip the common monomial part
-    ni, nj = pn.monomial_part()
-    di, dj = pd.monomial_part()
-    gi, gj = min(ni, di), min(nj, dj)
-    if gi or gj:
-        mono = BivarPoly.monomial(gi, gj)
-        pn = pn.divided_by(mono)
-        pd = pd.divided_by(mono)
-
-    # candidate trial division, repeated until a full sweep makes no progress
-    changed = True
-    while changed:
-        changed = False
-        if pd.total_degree() < 1 and pn.total_degree() < 1:
-            break
-        small = pd if (pd.total_degree(), len(pd)) <= (pn.total_degree(), len(pn)) else pn
-        for cand in _candidate_factors(small):
-            while True:
-                qn = pn.divided_by(cand)
-                if qn is None:
-                    break
-                qd = pd.divided_by(cand)
-                if qd is None:
-                    break
-                pn, pd = qn, qd
-                changed = True
-
-    # division of primitives can reintroduce signs only; re-normalize contents
-    cn2, pn = pn.primitive()
-    cd2, pd = pd.primitive()
-    scalar = (cn * cn2) / (cd * cd2)
-
-    _, dlead = pd.lex_lead()
-    if dlead < 0:
-        pd = -pd
-        pn = -pn  # keep the overall sign on the numerator side
-    num_out = pn * scalar.numerator
-    den_out = pd * scalar.denominator
-    return num_out, den_out
+def _product(a: IntPoly, b: IntPoly, c: IntPoly, d: IntPoly) -> RationalFunction:
+    """(a/b) * (c/d) for reduced a/b and c/d, by Henrici's method."""
+    if not a or not c:
+        return RationalFunction.const(0)
+    g1, g2 = _gcd(a, d), _gcd(c, b)
+    return RationalFunction._reduced(_mul(_quo(a, g1), _quo(c, g2)),
+                                     _mul(_quo(b, g2), _quo(d, g1)))

@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from binomsum.polyalg import BivarPoly, RationalFunction
+from binomsum.polyalg import BivarPoly, RationalFunction, _gcd
 
 
 def poly(coeffs):
@@ -133,6 +134,11 @@ rat_pair = st.tuples(small_poly, small_poly.filter(lambda p: not p.is_zero()))
 
 @settings(max_examples=60)
 @given(rat_pair, rat_pair)
+# a pair whose cross-products are large: exercises the Henrici arithmetic
+@example((poly({(3, 0): 5}),
+          poly({(1, 3): -5, (0, 3): -7, (0, 2): 1, (0, 1): 5, (0, 0): 6})),
+         (poly({(3, 1): 6}),
+          poly({(3, 1): 3, (2, 3): 5, (2, 1): -6, (1, 1): -9, (0, 0): 6})))
 def test_rational_function_field_laws(a, b):
     x = RationalFunction(*a)
     y = RationalFunction(*b)
@@ -150,3 +156,94 @@ def test_canonical_render_is_stable(a):
     rebuilt = RationalFunction(x.numerator, x.denominator)
     assert rebuilt.render() == x.render()
     assert rebuilt == x
+
+
+N, K, ONE = BivarPoly.monomial(1, 0), BivarPoly.monomial(0, 1), BivarPoly.const(1)
+
+big_linear = st.tuples(*[st.integers(-10 ** 7, 10 ** 7)] * 3).map(
+    lambda abc: BivarPoly.linear(*abc))
+nonzero_poly = small_poly.filter(lambda p: not p.is_zero())
+
+
+def assert_same_canonical_form(x, y):
+    assert x == y
+    assert x.render() == y.render()
+    assert hash(x) == hash(y)
+
+
+@settings(max_examples=60)
+@given(st.one_of(big_linear, small_poly).filter(lambda p: not p.is_zero()),
+       small_poly, nonzero_poly)
+def test_common_factor_cancels_to_one_canonical_form(a, b, c):
+    assert_same_canonical_form(RationalFunction(a * b, a * c),
+                               RationalFunction(b, c))
+
+
+@pytest.mark.parametrize("a", [
+    BivarPoly.linear(1000003, 1000033, 7),
+    N ** 2 + K ** 2 + ONE,
+    N ** 3 + K + ONE,
+], ids=["big_linear", "n2_k2_1", "n3_k_1"])
+def test_factors_beyond_linear_and_small_cancel(a):
+    b = N ** 2 + BivarPoly.linear(0, 3, 1)
+    c = BivarPoly.linear(2, -1, 5) * K
+    x = RationalFunction(a * b, a * c)
+    assert_same_canonical_form(x, RationalFunction(b, c))
+    assert x.render() == "(n^2+3*k+1)/(2*n*k-k^2+5*k)"
+
+
+def ints(p):
+    return {m: int(c) for m, c in p.items()}
+
+
+@pytest.mark.parametrize("a, b, g", [
+    # a zero argument: the primitive part of the other, sign normalised
+    (BivarPoly.zero(), BivarPoly.linear(-2, 0, -4), BivarPoly.linear(1, 0, 2)),
+    (BivarPoly.linear(0, 3, 6), BivarPoly.zero(), BivarPoly.linear(0, 1, 2)),
+    # constants: integer contents are left to the caller
+    (BivarPoly.const(6), BivarPoly.const(4), ONE),
+    (BivarPoly.const(-3), N * K + ONE, ONE),
+    # univariate in n, and in k
+    (BivarPoly.linear(1, 0, -1) * BivarPoly.linear(1, 0, 2),
+     BivarPoly.linear(2, 0, 4) * BivarPoly.linear(1, 0, 3),
+     BivarPoly.linear(1, 0, 2)),
+    (K ** 3 - K, K ** 2 + K + K + ONE, BivarPoly.linear(0, 1, 1)),
+    # a gcd that is only the content in the main variable
+    (K * BivarPoly.linear(1, 0, 1), K * BivarPoly.linear(1, 0, 2), K),
+    (BivarPoly.linear(0, 2, 2) * (N + ONE), BivarPoly.linear(0, 3, 3) * (N * N + K),
+     BivarPoly.linear(0, 1, 1)),
+    # a bivariate factor of degree 2 under both main variables
+    ((N ** 2 + K ** 2 + ONE) * (N + K), (N ** 2 + K ** 2 + ONE) * (N - K) * K ** 3,
+     N ** 2 + K ** 2 + ONE),
+    ((N ** 2 + K ** 2 + ONE) * (N ** 3 + K), -(N ** 2 + K ** 2 + ONE) * K ** 4,
+     N ** 2 + K ** 2 + ONE),
+    # coprime inputs
+    (N ** 2 + K, N + K ** 2, ONE),
+])
+def test_gcd_edge_cases(a, b, g):
+    assert _gcd(ints(a), ints(b)) == ints(g)
+    assert _gcd(ints(b), ints(a)) == ints(g)
+
+
+def test_cancel_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    n, k = sympy.symbols("n k")
+    rng = random.Random(20161)
+
+    def factor():
+        if rng.random() < 0.5:
+            return BivarPoly.linear(*(rng.randint(-6, 6) for _ in range(3)))
+        return BivarPoly({(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-5, 5)
+                          for _ in range(3)})
+
+    def expr(p):
+        return sum(int(c) * n ** i * k ** j for (i, j), c in p.items())
+
+    for _ in range(40):
+        fs = [f if not f.is_zero() else ONE for f in (factor() for _ in range(5))]
+        num, den = fs[0] * fs[1] * fs[2], fs[0] * fs[3] * fs[4] * fs[3]
+        r = RationalFunction(num, den)
+        p, q = sympy.fraction(sympy.cancel(expr(num) / expr(den)))
+        # both reduced: the numerators differ by a constant factor only
+        assert not sympy.cancel(expr(r.numerator) / p).free_symbols
+        assert sympy.expand(expr(r.numerator) * q - p * expr(r.denominator)) == 0
