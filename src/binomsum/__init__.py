@@ -24,8 +24,8 @@ from .verify import DivisionCheck, LemmaAudit, MarginRecord, QuotientIdentity, \
     lemma22_point, lemma23_point, lemma24_scan, lemma25_scan, lemma25_valuations, \
     lemma25_w, lemma26_floor_margin, lemma26_ineq_scan, lemma26_point, \
     ratio_identity, ratio_k_values, sum_spec
-from .wz import GridReport, ScaledDivisibility, TelescopeAudit, telescope_audit, \
-    wz_certificate, wz_grid_check, wz_grid_row, wz_symbolic_check
+from .wz import GridReport, TelescopeAudit, telescope_audit, wz_certificate, \
+    wz_grid_check, wz_grid_row, wz_symbolic_check
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,7 @@ __all__ = [
     "LEMMA24_REGIONS", "LemmaAudit", "LinearForm", "MarginRecord",
     "NotProportionalError", "ParseError", "QuotientIdentity",
     "RATIO_IDENTITIES", "RatioCheck", "RationalFunction", "ReportRecord",
-    "SUM_SPECS", "ScaledDivisibility", "SemanticError", "SumSpec",
+    "SUM_SPECS", "SemanticError", "SumSpec",
     "TelescopeAudit", "TermDocument", "TermEvalError", "WZPairSpec",
     "binomial", "builtin_document", "builtin_document_names",
     "builtin_document_text", "builtin_pair", "builtin_pair_names",

@@ -122,6 +122,13 @@ def _n_range(args: argparse.Namespace, what: str) -> range:
     return range(args.n_min, args.n_max + 1)
 
 
+def _reject_ignored(context: str, options: dict) -> None:
+    """Exit 2 if any option in {flag: value} was given: context ignores it."""
+    for flag, given in options.items():
+        if given is not None:
+            raise ConfigError(f"{context} takes no {flag}")
+
+
 def _division_witness(division) -> list[tuple[str, str]]:
     """value, divisor, then the quotient on success or the remainder."""
     last = (("quotient", str(division.quotient)) if division.ok
@@ -223,9 +230,7 @@ def _wz_options(args: argparse.Namespace, ref: tuple) -> None:
                   "--divisor": args.divisor}
     if args.mode == "symbolic":
         unused["--n-max"] = args.n_max
-    for flag, given in unused.items():
-        if given is not None:
-            raise ConfigError(f"wzcheck --mode {args.mode} takes no {flag}")
+    _reject_ignored(f"wzcheck --mode {args.mode}", unused)
     if args.n_min is None:
         args.n_min = WZ_N_MIN
     if args.n_max is None:
@@ -324,17 +329,15 @@ def _lemma_bounds(args: argparse.Namespace) -> tuple[int | None, int | None]:
     """(n_max, m_max) from the flags or LEMMA_DEFAULTS; rejects a bound or a
     2.4 option that the chosen lemma would ignore."""
     lemma = args.id
-    bounds = []
-    for flag, given, default in zip(("--n-max", "--m-max"),
-                                    (args.n_max, args.m_max),
-                                    LEMMA_DEFAULTS[lemma]):
-        if default is None and given is not None:
-            raise ConfigError(f"lemma {lemma} takes no {flag}")
-        bounds.append(default if given is None else given)
+    n_default, m_default = LEMMA_DEFAULTS[lemma]
+    _reject_ignored(f"lemma {lemma}", {
+        "--n-max": args.n_max if n_default is None else None,
+        "--m-max": args.m_max if m_default is None else None})
     if lemma != "2.4" and (args.region != "all"
                            or args.full_range is not None):
         raise ConfigError("--region and --full-range apply to lemma 2.4 only")
-    n_max, m_max = bounds
+    n_max = n_default if args.n_max is None else args.n_max
+    m_max = m_default if args.m_max is None else args.m_max
     if lemma == "2.3" and n_max < 2:
         raise ConfigError("lemma 2.3 needs --n-max >= 2")
     if n_max is not None and n_max < 1:
@@ -437,9 +440,7 @@ def _load_document(source: str):
 def _cmd_term(args: argparse.Namespace) -> list[ReportRecord] | str:
     """Report records, or for serialize the canonical text itself."""
     if args.action != "eval":
-        for flag, given in (("--n", args.n), ("--k", args.k)):
-            if given is not None:
-                raise ConfigError(f"term {args.action} takes no {flag}")
+        _reject_ignored(f"term {args.action}", {"--n": args.n, "--k": args.k})
     doc = _load_document(args.source)
     if args.action == "serialize":
         return serialize_document(doc)

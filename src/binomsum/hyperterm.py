@@ -8,9 +8,9 @@ A term is the product
 where sign and every exponent e_i, top_j, bottom_j is an integer linear
 form in n and k. Binomials are stored as binomials so evaluation can use
 the zero convention; they are expanded into factorial triples only inside
-the two quotient operations, which return formal RationalFunction values.
-Formal identities are therefore only asserted on grids where no factorial
-argument goes negative.
+term_quotient, which returns a formal RationalFunction (a shift quotient is
+the term_quotient of the shifted term and the term).  Formal identities are
+therefore only asserted on grids where no factorial argument goes negative.
 """
 from __future__ import annotations
 
@@ -22,8 +22,6 @@ from functools import lru_cache
 
 from .exact import binomial, int_valuation, primes_upto
 from .polyalg import BivarPoly, RationalFunction
-
-DEFAULT_MAX_SHIFT = 4
 
 
 class TermEvalError(ValueError):
@@ -45,9 +43,9 @@ class LinearForm:
     def evaluate(self, n: int, k: int) -> int:
         return self.a * n + self.b * k + self.c
 
-    def offset(self, dn: int, dk: int) -> int:
-        """Change in value under n -> n+dn, k -> k+dk."""
-        return self.a * dn + self.b * dk
+    def shifted(self, dn: int, dk: int) -> "LinearForm":
+        """The form under n -> n+dn, k -> k+dk."""
+        return LinearForm(self.a, self.b, self.evaluate(dn, dk))
 
     @property
     def slope(self) -> tuple[int, int]:
@@ -106,6 +104,18 @@ class HypergeometricTerm:
                 raise ValueError(f"base {bf.base} must have absolute value >= 2")
         if self.denom_poly.is_zero():
             raise ValueError("denominator polynomial is zero")
+
+    def shifted(self, dn: int, dk: int) -> "HypergeometricTerm":
+        """The term t(n+dn, k+dk)."""
+        return HypergeometricTerm(
+            self.sign_exponent.shifted(dn, dk),
+            tuple(BaseFactor(bf.base, bf.exponent.shifted(dn, dk))
+                  for bf in self.base_factors),
+            tuple(BinomFactor(bf.top.shifted(dn, dk),
+                              bf.bottom.shifted(dn, dk), bf.power)
+                  for bf in self.binom_factors),
+            self.numer_poly.shift(dn, dk),
+            self.denom_poly.shift(dn, dk))
 
 
 @dataclass(frozen=True)
@@ -202,35 +212,11 @@ def _factorial_atoms(term: HypergeometricTerm) -> dict[LinearForm, int]:
     return {L: e for L, e in atoms.items() if e}
 
 
-def shift_quotient(term: HypergeometricTerm, dn: int, dk: int,
-                   max_shift: int = DEFAULT_MAX_SHIFT) -> RationalFunction:
-    """term(n+dn, k+dk) / term(n, k) as a formal rational function.
-
-    Each factorial atom L! turns into the finite product (L+1)...(L+d)
-    when its argument grows by d, and into the reciprocal of L(L-1)...
-    when it shrinks; bases and signs contribute constants.
-    """
-    if abs(dn) > max_shift or abs(dk) > max_shift:
-        raise ValueError(f"shift ({dn},{dk}) exceeds bound {max_shift}")
-    factors: Counter[BivarPoly] = Counter()
-    for L, e in _factorial_atoms(term).items():
-        d = L.offset(dn, dk)
-        if d > 0:
-            for j in range(1, d + 1):
-                factors[LinearForm(L.a, L.b, L.c + j).as_poly()] += e
-        else:
-            for j in range(0, -d):
-                factors[LinearForm(L.a, L.b, L.c - j).as_poly()] -= e
-    scalar = Fraction(1)
-    for bf in term.base_factors:
-        scalar *= Fraction(bf.base) ** bf.exponent.offset(dn, dk)
-    if term.sign_exponent.offset(dn, dk) % 2:
-        scalar = -scalar
-    factors[term.numer_poly.shift(dn, dk)] += 1
-    factors[term.numer_poly] -= 1
-    factors[term.denom_poly] += 1
-    factors[term.denom_poly.shift(dn, dk)] -= 1
-    return RationalFunction.from_factors(factors, scalar)
+def shift_quotient(term: HypergeometricTerm, dn: int,
+                   dk: int) -> RationalFunction:
+    """term(n+dn, k+dk) / term(n, k) as a formal rational function: the
+    term_quotient of the shifted term and the term, for any shift."""
+    return term_quotient(term.shifted(dn, dk), term)
 
 
 def term_quotient(t1: HypergeometricTerm,

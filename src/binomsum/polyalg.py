@@ -153,21 +153,10 @@ class BivarPoly:
         """Substitute n -> n + dn, k -> k + dk."""
         if dn == 0 and dk == 0:
             return self
+        n, k = BivarPoly.linear(1, 0, dn), BivarPoly.linear(0, 1, dk)
         out = BivarPoly.zero()
         for (i, j), c in self._c.items():
-            term: dict[Monomial, Fraction] = {}
-            for a in range(i + 1):
-                ca = math.comb(i, a) * dn ** (i - a)
-                if ca == 0:
-                    continue
-                for b in range(j + 1):
-                    cb = math.comb(j, b) * dk ** (j - b)
-                    if cb == 0:
-                        continue
-                    m = (a, b)
-                    s = term.get(m, Fraction(0)) + c * ca * cb
-                    term[m] = s
-            out = out + BivarPoly({m: c2 for m, c2 in term.items() if c2})
+            out = out + n ** i * k ** j * c
         return out
 
     # ---- content and division ----
@@ -506,11 +495,6 @@ class RationalFunction:
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at (n={n}, k={k})")
         return self._num.evaluate(n, k) / d
-
-    def shift(self, dn: int, dk: int) -> "RationalFunction":
-        # a shift is a ring automorphism, so a coprime pair stays coprime
-        return RationalFunction._reduced(_ints(self._num.shift(dn, dk)),
-                                         _ints(self._den.shift(dn, dk)))
 
     def render(self) -> str:
         if self._den == BivarPoly.const(1):

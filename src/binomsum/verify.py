@@ -143,20 +143,28 @@ def divisor(kind: str, n: int) -> int:
 
 @dataclass(frozen=True)
 class DivisionCheck:
-    """Exact division with remainder; quotient is set only on success."""
+    """Exact division with remainder; quotient is set only on success, and
+    a non-integral value has neither quotient nor remainder."""
 
-    value: int
+    value: int | Fraction
     divisor: int
     quotient: int | None
-    remainder: int
+    remainder: int | None
+
+    @property
+    def integral(self) -> bool:
+        return self.remainder is not None
 
     @property
     def ok(self) -> bool:
         return self.remainder == 0
 
 
-def _divide(value: int, div: int) -> DivisionCheck:
-    q, r = divmod(value, div)
+def divide(value: int | Fraction, div: int) -> DivisionCheck:
+    """Division with remainder of an int or a Fraction by div."""
+    if value.denominator != 1:
+        return DivisionCheck(value, div, None, None)
+    q, r = divmod(value.numerator, div)
     return DivisionCheck(value, div, q if r == 0 else None, r)
 
 
@@ -172,7 +180,7 @@ def check_divisibility(spec: SumSpec | str, kind: str | None,
         raise ValueError("check_divisibility needs n >= 2")
     if kind is None:
         kind = spec.divisor_kind
-    return _divide(eval_sum(spec, n), divisor(kind, n))
+    return divide(eval_sum(spec, n), divisor(kind, n))
 
 
 def check_divisibility_valuations(spec: SumSpec | str, kind: str | None,
@@ -260,7 +268,7 @@ def lemma22_point(n: int, k: int) -> DivisionCheck:
         raise ValueError("lemma22_point needs n >= 1 and 0 <= k <= n")
     value = (n * binomial(2 * n, n) * binomial(2 * n + 2 * k, n + k)
              * binomial(n + k, 2 * k))
-    return _divide(value, (2 * n + 2 * k - 1) * binomial(2 * k, k))
+    return divide(value, (2 * n + 2 * k - 1) * binomial(2 * k, k))
 
 
 @dataclass(frozen=True)
@@ -282,7 +290,7 @@ def lemma23_point(n: int) -> QuotientIdentity:
         raise ValueError("lemma23_point needs n >= 2")
     value = (n * n * (n + 1) * binomial(2 * n, n)
              * binomial(2 * n - 2, n - 1) * binomial(2 * n + 2, n + 1))
-    division = _divide(value, 64 * (2 * n + 1))
+    division = divide(value, 64 * (2 * n + 1))
     closed = (2 * n - 1) ** 2 * binomial(2 * n - 3, n - 1) ** 3
     return QuotientIdentity(division, closed)
 
@@ -342,6 +350,24 @@ def floor_margin_fractional(m: int, n: int, k: int) -> Fraction:
     return _fractional_route(_floor_terms(n, k), m)
 
 
+def _margin_scan(points, terms_of) -> tuple[int, list]:
+    """Floor margins at each (m, point), the point holding the arguments of
+    terms_of; a fractional-route mismatch raises.  Returns the points
+    checked and (m, point, margin) for each negative margin."""
+    checked = 0
+    negative = []
+    for m, point in points:
+        terms = terms_of(*point)
+        margin = _floor_route(terms, m)
+        if margin != _fractional_route(terms, m):
+            raise ArithmeticError(
+                f"floor/fractional margin mismatch at {(m, *point)}")
+        checked += 1
+        if margin < 0:
+            negative.append((m, point, margin))
+    return checked, negative
+
+
 LEMMA24_REGIONS = ("all", "k0", "case3a")
 
 
@@ -362,26 +388,15 @@ def lemma24_scan(m_max: int, *, region: str = "all",
         raise ValueError(f"region must be one of {LEMMA24_REGIONS}")
     if full_range is not None and full_range < 0:
         raise ValueError("full_range must be nonnegative")
-    checked = 0
-    violations = []
-    for m in range(2, m_max + 1):
-        for n in range(m + 1 if full_range is None else full_range + 1):
-            for k in range(n + 1):
-                if region == "k0" and k != 0:
-                    continue
-                if region == "case3a" and 2 * (2 * n + k - 1) < 3 * m:
-                    continue
-                terms = _floor_terms(n, k)
-                margin = _floor_route(terms, m)
-                if margin != _fractional_route(terms, m):
-                    raise ArithmeticError(
-                        f"floor/fractional margin mismatch at {(m, n, k)}")
-                checked += 1
-                if margin < 0:
-                    violations.append(MarginRecord(m, n, k, margin))
+    points = ((m, (n, k)) for m in range(2, m_max + 1)
+              for n in range(m + 1 if full_range is None else full_range + 1)
+              for k in (range(1) if region == "k0" else range(n + 1))
+              if region != "case3a" or 2 * (2 * n + k - 1) >= 3 * m)
+    checked, negative = _margin_scan(points, _floor_terms)
     params = (("m_max", m_max), ("region", region),
               ("full_range", "none" if full_range is None else full_range))
-    return LemmaAudit("2.4", params, checked, tuple(violations))
+    return LemmaAudit("2.4", params, checked, tuple(
+        MarginRecord(m, n, k, margin) for m, (n, k), margin in negative))
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +497,7 @@ def lemma26_point(n: int) -> DivisionCheck:
         raise ValueError("lemma26_point needs n >= 1")
     value = factorial(6 * n - 5) * factorial(n - 1)
     div = factorial(2 * n - 1) * factorial(2 * n - 2) * factorial(3 * n - 3)
-    return _divide(value, div)
+    return divide(value, div)
 
 
 def lemma26_floor_margin(m: int, n: int) -> int:
@@ -503,20 +518,12 @@ def lemma26_ineq_scan(m_max: int) -> LemmaAudit:
     form."""
     if m_max < 2:
         raise ValueError("lemma26_ineq_scan needs m_max >= 2")
-    checked = 0
-    violations = []
-    for m in range(2, m_max + 1):
-        for n in range(1, m + 1):
-            terms = _five_floor_terms(n)
-            margin = _floor_route(terms, m)
-            if margin != _fractional_route(terms, m):
-                raise ArithmeticError(
-                    f"floor/fractional margin mismatch at {(m, n)}")
-            checked += 1
-            if margin < 0:
-                violations.append(MarginRecord(m, n, 0, margin))
+    checked, negative = _margin_scan(
+        ((m, (n,)) for m in range(2, m_max + 1) for n in range(1, m + 1)),
+        _five_floor_terms)
     params = (("m_max", m_max),)
-    return LemmaAudit("2.6", params, checked, tuple(violations))
+    return LemmaAudit("2.6", params, checked, tuple(
+        MarginRecord(m, n, 0, margin) for m, (n,), margin in negative))
 
 
 # ---------------------------------------------------------------------------

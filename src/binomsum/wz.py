@@ -15,7 +15,7 @@ from .hyperterm import HypergeometricTerm, TermEvalError, eval_term, \
     k0_prefix_sum, shift_quotient, term_quotient
 from .pairs import WZPairSpec
 from .polyalg import RationalFunction
-from .verify import divisor
+from .verify import DivisionCheck, divide, divisor
 
 GridPoint = tuple[int, int]
 
@@ -120,38 +120,13 @@ def wz_symbolic_check(pair: WZPairSpec) -> tuple[bool, RationalFunction]:
 
 
 @dataclass(frozen=True)
-class ScaledDivisibility:
-    """A scaled exact value checked for integrality and divisibility."""
-
-    value: Fraction
-    divisor: int
-    integral: bool
-    divisible: bool
-    quotient: int | None
-    remainder: int | None
-
-    @property
-    def ok(self) -> bool:
-        return self.integral and self.divisible
-
-
-def _scaled_check(value: Fraction, div: int) -> ScaledDivisibility:
-    if value.denominator != 1:
-        return ScaledDivisibility(value, div, False, False, None, None)
-    q, r = divmod(value.numerator, div)
-    if r:
-        return ScaledDivisibility(value, div, True, False, None, r)
-    return ScaledDivisibility(value, div, True, True, q, 0)
-
-
-@dataclass(frozen=True)
 class TelescopeAudit:
     """Scaled column audit of G at a fixed row N.
 
     Writing B for the scale base and s = B**scale_exp, the audit records
     s*G(N,k) for k = 1..N-1, their sum, the scaled corner s*F(N-1,N-1),
-    and the telescoped conclusion s * sum(F(n,0) for n < N); each entry
-    must be an integer divisible by the divisor P(N).
+    and the telescoped conclusion s * sum(F(n,0) for n < N); each entry is
+    a DivisionCheck by P(N), ok only for an integer that P(N) divides.
     """
 
     pair_name: str
@@ -159,10 +134,10 @@ class TelescopeAudit:
     divisor_kind: str
     divisor: int
     scale_exp: int
-    g_terms: tuple[tuple[int, ScaledDivisibility], ...]
-    g_sum: ScaledDivisibility
-    corner: ScaledDivisibility
-    conclusion: ScaledDivisibility
+    g_terms: tuple[tuple[int, DivisionCheck], ...]
+    g_sum: DivisionCheck
+    corner: DivisionCheck
+    conclusion: DivisionCheck
 
     @property
     def ok(self) -> bool:
@@ -192,9 +167,9 @@ def telescope_audit(pair: WZPairSpec, big_n: int, *,
     for k in range(1, big_n):
         value = scale * eval_term(g, big_n, k)
         total += value
-        g_terms.append((k, _scaled_check(value, div)))
-    g_sum = _scaled_check(total, div)
-    corner = _scaled_check(scale * eval_term(f, big_n - 1, big_n - 1), div)
-    conclusion = _scaled_check(scale * k0_prefix_sum(f, big_n), div)
+        g_terms.append((k, divide(value, div)))
+    g_sum = divide(total, div)
+    corner = divide(scale * eval_term(f, big_n - 1, big_n - 1), div)
+    conclusion = divide(scale * k0_prefix_sum(f, big_n), div)
     return TelescopeAudit(pair.name, big_n, kind, div, exp,
                           tuple(g_terms), g_sum, corner, conclusion)

@@ -122,3 +122,14 @@ def test_evaluate_matches_fraction_chain(poly, n, k):
     got = poly.evaluate(n, k)
     assert type(got) is Fraction
     assert got == reference_evaluate(poly, n, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms, points, points, small, small)
+def test_shifted_term_evaluates_at_the_shifted_point(t, n, k, dn, dk):
+    shifted = outcome(eval_term, t.shifted(dn, dk), n, k)
+    direct = outcome(eval_term, t, n + dn, k + dk)
+    if isinstance(direct, tuple):  # both raise, with messages naming the point
+        assert isinstance(shifted, tuple) and shifted[0] == direct[0]
+    else:
+        assert shifted == direct

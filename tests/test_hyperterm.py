@@ -1,11 +1,12 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from binomsum.hyperterm import BaseFactor, BinomFactor, HypergeometricTerm, \
     LinearForm, NotProportionalError, TermEvalError, eval_term, \
     shift_quotient, term_quotient
-from binomsum.pairs import builtin_document
+from binomsum.pairs import builtin_document, builtin_document_names
 from binomsum.polyalg import BivarPoly
 
 
@@ -111,13 +112,25 @@ def test_terms_vanish_beyond_support():
 
 
 def test_shift_quotient_reproduces_ratios():
-    f1 = doc("guillera1.F").term
-    r = shift_quotient(f1, 1, 0)
-    for n in range(1, 8):
-        for k in range(0, n):
-            lhs = eval_term(f1, n + 1, k)
-            rhs = r.evaluate(n, k) * eval_term(f1, n, k)
-            assert lhs == rhs
+    # every shift in {-2..2}^2 on every builtin document, and (0, 5): a shift
+    # of any size is allowed
+    shifts = list(product(range(-2, 3), repeat=2)) + [(0, 5)]
+    for name in builtin_document_names():
+        t = doc(name).term
+        for dn, dk in shifts:
+            r = shift_quotient(t, dn, dk)
+            compared = 0
+            for n, k in product(range(0, 9), range(-1, 10)):
+                try:
+                    here = eval_term(t, n, k)
+                    there = eval_term(t, n + dn, k + dk)
+                    ratio = r.evaluate(n, k)
+                except (TermEvalError, ZeroDivisionError):
+                    continue
+                if here:
+                    assert there == ratio * here, (name, dn, dk, n, k)
+                    compared += 1
+            assert compared >= 10, (name, dn, dk)
 
 
 def test_shift_quotient_backward_k():

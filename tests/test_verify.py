@@ -7,7 +7,7 @@ import pytest
 import binomsum.verify as verify_module
 from binomsum.exact import binomial, rat_valuation
 from binomsum.verify import RATIO_IDENTITIES, SUM_SPECS, check_divisibility, \
-    check_divisibility_valuations, divisor, eval_sum, floor_margin, \
+    check_divisibility_valuations, divide, divisor, eval_sum, floor_margin, \
     floor_margin_fractional, iter_sums, lemma22_point, lemma23_point, \
     lemma24_scan, lemma25_scan, lemma25_valuations, lemma25_w, \
     lemma26_floor_margin, lemma26_ineq_scan, lemma26_point, ratio_identity, \
@@ -112,6 +112,21 @@ def test_check_divisibility_detects_failures():
     assert not result.ok
     assert result.quotient is None
     assert result.remainder != 0
+
+
+@pytest.mark.parametrize("value,ok,integral,quotient,remainder", [
+    (84, True, True, 12, 0),
+    (Fraction(-84), True, True, -12, 0),
+    (Fraction(85), False, True, None, 1),
+    (Fraction(85, 2), False, False, None, None),
+    (-85, False, True, None, 6),
+])
+def test_divide_takes_an_int_or_a_fraction(value, ok, integral, quotient,
+                                           remainder):
+    check = divide(value, 7)
+    assert (check.ok, check.integral, check.quotient, check.remainder) == (
+        ok, integral, quotient, remainder)
+    assert (check.value, check.divisor) == (value, 7)
 
 
 def test_valuation_route_agrees_with_division():
