@@ -8,7 +8,7 @@ telescoping makes those divisibilities visible term by term.
 from .dsl import DslError, ParseError, SemanticError, parse_document, parse_term, \
     serialize_document, serialize_term
 from .exact import binomial, factorial, int_valuation, legendre_valuation, \
-    primes_upto, rat_valuation
+    primes_upto, rat_valuation, smallest_prime_factors
 from .hyperterm import BaseFactor, BinomFactor, HypergeometricTerm, LinearForm, \
     NotProportionalError, TermDocument, TermEvalError, eval_term, shift_quotient, \
     term_quotient
@@ -25,7 +25,7 @@ from .verify import DivisionCheck, LemmaAudit, MarginRecord, QuotientIdentity, \
     lemma25_w, lemma26_floor_margin, lemma26_ineq_scan, lemma26_point, \
     ratio_identity, ratio_k_values, sum_spec
 from .wz import GridReport, TelescopeAudit, telescope_audit, wz_certificate, \
-    wz_grid_check, wz_grid_row, wz_symbolic_check
+    wz_grid_check, wz_grid_row, wz_grid_rows, wz_symbolic_check
 
 __version__ = "0.1.0"
 
@@ -47,6 +47,7 @@ __all__ = [
     "lemma26_ineq_scan", "lemma26_point", "parse_document", "parse_term",
     "primes_upto", "rat_valuation", "ratio_identity", "ratio_k_values",
     "render", "serialize_document", "serialize_term", "shift_quotient",
-    "sum_spec", "telescope_audit", "term_quotient", "wz_certificate",
-    "wz_grid_check", "wz_grid_row", "wz_symbolic_check",
+    "smallest_prime_factors", "sum_spec", "telescope_audit", "term_quotient",
+    "wz_certificate", "wz_grid_check", "wz_grid_row", "wz_grid_rows",
+    "wz_symbolic_check",
 ]

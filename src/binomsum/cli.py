@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from .verify import LEMMA24_REGIONS, RATIO_IDENTITIES, SUM_SPECS, \
     check_divisibility, lemma22_point, lemma23_point, lemma24_scan, \
     lemma25_scan, lemma26_ineq_scan, lemma26_point, ratio_identity, \
     ratio_k_values, sum_spec, valuation_failures
-from .wz import telescope_audit, wz_certificate, wz_grid_row, wz_symbolic_check
+from .wz import telescope_audit, wz_certificate, wz_grid_rows, wz_symbolic_check
 
 JOBS_ENV = "BINOMSUM_JOBS"
 
@@ -99,6 +98,10 @@ def _resolve_pair(ref: tuple) -> WZPairSpec:
 # Parallel map with deterministic ordered merge, and shared record shapes
 # ---------------------------------------------------------------------------
 
+# A parallel map hands each worker about this many chunks of its items.
+_CHUNKS_PER_WORKER = 4
+
+
 def _worker_count(jobs: int, n_items: int) -> int:
     """Processes to start: --jobs clamped to the items and the CPUs."""
     return max(1, min(jobs, n_items, os.cpu_count() or 1))
@@ -108,7 +111,9 @@ def _pmap(worker, items: list, jobs: int) -> list:
     workers = _worker_count(jobs, len(items))
     if workers == 1:
         return [worker(item) for item in items]
-    chunk = max(1, len(items) // (workers * 4))
+    # Imported here so that a serial run never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+    chunk = max(1, len(items) // (workers * _CHUNKS_PER_WORKER))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, items, chunksize=chunk))
 
@@ -178,22 +183,36 @@ def _cmd_sumcheck(args: argparse.Namespace) -> list[ReportRecord]:
 # wzcheck
 # ---------------------------------------------------------------------------
 
-def _grid_row_records(args: tuple) -> tuple[int, list[ReportRecord]]:
-    ref, n = args
+def _row_blocks(n_max: int, blocks: int) -> list[range]:
+    """Rows 1..n_max as at most `blocks` runs of consecutive rows with
+    about equal point counts (row n has n points)."""
+    total = n_max * (n_max + 1) // 2
+    runs: list[range] = []
+    start = points = 0
+    for n in range(1, n_max + 1):
+        points += n
+        if points * blocks >= total * (len(runs) + 1):
+            runs.append(range(start + 1, n + 1))
+            start = n
+    return runs
+
+
+def _grid_block_records(args: tuple) -> list[tuple[int, list[ReportRecord]]]:
+    """(points checked, FAIL and SKIPPED records) for each row of a block."""
+    ref, rows = args
     pair = _resolve_pair(ref)
-    checked, violations, skipped = wz_grid_row(pair, n)
-    records = []
-    for (vn, vk), lhs, rhs in violations:
-        records.append(ReportRecord(
-            "wzcheck",
-            (("pair", pair.name), ("mode", "grid"), ("n", vn), ("k", vk)),
-            FAIL, (("lhs", str(lhs)), ("rhs", str(rhs)))))
-    for (sn, sk), message in skipped:
-        records.append(ReportRecord(
-            "wzcheck",
-            (("pair", pair.name), ("mode", "grid"), ("n", sn), ("k", sk)),
-            SKIPPED, (("reason", message),)))
-    return checked, records
+    out = []
+    for n, (checked, violations, skipped) in zip(rows,
+                                                  wz_grid_rows(pair, rows)):
+        params = (("pair", pair.name), ("mode", "grid"), ("n", n))
+        records = [ReportRecord("wzcheck", params + (("k", k),), FAIL,
+                                (("lhs", str(lhs)), ("rhs", str(rhs))))
+                   for (_, k), lhs, rhs in violations]
+        records += [ReportRecord("wzcheck", params + (("k", k),), SKIPPED,
+                                 (("reason", message),))
+                    for (_, k), message in skipped]
+        out.append((checked, records))
+    return out
 
 
 def _telescope_record(args: tuple) -> ReportRecord:
@@ -246,8 +265,15 @@ def _cmd_wzcheck(args: argparse.Namespace) -> list[ReportRecord]:
     if args.mode == "grid":
         if args.n_max < 1:
             raise ConfigError("--n-max must be >= 1")
-        rows = _pmap(_grid_row_records,
-                     [(ref, n) for n in range(1, args.n_max + 1)], args.jobs)
+        # Rows in one block share their G row, so a serial run takes one
+        # block and a parallel run a few per worker.
+        workers = _worker_count(args.jobs, args.n_max)
+        blocks = 1 if workers == 1 else workers * _CHUNKS_PER_WORKER
+        rows = [row for block in _pmap(
+                    _grid_block_records,
+                    [(ref, rows) for rows in _row_blocks(args.n_max, blocks)],
+                    args.jobs)
+                for row in block]
         checked = sum(c for c, _ in rows)
         point_records = [rec for _, recs in rows for rec in recs]
         statuses = [rec.status for rec in point_records]

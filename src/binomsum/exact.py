@@ -95,3 +95,23 @@ def primes_upto(limit: int) -> list[int]:
         if sieve[p]:
             sieve[p * p:: p] = bytearray((limit - p * p) // p + 1)
     return [i for i, flag in enumerate(sieve) if flag]
+
+
+def smallest_prime_factors(limit: int) -> list[int]:
+    """spf[m] = the smallest prime factor of m, for 0 <= m <= limit.
+
+    Entries 0 and 1 are 0; m >= 2 is prime exactly when spf[m] == m.  A
+    limit below 0 gives the empty list.  Linear sieve (Gries and Misra,
+    CACM 1978): each composite is struck once, by its smallest prime.
+    """
+    spf = [0] * (max(limit, -1) + 1)
+    primes: list[int] = []
+    for i in range(2, limit + 1):
+        if spf[i] == 0:
+            spf[i] = i
+            primes.append(i)
+        for p in primes:
+            if p > spf[i] or i * p > limit:
+                break
+            spf[i * p] = p
+    return spf

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import binomial, factorial, int_valuation, legendre_valuation, \
-    primes_upto, rat_valuation
+    primes_upto, rat_valuation, smallest_prime_factors
 from .hyperterm import eval_term, k0_prefix_sum
 from .pairs import DIVISOR_KINDS, builtin_pair
 
@@ -322,14 +322,16 @@ def _form_sum(terms: tuple[tuple[int, ...], tuple[int, ...]], f):
 
 
 def _floor_route(terms, m: int) -> int:
-    return _form_sum(terms, lambda a: a // m)
+    pos, neg = terms
+    return sum(a // m for a in pos) - sum(b // m for b in neg)
 
 
-def _fractional_route(terms, m: int) -> Fraction:
-    """The floor margin from fractional parts only: with equal linear sums
-    on both sides, sum(floor(a/m)) - sum(floor(b/m)) equals
+def _fractional_route(terms, m: int) -> int:
+    """m times the floor margin, from fractional parts only: with equal
+    linear sums on both sides, sum(floor(a/m)) - sum(floor(b/m)) equals
     (sum(b mod m) - sum(a mod m)) / m, which never touches floor division."""
-    return Fraction(-_form_sum(terms, lambda a: a % m), m)
+    pos, neg = terms
+    return sum(b % m for b in neg) - sum(a % m for a in pos)
 
 
 def floor_margin(m: int, n: int, k: int) -> MarginRecord:
@@ -347,19 +349,20 @@ def floor_margin_fractional(m: int, n: int, k: int) -> Fraction:
         raise ValueError("floor_margin_fractional needs m >= 2")
     if not 0 <= k <= n:
         raise ValueError("floor_margin_fractional needs n >= k >= 0")
-    return _fractional_route(_floor_terms(n, k), m)
+    return Fraction(_fractional_route(_floor_terms(n, k), m), m)
 
 
 def _margin_scan(points, terms_of) -> tuple[int, list]:
     """Floor margins at each (m, point), the point holding the arguments of
-    terms_of; a fractional-route mismatch raises.  Returns the points
-    checked and (m, point, margin) for each negative margin."""
+    terms_of; a fractional-route mismatch raises.  The routes meet in
+    integers: m * margin against the fractional route's numerator.  Returns
+    the points checked and (m, point, margin) for each negative margin."""
     checked = 0
     negative = []
     for m, point in points:
         terms = terms_of(*point)
         margin = _floor_route(terms, m)
-        if margin != _fractional_route(terms, m):
+        if m * margin != _fractional_route(terms, m):
             raise ArithmeticError(
                 f"floor/fractional margin mismatch at {(m, *point)}")
         checked += 1
@@ -436,53 +439,103 @@ def lemma25_valuations(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
                  for p in primes_upto(4 * n + 2 * k - 2))
 
 
+def _lemma25_step_factors(n: int, k: int) -> tuple[tuple[int, int], ...]:
+    """W(n,k+1)/W(n,k) = (k+1)^3 (2k+4n-1)(2k+4n)(n-k)^2
+    / ((2k+1)^3 (2k+2)^3 (k+2n)), as (integer, exponent) pairs."""
+    return ((k + 1, 3), (2 * k + 4 * n - 1, 1), (2 * k + 4 * n, 1),
+            (n - k, 2), (2 * k + 1, -3), (2 * k + 2, -3), (k + 2 * n, -1))
+
+
+def _lemma25_start(n: int, size: int) -> list[int]:
+    """The exponent vector of W(n,1) as a list of length size: v_p at index
+    p from the Legendre sums of lemma25_valuations, zero at non-primes and
+    at p > 4n, where no factorial argument reaches p."""
+    exps = [0] * size
+    terms = _floor_terms(n, 1)
+    for p in primes_upto(4 * n):
+        exps[p] = _form_sum(terms, lambda a: legendre_valuation(p, a))
+    return exps
+
+
+def _lemma25_steps(n: int, exps: list[int], spf: list[int]):
+    """Step an exponent vector from W(n,1) to W(n,n), one k at a time.
+
+    Yields (k, negatives, r) for k = 1..n, with exps updated in place to
+    the vector at k, negatives the count of its negative entries and r the
+    product of p**e over its positive entries.  Each step adds the
+    valuations of the ratio's seven numerator integers and subtracts those
+    of its seven denominator integers, read off the sieve spf; an entry
+    moving from a to b multiplies or exactly divides r by
+    p**(max(b, 0) - max(a, 0)).
+    """
+    negatives = sum(1 for e in exps if e < 0)
+    r = 1
+    for p, e in enumerate(exps):
+        if e > 0:
+            r *= p ** e
+    for k in range(1, n + 1):
+        yield k, negatives, r
+        if k == n:
+            return
+        delta: dict[int, int] = {}
+        for m, weight in _lemma25_step_factors(n, k):
+            while m > 1:
+                p = spf[m]
+                m //= p
+                delta[p] = delta.get(p, 0) + weight
+        up = down = 1
+        for p, d in delta.items():
+            a = exps[p]
+            b = exps[p] = a + d
+            negatives += (b < 0) - (a < 0)
+            change = max(b, 0) - max(a, 0)
+            if change > 0:
+                up *= p ** change
+            elif change < 0:
+                down *= p ** -change
+        r = r * up // down
+
+
 def lemma25_scan(n_max: int) -> LemmaAudit:
     """Assert W(n,k) integral for 1 <= k <= n <= n_max, with a valuation
-    certificate: for every prime p <= 4n+2k-2 the margin-sum valuation is
-    nonnegative and the resulting prime factorization reconstructs W
-    exactly (which forces agreement with the division-based value at every
-    prime at once)."""
+    certificate that must reconstruct W exactly at every point.
+
+    For each n the exponent vector of W(n,1) comes from Legendre's formula
+    once; stepping along k by the term ratio W(n,k+1)/W(n,k) then gives the
+    vector of every W(n,k) at O(log n) small operations per point, with a
+    count of negative exponents and the integer R they reconstruct kept
+    current.  A negative exponent is a violation; otherwise R must equal
+    the value from lemma25_w, and when it does not, lemma25_valuations
+    names each prime where the Legendre sum and the direct valuation
+    disagree.  R differing from W where every prime agrees means the
+    stepping itself is wrong, which raises.
+    """
     if n_max < 1:
         raise ValueError("lemma25_scan needs n_max >= 1")
-    bound = 6 * n_max - 2
-    tables: list[tuple[int, list[int]]] = []
-    for p in primes_upto(bound):
-        table = [0] * (bound + 1)
-        acc = 0
-        for j in range(1, bound + 1):
-            acc += int_valuation(p, j) if j % p == 0 else 0
-            table[j] = acc
-        tables.append((p, table))
+    spf = smallest_prime_factors(6 * n_max + 2)
     checked = 0
     violations = []
     for n in range(1, n_max + 1):
-        for k in range(1, n + 1):
+        exps = _lemma25_start(n, len(spf))
+        for k, negatives, reconstructed in _lemma25_steps(n, exps, spf):
             w = lemma25_w(n, k)
             checked += 1
             if w.denominator != 1:
                 violations.append(("non-integral", n, k, w))
-                continue
-            point_bound = 4 * n + 2 * k - 2
-            terms = _floor_terms(n, k)
-            reconstructed = 1
-            negative = []
-            for p, table in tables:
-                if p > point_bound:
-                    break
-                # Summing the eight-floor margin over all powers of p turns
-                # each floor into v_p(j!): eight lookups in the table.
-                s = _form_sum(terms, table.__getitem__)
-                if s < 0:
-                    negative.append((p, s))
-                elif s:
-                    reconstructed *= p ** s
-            if negative:
-                violations.append(("negative-valuation", n, k, tuple(negative)))
+            elif negatives:
+                violations.append(("negative-valuation", n, k, tuple(
+                    (p, e) for p, e in enumerate(exps) if e < 0)))
             elif reconstructed != w.numerator:
-                for p, margin_sum, direct in lemma25_valuations(n, k):
-                    if margin_sum != direct:
-                        violations.append(
-                            ("valuation-mismatch", n, k, p, margin_sum, direct))
+                mismatches = [("valuation-mismatch", n, k, p, margin_sum,
+                               direct)
+                              for p, margin_sum, direct
+                              in lemma25_valuations(n, k)
+                              if margin_sum != direct]
+                if not mismatches:
+                    raise ArithmeticError(
+                        f"stepped valuation certificate of W is wrong at "
+                        f"{(n, k)}")
+                violations.extend(mismatches)
     params = (("n_max", n_max),)
     return LemmaAudit("2.5", params, checked, tuple(violations))
 

@@ -49,35 +49,55 @@ def _value(result: Fraction | TermEvalError) -> Fraction:
     return result
 
 
-def wz_grid_row(pair: WZPairSpec, n: int) -> tuple[
-        int,
-        list[tuple[GridPoint, Fraction, Fraction]],
-        list[tuple[GridPoint, str]]]:
-    """Check one grid row 1 <= k <= n; returns (checked, violations, skipped).
+GridRow = tuple[int, list[tuple[GridPoint, Fraction, Fraction]],
+                list[tuple[GridPoint, str]]]
+
+
+def wz_grid_rows(pair: WZPairSpec, rows: range) -> list[GridRow]:
+    """Check consecutive grid rows; one (checked, violations, skipped) per
+    row n, over 1 <= k <= n.
 
     Points where some term is undefined (a denominator vanishes) are
     reported as skipped rather than failing the audit; the reason is the
     first failure among F(n,k-1), F(n,k), G(n+1,k), G(n,k) in that order.
-    F(n,k) is evaluated once for k = 0..n and shared by neighbouring points.
+    F(n,k) is evaluated once for k = 0..n and shared by neighbouring
+    points; the row G(n+1,k) checked against row n is kept as G(n,k) for
+    row n+1, so each term value is evaluated once per block of rows.
     """
+    if rows.step != 1 or not rows or rows.start < 1:
+        raise ValueError("rows must be a nonempty run of n >= 1")
+    f, g = pair.f.term, pair.g.term
+    # g_row[k - 1] holds G(n, k) for 1 <= k <= n; g_next likewise for n + 1.
+    g_row = [_eval_or_error(g, rows.start, k)
+             for k in range(1, rows.start + 1)]
+    results: list[GridRow] = []
+    for n in rows:
+        f_row = [_eval_or_error(f, n, k) for k in range(n + 1)]
+        g_next = [_eval_or_error(g, n + 1, k)
+                  for k in range(1, n + 2 if n + 1 in rows else n + 1)]
+        checked = 0
+        violations: list[tuple[GridPoint, Fraction, Fraction]] = []
+        skipped: list[tuple[GridPoint, str]] = []
+        for k in range(1, n + 1):
+            try:
+                lhs = _value(f_row[k - 1]) - _value(f_row[k])
+                rhs = _value(g_next[k - 1]) - _value(g_row[k - 1])
+            except TermEvalError as exc:
+                skipped.append(((n, k), str(exc)))
+                continue
+            checked += 1
+            if lhs != rhs:
+                violations.append(((n, k), lhs, rhs))
+        results.append((checked, violations, skipped))
+        g_row = g_next
+    return results
+
+
+def wz_grid_row(pair: WZPairSpec, n: int) -> GridRow:
+    """Check one grid row 1 <= k <= n; returns (checked, violations, skipped)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    f, g = pair.f.term, pair.g.term
-    f_row = [_eval_or_error(f, n, k) for k in range(n + 1)]
-    checked = 0
-    violations: list[tuple[GridPoint, Fraction, Fraction]] = []
-    skipped: list[tuple[GridPoint, str]] = []
-    for k in range(1, n + 1):
-        try:
-            lhs = _value(f_row[k - 1]) - _value(f_row[k])
-            rhs = eval_term(g, n + 1, k) - eval_term(g, n, k)
-        except TermEvalError as exc:
-            skipped.append(((n, k), str(exc)))
-            continue
-        checked += 1
-        if lhs != rhs:
-            violations.append(((n, k), lhs, rhs))
-    return checked, violations, skipped
+    return wz_grid_rows(pair, range(n, n + 1))[0]
 
 
 def wz_grid_check(pair: WZPairSpec, n_max: int) -> GridReport:
@@ -87,8 +107,8 @@ def wz_grid_check(pair: WZPairSpec, n_max: int) -> GridReport:
     checked = 0
     violations: list[tuple[GridPoint, Fraction, Fraction]] = []
     skipped: list[tuple[GridPoint, str]] = []
-    for n in range(1, n_max + 1):
-        row_checked, row_violations, row_skipped = wz_grid_row(pair, n)
+    for row_checked, row_violations, row_skipped in wz_grid_rows(
+            pair, range(1, n_max + 1)):
         checked += row_checked
         violations.extend(row_violations)
         skipped.extend(row_skipped)

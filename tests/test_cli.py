@@ -1,12 +1,14 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import binomsum.cli as cli_module
-from binomsum.cli import _worker_count, main
+from binomsum.cli import _row_blocks, _worker_count, main
 from binomsum.pairs import builtin_document_text
 
 
@@ -479,3 +481,24 @@ def test_internal_error_exits_three(monkeypatch, capsys, target, replacement,
     assert (code, out) == (3, "")
     assert err.startswith(f"binomsum: internal error: {kind}: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_serial_import_does_not_load_the_process_pool():
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, binomsum.cli; "
+                               "print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 7, 45, 60])
+@pytest.mark.parametrize("blocks", [1, 2, 8])
+def test_row_blocks_cover_the_rows_in_order(n_max, blocks):
+    runs = _row_blocks(n_max, blocks)
+    assert [n for run in runs for n in run] == list(range(1, n_max + 1))
+    assert all(run and run.step == 1 for run in runs)
+    assert len(runs) <= blocks
+    if blocks > 1 and n_max > 2:
+        assert len(runs) > 1

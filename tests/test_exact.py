@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from binomsum.exact import binomial, factorial, int_valuation, \
-    legendre_valuation, primes_upto, rat_valuation
+    legendre_valuation, primes_upto, rat_valuation, smallest_prime_factors
 
 
 def test_factorial_small_values():
@@ -86,3 +86,25 @@ def test_primes_upto_inclusive():
 
 def test_primes_upto_count():
     assert len(primes_upto(1000)) == 168
+
+
+def _smallest_factor_by_trial_division(m):
+    return next(d for d in range(2, m + 1) if m % d == 0)
+
+
+def test_smallest_prime_factors_match_trial_division():
+    spf = smallest_prime_factors(2000)
+    assert len(spf) == 2001 and spf[:2] == [0, 0]
+    for m in range(2, 2001):
+        assert spf[m] == _smallest_factor_by_trial_division(m), m
+
+
+def test_smallest_prime_factors_agree_with_primes_upto():
+    spf = smallest_prime_factors(2000)
+    assert [m for m in range(2, 2001) if spf[m] == m] == primes_upto(2000)
+
+
+@pytest.mark.parametrize("limit,expected", [
+    (-3, []), (-1, []), (0, [0]), (1, [0, 0]), (2, [0, 0, 2])])
+def test_smallest_prime_factors_small_limits(limit, expected):
+    assert smallest_prime_factors(limit) == expected

@@ -47,7 +47,9 @@ CASES = [
                         "case3a"], 0),
     ("lemma24_full_range", ["lemma", "--id", "2.4", "--m-max", "3",
                             "--full-range", "4"], 1),
+    ("lemma24_default", ["lemma", "--id", "2.4"], 1),
     ("lemma25", ["lemma", "--id", "2.5", "--n-max", "12"], 0),
+    ("lemma25_wide", ["lemma", "--id", "2.5", "--n-max", "40"], 0),
     ("lemma26", ["lemma", "--id", "2.6", "--n-max", "40", "--m-max", "30"], 0),
     ("ratio_all", ["ratio", "--n-max", "6"], 0),
     ("term_parse", ["term", "parse", "builtin:guillera2.G"], 0),

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import binomsum.verify as verify_module
-from binomsum.exact import binomial, rat_valuation
+from binomsum.exact import binomial, rat_valuation, smallest_prime_factors
 from binomsum.verify import RATIO_IDENTITIES, SUM_SPECS, check_divisibility, \
     check_divisibility_valuations, divide, divisor, eval_sum, floor_margin, \
     floor_margin_fractional, iter_sums, lemma22_point, lemma23_point, \
@@ -261,6 +261,91 @@ def test_lemma25_scan_clean():
     assert audit.ok
     assert audit.checked == 55
     assert audit.violations == ()
+
+
+def _stepped_vectors(n, start, spf):
+    """(k, exponent vector, negatives, R) at each k, vectors copied."""
+    return [(k, list(start), negatives, r)
+            for k, negatives, r in verify_module._lemma25_steps(n, start, spf)]
+
+
+def test_lemma25_stepped_exponents_match_legendre_sums():
+    spf = smallest_prime_factors(6 * 40 + 2)
+    for n in range(1, 41):
+        start = verify_module._lemma25_start(n, len(spf))
+        for k, exps, negatives, r in _stepped_vectors(n, start, spf):
+            expected = [0] * len(spf)
+            for p, margin_sum, _ in lemma25_valuations(n, k):
+                expected[p] = margin_sum
+            assert exps == expected, (n, k)
+            assert negatives == 0 and r == lemma25_w(n, k), (n, k)
+
+
+def test_lemma25_stepper_tracks_signs_and_product():
+    # Lower every exponent by 3, so entries cross zero in both directions
+    # as k steps; the count and R must follow the vector exactly.
+    spf = smallest_prime_factors(6 * 9 + 2)
+    n = 9
+    start = verify_module._lemma25_start(n, len(spf))
+    for p in range(2, len(spf)):
+        if spf[p] == p:
+            start[p] -= 3
+    crossings = set()
+    for k, exps, negatives, r in _stepped_vectors(n, start, spf):
+        assert negatives == sum(1 for e in exps if e < 0), k
+        product = 1
+        for p, e in enumerate(exps):
+            product *= p ** max(e, 0)
+        assert r == product, k
+        crossings.add(negatives)
+    assert len(crossings) > 2
+
+
+def test_lemma25_planted_w_times_p_is_a_valuation_mismatch(monkeypatch):
+    real = verify_module.lemma25_w
+    monkeypatch.setattr(verify_module, "lemma25_w", lambda n, k: (
+        real(n, k) * 7 if (n, k) == (5, 2) else real(n, k)))
+    direct = rat_valuation(7, real(5, 2))
+    assert lemma25_scan(6).violations == (
+        ("valuation-mismatch", 5, 2, 7, direct, direct + 1),)
+
+
+def test_lemma25_planted_w_over_p_is_non_integral(monkeypatch):
+    real = verify_module.lemma25_w
+    w = real(4, 3) / 101
+    monkeypatch.setattr(verify_module, "lemma25_w", lambda n, k: (
+        w if (n, k) == (4, 3) else real(n, k)))
+    assert w.denominator == 101
+    assert lemma25_scan(5).violations == (("non-integral", 4, 3, w),)
+
+
+def test_lemma25_planted_negative_start_exponent(monkeypatch):
+    # For n = 3 the step integers stay below 17, so v_17 keeps its
+    # planted -1 at every k.
+    real = verify_module._lemma25_start
+
+    def planted(n, size):
+        exps = real(n, size)
+        if n == 3:
+            exps[17] = -1
+        return exps
+
+    monkeypatch.setattr(verify_module, "_lemma25_start", planted)
+    assert lemma25_scan(3).violations == tuple(
+        ("negative-valuation", 3, k, ((17, -1),)) for k in (1, 2, 3))
+
+
+def test_lemma25_wrong_stepping_is_an_internal_error(monkeypatch):
+    real = verify_module._lemma25_start
+
+    def planted(n, size):
+        exps = real(n, size)
+        exps[2] += 1
+        return exps
+
+    monkeypatch.setattr(verify_module, "_lemma25_start", planted)
+    with pytest.raises(ArithmeticError, match=r"at \(1, 1\)"):
+        lemma25_scan(3)
 
 
 # ---------------------------------------------------------------------------

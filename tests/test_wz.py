@@ -6,13 +6,14 @@ import pytest
 from binomsum.cli import main
 from binomsum.dsl import parse_document
 import binomsum.hyperterm as hyperterm_module
+import binomsum.wz as wz_module
 from binomsum.hyperterm import NotProportionalError, TermDocument, \
     TermEvalError, eval_term
 from binomsum.pairs import WZPairSpec, builtin_pair, builtin_pair_names
 from binomsum.polyalg import BivarPoly
 from binomsum.verify import eval_sum
 from binomsum.wz import telescope_audit, wz_certificate, wz_grid_check, \
-    wz_grid_row, wz_symbolic_check
+    wz_grid_row, wz_grid_rows, wz_symbolic_check
 
 
 def test_builtin_pair_names():
@@ -269,3 +270,31 @@ def test_grid_skips_csv_pinned_and_identical_across_jobs(skip_pair_dir,
         outputs.append(target.read_bytes())
     assert outputs[0] == SKIP_PAIR_CSV.encode("utf-8")
     assert outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("rows", [range(1, 8), range(3, 8), range(5, 6),
+                                  range(6, 8)])
+def test_grid_block_matches_single_rows(skip_pair_dir, rows):
+    pair = WZPairSpec(
+        name="skips",
+        f=parse_document((skip_pair_dir / "s.F").read_text("utf-8")),
+        g=parse_document((skip_pair_dir / "s.G").read_text("utf-8")),
+        scale_base=-4096, divisor_kind="strong", sum_id="")
+    assert wz_grid_rows(pair, rows) == [wz_grid_row(pair, n) for n in rows]
+
+
+def test_grid_block_evaluates_each_term_once(monkeypatch):
+    # rows 1..N need F(n, k) for 0 <= k <= n and G(n, k) for 1 <= k <= n,
+    # n <= N + 1: N(N+1) + 2N values, each evaluated once.
+    pair = builtin_pair("guillera1")
+    calls = []
+    real = wz_module.eval_term
+
+    def counting(term, n, k):
+        calls.append((term is pair.f.term, n, k))
+        return real(term, n, k)
+
+    monkeypatch.setattr(wz_module, "eval_term", counting)
+    big_n = 45
+    wz_grid_rows(pair, range(1, big_n + 1))
+    assert len(calls) == len(set(calls)) == big_n * (big_n + 1) + 2 * big_n
