@@ -364,6 +364,17 @@ def _quo(a: IntPoly, b: IntPoly) -> IntPoly:
     return q
 
 
+def _cancel(p: IntPoly, q: IntPoly, e: int) -> tuple[IntPoly, int]:
+    """(p / q^j, e - j) for the largest j <= e with q^j dividing p."""
+    while e:
+        try:
+            p = _quo(p, q)
+        except ArithmeticError:
+            break
+        e -= 1
+    return p, e
+
+
 def _ints(p: BivarPoly, scale: int = 1) -> IntPoly:
     """scale * p as an integer polynomial; scale must clear p's denominators."""
     return {m: c.numerator * (scale // c.denominator) for m, c in p.items()}
@@ -423,18 +434,51 @@ class RationalFunction:
     @classmethod
     def from_factors(cls, factors: Mapping[BivarPoly, int],
                      scalar: Fraction | int = 1) -> "RationalFunction":
-        """Product of poly^exponent times scalar; exponents may be negative."""
+        """Product of poly^exponent times scalar; exponents may be negative.
+
+        Each factor's content and sign go into the scalar, so equal
+        primitive factors merge.  Distinct primitive linear factors are
+        coprime, so only the product of the others needs a gcd; a linear
+        factor is then cancelled against it by exact division.
+        """
         s = Fraction(scalar)
-        num = BivarPoly.const(s.numerator)
-        den = BivarPoly.const(s.denominator)
+        merged: dict[frozenset, list] = {}
         for poly, e in factors.items():
-            if e == 0 or poly == BivarPoly.const(1):
+            if e == 0:
                 continue
+            if poly.is_zero():  # the only zero key of the mapping
+                if e < 0:
+                    raise ZeroDivisionError("zero factor with a negative exponent")
+                return cls.const(0)
+            c, p = poly.primitive()
+            q = _ints(p)
+            if q[max(q)] < 0:
+                c, q = -c, {m: -v for m, v in q.items()}
+            s *= c ** e
+            if q != _ONE:
+                merged.setdefault(frozenset(q.items()), [q, 0])[1] += e
+        if not s:
+            return cls.const(0)
+        num, den = _ONE, _ONE
+        linear = []
+        for q, e in merged.values():
+            if max(i + j for i, j in q) == 1:
+                linear.append((q, e))
+            elif e > 0:
+                num = _mul(num, _power(q, e))
+            elif e < 0:
+                den = _mul(den, _power(q, -e))
+        g = _gcd(num, den)
+        num, den = _quo(num, g), _quo(den, g)
+        num_lin, den_lin = {(0, 0): s.numerator}, {(0, 0): s.denominator}
+        for q, e in linear:
             if e > 0:
-                num = num * poly ** e
+                den, e = _cancel(den, q, e)
+                num_lin = _mul(num_lin, _power(q, e))
             else:
-                den = den * poly ** (-e)
-        return cls(num, den)
+                num, e = _cancel(num, q, -e)
+                den_lin = _mul(den_lin, _power(q, e))
+        return cls._reduced(_mul(num_lin, num), _mul(den_lin, den))
 
     @property
     def numerator(self) -> BivarPoly:

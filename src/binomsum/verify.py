@@ -7,11 +7,13 @@ routes (division with remainder vs. prime valuations, floor terms vs.
 fractional parts, binomial products vs. factorial quotients), both routes
 are implemented separately and compared rather than merged.
 
-Summands t(k) of a sum do not depend on n, so each is computed once per
-process: eval_sum reads them from a table that grows to the largest n
-asked for.  One sum's table is held at a time, and it costs O(n_max^2)
-bits.  iter_sums computes its summands afresh, so the recurrence stays an
-independent route to the same values.
+There are two routes to a partial sum S(n) = sum t(k)*base**(n-1-k).
+eval_sum steps along k: it keeps C(2k, k) and C(4k, 2k) current through
+their term ratios, builds t(k) from them, and grows a per-process table
+of prefix sums by S(k+1) = base*S(k) + t(k), so a point already reached
+is a lookup and a new one costs O(1) big-integer steps.  iter_sums runs
+the same recurrence but builds every summand afresh from factorial
+quotients (exact.binomial), so the two routes share no binomial.
 """
 from __future__ import annotations
 
@@ -78,42 +80,86 @@ def _summand(spec: SumSpec, k: int) -> int:
     return t
 
 
+class _PrefixSums:
+    """S(0), S(1), ... of one sum as far as computed, with C(2k, k) and
+    C(4k, 2k) at the next summand's index k = len(sums) - 1 (the latter
+    stays 1 for sums without that factor)."""
+
+    __slots__ = ("sums", "central", "quad")
+
+    def __init__(self) -> None:
+        self.sums = [0]
+        self.central = 1
+        self.quad = 1
+
+
 @lru_cache(maxsize=1)
-def _summand_table(spec: SumSpec) -> list[int]:
-    """t(0), t(1), ... of one sum as far as computed; eval_sum grows it."""
-    return []
+def _prefix_sums(spec: SumSpec) -> _PrefixSums:
+    return _PrefixSums()
+
+
+def _exact_step(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"inexact binomial step: remainder {r} "
+                              f"modulo {den}")
+    return q
+
+
+def _central_step(k: int, central: int) -> int:
+    """C(2k+2, k+1) from central = C(2k, k)."""
+    return _exact_step(central * (2 * (2 * k + 1)), k + 1)
+
+
+def _quad_step(k: int, quad: int) -> int:
+    """C(4k+4, 2k+2) from quad = C(4k, 2k)."""
+    a = 4 * k
+    return _exact_step(quad * ((a + 1) * (a + 2) * (a + 3) * (a + 4)),
+                       ((2 * k + 1) * (2 * k + 2)) ** 2)
+
+
+def _extend(spec: SumSpec, table: _PrefixSums) -> None:
+    """Append S(k+1) = base*S(k) + t(k) and step the binomials to k + 1.
+
+    Everything is computed before the table changes, so a step that
+    raises leaves the table as it was.
+    """
+    k = len(table.sums) - 1
+    c2, c1, c0 = spec.coeff
+    t = (c2 * k * k + c1 * k + c0) * table.central ** spec.central_power
+    central, quad = _central_step(k, table.central), table.quad
+    if spec.include_quad_central:
+        t *= quad
+        quad = _quad_step(k, quad)
+    table.sums.append(spec.base * table.sums[k] + t)
+    table.central, table.quad = central, quad
 
 
 def eval_sum(spec: SumSpec | str, n: int) -> int:
-    """Direct evaluation of the length-n partial sum, sum t(k)*base**(n-1-k).
+    """S(n) = sum t(k)*base**(n-1-k), read from a table of prefix sums.
 
-    Each t(k) is computed once per process and kept in a table that grows
-    to the largest n asked for.  Only the table of the most recent sum is
-    held, so callers that go sum by sum rebuild it once per sum; it costs
-    O(n_max^2) bits, about 3 MB for guillera2 at n = 2000.  A summand that
-    raises leaves the table with the terms finished before it.
+    The table grows to the largest n asked for, one O(1) step per new n
+    (see _extend); only the most recent sum's table is held, so callers
+    that go sum by sum rebuild it once per sum.  It costs O(n_max^2)
+    bits: 4.3 MB of ints for guillera2 at n = 2000.  A step that raises
+    leaves the table with the sums finished before it.
     """
     if isinstance(spec, str):
         spec = sum_spec(spec)
     if n < 1:
         raise ValueError("eval_sum needs n >= 1")
-    table = _summand_table(spec)
-    for k in range(len(table), n):
-        table.append(_summand(spec, k))
-    total = 0
-    power = 1
-    for k in range(n - 1, -1, -1):
-        total += table[k] * power
-        power *= spec.base
-    return total
+    table = _prefix_sums(spec)
+    while len(table.sums) <= n:
+        _extend(spec, table)
+    return table.sums[n]
 
 
 def iter_sums(spec: SumSpec | str, n_max: int):
     """Yield (n, S(n)) for n = 1..n_max via S(n+1) = base*S(n) + t(n).
 
-    A second route to the same values as eval_sum; it computes every
-    summand itself rather than reading eval_sum's table, and the two are
-    compared in the test suite rather than shared.
+    The second route to the values of eval_sum: every summand is built
+    afresh by _summand from factorial quotients, never stepped, and the
+    two routes are compared in the test suite rather than shared.
     """
     if isinstance(spec, str):
         spec = sum_spec(spec)

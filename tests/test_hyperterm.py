@@ -112,9 +112,9 @@ def test_terms_vanish_beyond_support():
 
 
 def test_shift_quotient_reproduces_ratios():
-    # every shift in {-2..2}^2 on every builtin document, and (0, 5): a shift
-    # of any size is allowed
-    shifts = list(product(range(-2, 3), repeat=2)) + [(0, 5)]
+    # every shift in {-2..2}^2 on every builtin document, and (0, 5) and
+    # (5, 0): a shift of any size is allowed
+    shifts = list(product(range(-2, 3), repeat=2)) + [(0, 5), (5, 0)]
     for name in builtin_document_names():
         t = doc(name).term
         for dn, dk in shifts:

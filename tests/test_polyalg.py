@@ -1,9 +1,13 @@
+import hashlib
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from binomsum.hyperterm import shift_quotient
+from binomsum.pairs import builtin_document, builtin_document_names
 from binomsum.polyalg import BivarPoly, RationalFunction, _gcd
 
 
@@ -98,6 +102,92 @@ def test_rational_function_from_factors():
         Fraction(3, 2))
     assert r.evaluate(3, 1) == Fraction(3, 2) * 16 / 6
     assert r.render() == "(3*n^2+6*n*k+3*k^2)/(4*n)"
+    # associated factors merge once content and sign go to the scalar
+    lin = BivarPoly.linear(1, -1, 2)
+    r = RationalFunction.from_factors({lin: 2, lin * Fraction(-3, 2): -1})
+    assert r.render() == "(-2*n+2*k-4)/(3)"
+
+
+def _product_of_factors(factors, scalar):
+    """RationalFunction(num, den) of the multiplied-out factors: one gcd."""
+    s = Fraction(scalar)
+    num, den = BivarPoly.const(s.numerator), BivarPoly.const(s.denominator)
+    for p, e in factors.items():
+        if e > 0:
+            num = num * p ** e
+        elif e < 0:
+            den = den * p ** -e
+    return RationalFunction(num, den)
+
+
+def _random_factors(rng):
+    def linear():
+        while True:
+            a, b, c = (rng.randint(-3, 3) for _ in range(3))
+            if a or b:
+                return BivarPoly.linear(a, b, c)
+
+    def scaled(p):
+        return p * rng.choice([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 5)])
+
+    pool = [linear() for _ in range(3)]
+    candidates = [
+        lambda: scaled(rng.choice(pool)),
+        lambda: scaled(rng.choice(pool) * rng.choice(pool)),
+        lambda: scaled(rng.choice(pool) * poly({(2, 0): 1, (0, 2): 1, (0, 0): 1})),
+        lambda: poly({(1, 1): rng.choice([1, -2]), (0, 0): 1}),
+        lambda: BivarPoly.const(rng.choice([2, -3, Fraction(5, 7)])),
+    ]
+    factors = {}
+    for _ in range(rng.randint(2, 7)):
+        factors[rng.choice(candidates)()] = rng.randint(-2, 2)
+    return factors, Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+
+
+def test_from_factors_matches_the_reduced_product():
+    rng = random.Random(20261018)
+    for _ in range(100):
+        factors, scalar = _random_factors(rng)
+        got = RationalFunction.from_factors(factors, scalar)
+        want = _product_of_factors(factors, scalar)
+        assert got.render() == want.render(), (factors, scalar)
+        assert hash(got) == hash(want) and got == want
+
+
+def test_from_factors_matches_the_reduced_product_on_builtin_shifts(monkeypatch):
+    # the factors shift_quotient passes for every builtin document and
+    # shift of test_shift_quotient_reproduces_ratios; the one big gcd is
+    # cheap only for |dn|, |dk| <= 1, so the digest pins the renders it
+    # gives on all of them (about 100 s of gcds on 2 vCPUs)
+    captured = []
+    from_factors = RationalFunction.from_factors.__func__
+
+    def spy(cls, factors, scalar=1):
+        captured.append((dict(factors), scalar))
+        return from_factors(cls, factors, scalar)
+
+    monkeypatch.setattr(RationalFunction, "from_factors", classmethod(spy))
+    lines = []
+    for name in builtin_document_names():
+        for dn, dk in list(product(range(-2, 3), repeat=2)) + [(0, 5), (5, 0)]:
+            got = shift_quotient(builtin_document(name).term, dn, dk)
+            lines.append(f"{name} {dn} {dk} {got.render()}")
+            if abs(dn) <= 1 and abs(dk) <= 1:
+                want = _product_of_factors(*captured[-1])
+                assert got.render() == want.render(), (name, dn, dk)
+                assert hash(got) == hash(want), (name, dn, dk)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "74fc82bb37026a370022bcad6125ab7f2c682f80014c79e0d2818608cdd93196"
+
+
+def test_from_factors_zero_factor():
+    zero, lin = BivarPoly.zero(), BivarPoly.linear(1, 1, 0)
+    assert RationalFunction.from_factors({zero: 2, lin: -1}).is_zero()
+    assert RationalFunction.from_factors({lin: 1}, 0).is_zero()
+    assert RationalFunction.from_factors({zero: 0, lin: 1}) \
+        == RationalFunction.from_poly(lin)
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction.from_factors({zero: -1, lin: 1})
 
 
 def test_rational_function_equality_cross_multiplies():

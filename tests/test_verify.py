@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import binomsum.exact as exact_module
 import binomsum.verify as verify_module
 from binomsum.exact import binomial, rat_valuation, smallest_prime_factors
 from binomsum.verify import RATIO_IDENTITIES, SUM_SPECS, check_divisibility, \
@@ -49,15 +50,34 @@ def test_iter_sums_matches_direct_evaluation():
         assert direct == recurrent
 
 
+def _direct_sum(spec, n):
+    """sum t(k)*base**(n-1-k) term by term, each t(k) from factorials."""
+    c2, c1, c0 = spec.coeff
+    total = 0
+    for k in range(n):
+        t = (c2 * k * k + c1 * k + c0) * binomial(2 * k, k) ** spec.central_power
+        if spec.include_quad_central:
+            t *= binomial(4 * k, 2 * k)
+        total += t * spec.base ** (n - 1 - k)
+    return total
+
+
 def test_eval_sum_matches_recurrence_in_any_call_order():
-    expected = {name: dict(iter_sums(name, 60)) for name in SUM_SPECS}
+    # eval_sum's stepped binomials against iter_sums' factorial quotients
+    # and the term-by-term sum
+    n_max = 80
+    expected = {name: dict(iter_sums(name, n_max)) for name in SUM_SPECS}
+    for name in SUM_SPECS:
+        spec = sum_spec(name)
+        assert all(expected[name][n] == _direct_sum(spec, n)
+                   for n in range(1, n_max + 1)), name
     rng = random.Random(4)
     for name in SUM_SPECS:
-        ns = list(range(1, 61))
+        ns = list(range(1, n_max + 1))
         rng.shuffle(ns)
         assert [eval_sum(name, n) for n in ns] == [expected[name][n]
                                                     for n in ns]
-    calls = [(name, n) for name in SUM_SPECS for n in range(1, 61)]
+    calls = [(name, n) for name in SUM_SPECS for n in range(1, n_max + 1)]
     rng.shuffle(calls)
     for name, n in calls:
         assert eval_sum(name, n) == expected[name][n], (name, n)
@@ -65,22 +85,44 @@ def test_eval_sum_matches_recurrence_in_any_call_order():
     assert fresh == sum_spec("guillera2") and fresh is not sum_spec("guillera2")
     for n in (60, 1, 37, 59, 2):
         assert eval_sum(fresh, n) == expected["guillera2"][n]
+    fresh = replace(sum_spec("guillera2"), name="guillera2_copy")
+    assert eval_sum(fresh, 400) == _direct_sum(fresh, 400) \
+        == dict(iter_sums(fresh, 400))[400]
 
 
 def test_eval_sum_keeps_only_finished_summands(monkeypatch):
-    spec = replace(sum_spec("sun_b"), name="sun_b_copy")
-    summand = verify_module._summand
+    for name, step in (("sun_b", "_central_step"), ("guillera2", "_quad_step")):
+        spec = replace(sum_spec(name), name=name + "_copy")
+        original = getattr(verify_module, step)
 
-    def fails_at_five(s, k):
-        if k == 5:
-            raise ArithmeticError("summand 5")
-        return summand(s, k)
+        def fails_at_five(k, value, original=original):
+            if k == 5:
+                raise ArithmeticError("step 5")
+            return original(k, value)
 
-    monkeypatch.setattr(verify_module, "_summand", fails_at_five)
-    with pytest.raises(ArithmeticError):
-        eval_sum(spec, 10)
-    monkeypatch.setattr(verify_module, "_summand", summand)
-    assert eval_sum(spec, 10) == dict(iter_sums(spec, 10))[10]
+        monkeypatch.setattr(verify_module, step, fails_at_five)
+        with pytest.raises(ArithmeticError):
+            eval_sum(spec, 10)
+        monkeypatch.setattr(verify_module, step, original)
+        assert eval_sum(spec, 10) == dict(iter_sums(spec, 10))[10], name
+
+
+def test_stepped_binomials_match_factorial_quotients(monkeypatch):
+    # a private factorial cache, so the 8000! this needs is freed afterwards
+    monkeypatch.setattr(exact_module, "_factorials", [1, 1])
+    central = quad = 1
+    for k in range(2001):
+        assert central == binomial(2 * k, k), k
+        assert quad == binomial(4 * k, 2 * k), k
+        central = verify_module._central_step(k, central)
+        quad = verify_module._quad_step(k, quad)
+
+
+def test_inexact_binomial_step_raises():
+    with pytest.raises(ArithmeticError, match="inexact binomial step"):
+        verify_module._central_step(3, binomial(6, 3) + 1)
+    with pytest.raises(ArithmeticError, match="inexact binomial step"):
+        verify_module._quad_step(3, binomial(12, 6) + 1)
 
 
 def test_divisor_values():
