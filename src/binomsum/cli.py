@@ -155,28 +155,35 @@ def _summary(check: str, params: tuple, count_key: str, count: int,
 # sumcheck
 # ---------------------------------------------------------------------------
 
-def _sum_record(args: tuple) -> ReportRecord:
-    name, kind, n, valuation = args
+def _sum_records(args: tuple) -> list[ReportRecord]:
+    """One record per n of one sum, in order.  A whole sum is one work
+    item because eval_sum grows one sum's prefix table per process."""
+    name, kind, n_range, valuation = args
     spec = sum_spec(name)
     used_kind = spec.divisor_kind if kind is None else kind
-    division = check_divisibility(spec, kind, n)
-    witness = _division_witness(division)
-    agree = True
-    if valuation:
-        val_ok = not valuation_failures(division.value, used_kind, n)
-        agree = val_ok == division.ok
-        witness.append(("valuation", "agree" if agree else "disagree"))
-    params = (("sum", name), ("divisor", used_kind), ("n", n))
-    return ReportRecord("sumcheck", params,
-                        PASS if division.ok and agree else FAIL, tuple(witness))
+    records = []
+    for n in n_range:
+        division = check_divisibility(spec, kind, n)
+        witness = _division_witness(division)
+        agree = True
+        if valuation:
+            val_ok = not valuation_failures(division.value, used_kind, n)
+            agree = val_ok == division.ok
+            witness.append(("valuation", "agree" if agree else "disagree"))
+        params = (("sum", name), ("divisor", used_kind), ("n", n))
+        records.append(ReportRecord(
+            "sumcheck", params, PASS if division.ok and agree else FAIL,
+            tuple(witness)))
+    return records
 
 
 def _cmd_sumcheck(args: argparse.Namespace) -> list[ReportRecord]:
     names = list(SUM_SPECS) if args.sum == "all" else [args.sum]
     kind = None if args.divisor == "default" else args.divisor
-    items = [(name, kind, n, args.valuation_check)
-             for name in names for n in _n_range(args, "sumcheck needs")]
-    return _pmap(_sum_record, items, args.jobs)
+    n_range = _n_range(args, "sumcheck needs")
+    items = [(name, kind, n_range, args.valuation_check) for name in names]
+    return [rec for group in _pmap(_sum_records, items, args.jobs)
+            for rec in group]
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exact import binomial, int_valuation, primes_upto
 from .polyalg import BivarPoly, RationalFunction
+from .records import Validated
 
 
 class TermEvalError(ValueError):
@@ -32,8 +33,7 @@ class NotProportionalError(ValueError):
     """Two terms whose quotient is not a rational function of n and k."""
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(NamedTuple):
     """The integer linear form a*n + b*k + c."""
 
     a: int = 0
@@ -73,16 +73,14 @@ class LinearForm:
 ZERO_FORM = LinearForm(0, 0, 0)
 
 
-@dataclass(frozen=True)
-class BaseFactor:
+class BaseFactor(NamedTuple):
     """base ** (integer linear form); |base| must be at least 2."""
 
     base: int
     exponent: LinearForm
 
 
-@dataclass(frozen=True)
-class BinomFactor:
+class BinomFactor(NamedTuple):
     """binom(top, bottom) ** power with the zero convention at evaluation."""
 
     top: LinearForm
@@ -90,15 +88,21 @@ class BinomFactor:
     power: int = 1
 
 
-@dataclass(frozen=True)
-class HypergeometricTerm:
+_ONE = BivarPoly.const(1)
+
+
+class _TermFields(NamedTuple):
     sign_exponent: LinearForm = ZERO_FORM
     base_factors: tuple[BaseFactor, ...] = ()
     binom_factors: tuple[BinomFactor, ...] = ()
-    numer_poly: BivarPoly = field(default_factory=lambda: BivarPoly.const(1))
-    denom_poly: BivarPoly = field(default_factory=lambda: BivarPoly.const(1))
+    numer_poly: BivarPoly = _ONE
+    denom_poly: BivarPoly = _ONE
 
-    def __post_init__(self) -> None:
+
+class HypergeometricTerm(Validated, _TermFields):
+    __slots__ = ()
+
+    def _validate(self) -> None:
         for bf in self.base_factors:
             if abs(bf.base) < 2:
                 raise ValueError(f"base {bf.base} must have absolute value >= 2")
@@ -118,15 +122,18 @@ class HypergeometricTerm:
             self.denom_poly.shift(dn, dk))
 
 
-@dataclass(frozen=True)
-class TermDocument:
-    """A named term plus the free-text note carried by its DSL source."""
-
+class _DocumentFields(NamedTuple):
     name: str
     term: HypergeometricTerm
     note: str = ""
 
-    def __post_init__(self) -> None:
+
+class TermDocument(Validated, _DocumentFields):
+    """A named term plus the free-text note carried by its DSL source."""
+
+    __slots__ = ()
+
+    def _validate(self) -> None:
         if not self.name or any(ch.isspace() for ch in self.name):
             raise ValueError(f"invalid term name {self.name!r}")
 

@@ -1,24 +1,18 @@
 """Builtin certificate pairs and access to their shipped term documents."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from importlib import resources
+from typing import NamedTuple
 
 from .dsl import parse_document
 from .hyperterm import TermDocument
+from .records import Validated
 
 DIVISOR_KINDS = ("weak", "strong")
 
 
-@dataclass(frozen=True)
-class WZPairSpec:
-    """A certificate pair (F, G) plus its audit conventions.
-
-    scale_base is the integer B with B^(N-1) clearing denominators in the
-    telescoping audit; divisor_kind selects the divisor family P(N).
-    """
-
+class _PairFields(NamedTuple):
     name: str
     f: TermDocument
     g: TermDocument
@@ -26,7 +20,17 @@ class WZPairSpec:
     divisor_kind: str
     sum_id: str
 
-    def __post_init__(self) -> None:
+
+class WZPairSpec(Validated, _PairFields):
+    """A certificate pair (F, G) plus its audit conventions.
+
+    scale_base is the integer B with B^(N-1) clearing denominators in the
+    telescoping audit; divisor_kind selects the divisor family P(N).
+    """
+
+    __slots__ = ()
+
+    def _validate(self) -> None:
         if self.divisor_kind not in DIVISOR_KINDS:
             raise ValueError(f"divisor kind must be one of {DIVISOR_KINDS}")
         if self.scale_base == 0:

@@ -7,10 +7,10 @@ are identical no matter how the records were computed.
 """
 from __future__ import annotations
 
-import csv
 import io
-import json
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from .records import Validated
 
 FORMATS = ("json", "csv", "human")
 
@@ -19,16 +19,19 @@ FAIL = "fail"
 SKIPPED = "skipped"
 
 
-@dataclass(frozen=True)
-class ReportRecord:
-    """One audit outcome: which check, at which parameters, with witnesses."""
-
+class _RecordFields(NamedTuple):
     check: str
     params: tuple[tuple[str, int | str], ...]
     status: str
     witness: tuple[tuple[str, str], ...] = ()
 
-    def __post_init__(self) -> None:
+
+class ReportRecord(Validated, _RecordFields):
+    """One audit outcome: which check, at which parameters, with witnesses."""
+
+    __slots__ = ()
+
+    def _validate(self) -> None:
         if self.status not in (PASS, FAIL, SKIPPED):
             raise ValueError(f"unknown status {self.status!r}")
 
@@ -43,6 +46,7 @@ def _witness_obj(record: ReportRecord) -> dict:
 
 def render_json(records: list[ReportRecord]) -> str:
     """One JSON object per line with keys check, params, status, witness."""
+    import json  # here, so that human-format runs never load it
     lines = []
     for rec in records:
         lines.append(json.dumps(
@@ -54,6 +58,8 @@ def render_json(records: list[ReportRecord]) -> str:
 
 def render_csv(records: list[ReportRecord]) -> str:
     """Fixed columns check,params,status,witness; structured cells as JSON."""
+    import csv  # here, so that human-format runs never load it
+    import json
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["check", "params", "status", "witness"])

@@ -17,25 +17,22 @@ quotients (exact.binomial), so the two routes share no binomial.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exact import binomial, factorial, int_valuation, legendre_valuation, \
     primes_upto, rat_valuation, smallest_prime_factors
 from .hyperterm import eval_term, k0_prefix_sum
 from .pairs import DIVISOR_KINDS, builtin_pair
+from .records import Validated
 
 
 # ---------------------------------------------------------------------------
 # Sum specifications
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SumSpec:
-    """One sum of the shape sum((c2*k^2+c1*k+c0) * C(2k,k)**central_power
-    * [C(4k,2k)] * base**(n-k-1) for k in range(n))."""
-
+class _SumFields(NamedTuple):
     name: str
     coeff: tuple[int, int, int]
     central_power: int
@@ -43,7 +40,14 @@ class SumSpec:
     include_quad_central: bool = False
     divisor_kind: str = "weak"
 
-    def __post_init__(self) -> None:
+
+class SumSpec(Validated, _SumFields):
+    """One sum of the shape sum((c2*k^2+c1*k+c0) * C(2k,k)**central_power
+    * [C(4k,2k)] * base**(n-k-1) for k in range(n))."""
+
+    __slots__ = ()
+
+    def _validate(self) -> None:
         if self.base == 0:
             raise ValueError("base must be nonzero")
         if self.central_power < 1:
@@ -187,8 +191,7 @@ def divisor(kind: str, n: int) -> int:
     return 2 * n * n * central * central
 
 
-@dataclass(frozen=True)
-class DivisionCheck:
+class DivisionCheck(NamedTuple):
     """Exact division with remainder; quotient is set only on success, and
     a non-integral value has neither quotient nor remainder."""
 
@@ -252,7 +255,11 @@ def valuation_failures(value: int, kind: str,
                        n: int) -> tuple[tuple[int, int, int], ...]:
     """Primes p <= 2n with v_p(divisor(kind, n)) > v_p(value), as triples
     (p, v_p(divisor), v_p(value)); v_p(divisor) comes from Legendre's
-    formula, never from the divisor integer.  Empty when value is 0."""
+    formula, never from the divisor integer.  Empty when value is 0.
+
+    v_p(value) is counted only at a prime that fails: a prime with
+    v_p(divisor) = 0 is skipped, and for the others one remainder of value
+    modulo p**v_p(divisor) decides."""
     if kind not in DIVISOR_KINDS:
         raise ValueError(f"divisor kind must be one of {DIVISOR_KINDS}")
     if value == 0:
@@ -265,9 +272,8 @@ def valuation_failures(value: int, kind: str,
                      - 2 * legendre_valuation(p, n))
         if p == 2:
             v_div += 1
-        v_val = int_valuation(p, value)
-        if v_div > v_val:
-            failures.append((p, v_div, v_val))
+        if v_div and value % p ** v_div:
+            failures.append((p, v_div, int_valuation(p, value)))
     return tuple(failures)
 
 
@@ -275,8 +281,7 @@ def valuation_failures(value: int, kind: str,
 # Audit plumbing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LemmaAudit:
+class LemmaAudit(NamedTuple):
     """Outcome of an exhaustive scan: every violation is reproducible by
     re-running the corresponding single-point operation."""
 
@@ -290,8 +295,7 @@ class LemmaAudit:
         return not self.violations
 
 
-@dataclass(frozen=True)
-class MarginRecord:
+class MarginRecord(NamedTuple):
     """LHS minus RHS of a floor inequality at one point."""
 
     m: int
@@ -317,8 +321,7 @@ def lemma22_point(n: int, k: int) -> DivisionCheck:
     return divide(value, (2 * n + 2 * k - 1) * binomial(2 * k, k))
 
 
-@dataclass(frozen=True)
-class QuotientIdentity:
+class QuotientIdentity(NamedTuple):
     """A division check whose quotient must match a closed form."""
 
     division: DivisionCheck
@@ -633,8 +636,7 @@ RATIO_IDENTITIES = ("g1_col1", "g1_gen", "f1_corner", "catalan_split",
                     "g2_gen", "f2_corner", "telescoped_sum")
 
 
-@dataclass(frozen=True)
-class RatioCheck:
+class RatioCheck(NamedTuple):
     """Both sides of one closed-form identity, evaluated independently.
 
     alt carries the intermediate closed form when the derivation states

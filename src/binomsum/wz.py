@@ -8,8 +8,8 @@ integers and divides them by the target divisor.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .hyperterm import HypergeometricTerm, TermEvalError, eval_term, \
     k0_prefix_sum, shift_quotient, term_quotient
@@ -20,8 +20,7 @@ from .verify import DivisionCheck, divide, divisor
 GridPoint = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class GridReport:
+class GridReport(NamedTuple):
     """Outcome of a pointwise difference check over 1 <= k <= n <= n_max."""
 
     pair_name: str
@@ -139,8 +138,7 @@ def wz_symbolic_check(pair: WZPairSpec) -> tuple[bool, RationalFunction]:
     return residual.is_zero(), residual
 
 
-@dataclass(frozen=True)
-class TelescopeAudit:
+class TelescopeAudit(NamedTuple):
     """Scaled column audit of G at a fixed row N.
 
     Writing B for the scale base and s = B**scale_exp, the audit records

@@ -6,7 +6,6 @@ clock budget so the suite stays honest about scan sizes.
 """
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from fractions import Fraction
 
 from binomsum.dsl import parse_document, serialize_document
@@ -90,9 +89,9 @@ def test_criterion_4_pair_difference_grid_and_symbolic():
         assert lhs == rhs == Fraction(-209, 128)
 
         # changing a single factor of the companion must flip the verdict
-        bad_term = replace(g, numer_poly=BivarPoly.monomial(3, 0, 3))
+        bad_term = g._replace(numer_poly=BivarPoly.monomial(3, 0, 3))
         bad_doc = TermDocument(name=pair1.g.name, term=bad_term)
-        bad_pair = replace(pair1, g=bad_doc)
+        bad_pair = pair1._replace(g=bad_doc)
         flipped, residual = wz_symbolic_check(bad_pair)
         assert not flipped and not residual.is_zero()
 

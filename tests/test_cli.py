@@ -493,6 +493,19 @@ def test_serial_import_does_not_load_the_process_pool():
     assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
+def test_import_loads_neither_dataclasses_nor_the_report_formats():
+    # dataclasses pulls in inspect, ast, dis and tokenize; csv and json are
+    # loaded by the renderers that need them.  -S keeps site hooks out.
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, binomsum.cli; print(sorted(m for m in "
+         "('dataclasses', 'inspect', 'csv', 'json') if m in sys.modules))"],
+        capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
 @pytest.mark.parametrize("n_max", [1, 2, 3, 7, 45, 60])
 @pytest.mark.parametrize("blocks", [1, 2, 8])
 def test_row_blocks_cover_the_rows_in_order(n_max, blocks):

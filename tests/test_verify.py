@@ -1,18 +1,18 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import binomsum.exact as exact_module
 import binomsum.verify as verify_module
-from binomsum.exact import binomial, rat_valuation, smallest_prime_factors
+from binomsum.exact import binomial, int_valuation, legendre_valuation, \
+    primes_upto, rat_valuation, smallest_prime_factors
 from binomsum.verify import RATIO_IDENTITIES, SUM_SPECS, check_divisibility, \
     check_divisibility_valuations, divide, divisor, eval_sum, floor_margin, \
     floor_margin_fractional, iter_sums, lemma22_point, lemma23_point, \
     lemma24_scan, lemma25_scan, lemma25_valuations, lemma25_w, \
     lemma26_floor_margin, lemma26_ineq_scan, lemma26_point, ratio_identity, \
-    ratio_k_values, sum_spec
+    ratio_k_values, sum_spec, valuation_failures
 
 
 # ---------------------------------------------------------------------------
@@ -81,18 +81,18 @@ def test_eval_sum_matches_recurrence_in_any_call_order():
     rng.shuffle(calls)
     for name, n in calls:
         assert eval_sum(name, n) == expected[name][n], (name, n)
-    fresh = replace(sum_spec("guillera2"))
+    fresh = sum_spec("guillera2")._replace()
     assert fresh == sum_spec("guillera2") and fresh is not sum_spec("guillera2")
     for n in (60, 1, 37, 59, 2):
         assert eval_sum(fresh, n) == expected["guillera2"][n]
-    fresh = replace(sum_spec("guillera2"), name="guillera2_copy")
+    fresh = sum_spec("guillera2")._replace(name="guillera2_copy")
     assert eval_sum(fresh, 400) == _direct_sum(fresh, 400) \
         == dict(iter_sums(fresh, 400))[400]
 
 
 def test_eval_sum_keeps_only_finished_summands(monkeypatch):
     for name, step in (("sun_b", "_central_step"), ("guillera2", "_quad_step")):
-        spec = replace(sum_spec(name), name=name + "_copy")
+        spec = sum_spec(name)._replace(name=name + "_copy")
         original = getattr(verify_module, step)
 
         def fails_at_five(k, value, original=original):
@@ -186,6 +186,52 @@ def test_valuation_route_reports_failing_prime():
     assert failures
     for p, v_div, v_val in failures:
         assert v_val < v_div
+
+
+def _full_valuation_failures(value, kind, n):
+    """Reference: v_p(value) counted in full at every prime p <= 2n."""
+    if value == 0:
+        return ()
+    e = 1 if kind == "weak" else 2
+    failures = []
+    for p in primes_upto(2 * n):
+        v_div = e * (int_valuation(p, n) + legendre_valuation(p, 2 * n)
+                     - 2 * legendre_valuation(p, n))
+        if p == 2:
+            v_div += 1
+        v_val = int_valuation(p, value)
+        if v_div > v_val:
+            failures.append((p, v_div, v_val))
+    return tuple(failures)
+
+
+def _planted_values(value, n):
+    """value itself, value + 1, value * p and every exact value // p**j for
+    a few primes p <= 2n, and 0."""
+    primes = primes_upto(2 * n)
+    yield value
+    yield value + 1
+    yield 0
+    for p in {primes[0], primes[len(primes) // 2], primes[-1]}:
+        yield value * p
+        q = value
+        while q % p == 0:
+            q //= p
+            yield q
+
+
+@pytest.mark.parametrize("kind", ["weak", "strong"])
+def test_valuation_failures_match_full_valuations(kind):
+    seen_failures = 0
+    for name in SUM_SPECS:
+        for n in range(2, 61):
+            value = eval_sum(name, n)
+            for planted in _planted_values(value, n):
+                expected = _full_valuation_failures(planted, kind, n)
+                assert valuation_failures(planted, kind, n) == expected, \
+                    (name, n, planted == value)
+                seen_failures += bool(expected)
+    assert seen_failures > 1000
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -68,9 +67,9 @@ def test_certificates_render_canonically():
 
 
 def _perturb_g_poly(pair: WZPairSpec, poly: BivarPoly) -> WZPairSpec:
-    g_term = replace(pair.g.term, numer_poly=poly)
+    g_term = pair.g.term._replace(numer_poly=poly)
     g_doc = TermDocument(name=pair.g.name, term=g_term, note=pair.g.note)
-    return replace(pair, g=g_doc)
+    return pair._replace(g=g_doc)
 
 
 def test_single_factor_perturbation_flips_symbolic_result():
