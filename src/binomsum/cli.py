@@ -1,7 +1,8 @@
 """Command-line front end: run audits and emit machine-readable reports.
 
 Scans parallelize over their outer parameter with an ordered merge, so
-report bytes are identical for every --jobs value.
+report bytes are identical for every --jobs value.  --jobs is an upper
+bound: work items run in this process until the work left pays for a pool.
 
 Exit codes:
   0  no record failed;
@@ -19,17 +20,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
+from time import perf_counter_ns
 
 from .dsl import DslError, parse_document, serialize_document
 from .hyperterm import NotProportionalError, TermEvalError, eval_term
 from .pairs import WZPairSpec, builtin_document, builtin_pair, builtin_pair_names
 from .report import FAIL, FORMATS, PASS, SKIPPED, ReportRecord, render
 from .verify import LEMMA24_REGIONS, RATIO_IDENTITIES, SUM_SPECS, \
-    check_divisibility, lemma22_point, lemma23_point, lemma24_scan, \
-    lemma25_scan, lemma26_ineq_scan, lemma26_point, ratio_identity, \
-    ratio_k_values, sum_spec, valuation_failures
+    LemmaAudit, check_divisibility, lemma22_point, lemma23_point, \
+    lemma24_scan, lemma25_scan, lemma26_ineq_scan, lemma26_point, \
+    ratio_identity, ratio_k_values, sum_spec, valuation_failures
 from .wz import telescope_audit, wz_certificate, wz_grid_rows, wz_symbolic_check
 
 JOBS_ENV = "BINOMSUM_JOBS"
@@ -101,6 +103,14 @@ def _resolve_pair(ref: tuple) -> WZPairSpec:
 # A parallel map hands each worker about this many chunks of its items.
 _CHUNKS_PER_WORKER = 4
 
+# What a process pool adds to a run, in nanoseconds: importing
+# concurrent.futures.process and starting and stopping the workers.
+# Measured as the --jobs 2 minus the --jobs 1 wall time of
+# `sumcheck --sum all --n-min 2 --n-max 3` (seven items of negligible
+# work), in 30 alternating pairs of child processes on 2 vCPUs with
+# Python 3.11.7: median 59 ms, fastest pair 46 ms.
+_POOL_COST_NS = 60_000_000
+
 
 def _worker_count(jobs: int, n_items: int) -> int:
     """Processes to start: --jobs clamped to the items and the CPUs."""
@@ -108,14 +118,59 @@ def _worker_count(jobs: int, n_items: int) -> int:
 
 
 def _pmap(worker, items: list, jobs: int) -> list:
-    workers = _worker_count(jobs, len(items))
-    if workers == 1:
-        return [worker(item) for item in items]
-    # Imported here so that a serial run never loads multiprocessing.
-    from concurrent.futures import ProcessPoolExecutor
-    chunk = max(1, len(items) // (workers * _CHUNKS_PER_WORKER))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, items, chunksize=chunk))
+    """[worker(item) for item in items], with --jobs as an upper bound.
+
+    Items run here, in order, until the pace so far predicts that the
+    items left need more than twice the pool's cost; the pool then takes
+    the rest and its results follow in order.  With w workers a pool pays
+    when the remaining work exceeds _POOL_COST_NS * w / (w - 1), and
+    w / (w - 1) <= 2: the rent-or-buy rule of ski rental.
+    """
+    results = []
+    start = perf_counter_ns()
+    for i, item in enumerate(items):
+        left = len(items) - i
+        if (jobs > 1 and i
+                and (perf_counter_ns() - start) * left > 2 * _POOL_COST_NS * i
+                and (workers := _worker_count(jobs, left)) > 1):
+            # Imported here so that a serial run never loads multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
+            chunk = max(1, left // (workers * _CHUNKS_PER_WORKER))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results.extend(pool.map(worker, items[i:], chunksize=chunk))
+            return results
+        results.append(worker(item))
+    return results
+
+
+def _blocks(values: range, weight, blocks: int) -> list[range]:
+    """values as at most `blocks` runs of consecutive values with about
+    equal total weight(value)."""
+    weights = [weight(v) for v in values]
+    total = sum(weights)
+    runs: list[range] = []
+    start = done = 0
+    for i, w in enumerate(weights, 1):
+        done += w
+        if done * blocks >= total * (len(runs) + 1):
+            runs.append(values[start:i])
+            start = i
+    return runs
+
+
+def _pmap_blocks(worker, values: range, weight, jobs: int) -> list:
+    """worker over runs of values: the whole range as one item when
+    serial, else about _CHUNKS_PER_WORKER runs per worker."""
+    workers = _worker_count(jobs, len(values))
+    blocks = 1 if workers == 1 else workers * _CHUNKS_PER_WORKER
+    return _pmap(worker, _blocks(values, weight, blocks), jobs)
+
+
+def _merged(audits: list[LemmaAudit]) -> LemmaAudit:
+    """The audit of a whole scan from the audits of its consecutive parts."""
+    return audits[0]._replace(
+        checked=sum(audit.checked for audit in audits),
+        violations=tuple(v for audit in audits for v in audit.violations))
 
 
 def _n_range(args: argparse.Namespace, what: str) -> range:
@@ -190,23 +245,9 @@ def _cmd_sumcheck(args: argparse.Namespace) -> list[ReportRecord]:
 # wzcheck
 # ---------------------------------------------------------------------------
 
-def _row_blocks(n_max: int, blocks: int) -> list[range]:
-    """Rows 1..n_max as at most `blocks` runs of consecutive rows with
-    about equal point counts (row n has n points)."""
-    total = n_max * (n_max + 1) // 2
-    runs: list[range] = []
-    start = points = 0
-    for n in range(1, n_max + 1):
-        points += n
-        if points * blocks >= total * (len(runs) + 1):
-            runs.append(range(start + 1, n + 1))
-            start = n
-    return runs
-
-
-def _grid_block_records(args: tuple) -> list[tuple[int, list[ReportRecord]]]:
+def _grid_block_records(ref: tuple, rows: range
+                        ) -> list[tuple[int, list[ReportRecord]]]:
     """(points checked, FAIL and SKIPPED records) for each row of a block."""
-    ref, rows = args
     pair = _resolve_pair(ref)
     out = []
     for n, (checked, violations, skipped) in zip(rows,
@@ -272,14 +313,10 @@ def _cmd_wzcheck(args: argparse.Namespace) -> list[ReportRecord]:
     if args.mode == "grid":
         if args.n_max < 1:
             raise ConfigError("--n-max must be >= 1")
-        # Rows in one block share their G row, so a serial run takes one
-        # block and a parallel run a few per worker.
-        workers = _worker_count(args.jobs, args.n_max)
-        blocks = 1 if workers == 1 else workers * _CHUNKS_PER_WORKER
-        rows = [row for block in _pmap(
-                    _grid_block_records,
-                    [(ref, rows) for rows in _row_blocks(args.n_max, blocks)],
-                    args.jobs)
+        # Rows in one block share their G row; row n has n points.
+        rows = [row for block in _pmap_blocks(
+                    partial(_grid_block_records, ref),
+                    range(1, args.n_max + 1), lambda n: n, args.jobs)
                 for row in block]
         checked = sum(c for c, _ in rows)
         point_records = [rec for _, recs in rows for rec in recs]
@@ -393,8 +430,14 @@ def _cmd_lemma(args: argparse.Namespace) -> list[ReportRecord]:
         return _pmap(_lemma23_record, list(range(2, n_max + 1)), args.jobs)
 
     if args.id == "2.4":
-        audit = lemma24_scan(m_max, region=args.region,
-                             full_range=args.full_range)
+        def visited(m: int) -> int:  # points the scan visits at m
+            n_top = m if args.full_range is None else args.full_range
+            return (n_top + 1 if args.region == "k0"
+                    else (n_top + 1) * (n_top + 2) // 2)
+        audit = _merged(_pmap_blocks(
+            partial(lemma24_scan, m_max, region=args.region,
+                    full_range=args.full_range),
+            range(2, m_max + 1), visited, args.jobs))
         failures = [ReportRecord(
             "lemma", (("id", "2.4"), ("m", rec.m), ("n", rec.n), ("k", rec.k)),
             FAIL, (("margin", str(rec.margin)),)) for rec in audit.violations]
@@ -402,14 +445,17 @@ def _cmd_lemma(args: argparse.Namespace) -> list[ReportRecord]:
                         audit.checked, failures)
 
     if args.id == "2.5":
-        audit = lemma25_scan(n_max)
+        audit = _merged(_pmap_blocks(partial(lemma25_scan, n_max),
+                                     range(1, n_max + 1), lambda n: n,
+                                     args.jobs))
         failures = [_lemma25_violation_record(v) for v in audit.violations]
         return _summary("lemma", (("id", "2.5"),) + audit.params, "checked",
                         audit.checked, failures)
 
     # 2.6: pointwise quotients plus the five-floor inequality scan
     records = _pmap(_lemma26_record, list(range(1, n_max + 1)), args.jobs)
-    audit = lemma26_ineq_scan(m_max)
+    audit = _merged(_pmap_blocks(partial(lemma26_ineq_scan, m_max),
+                                 range(2, m_max + 1), lambda m: m, args.jobs))
     params = (("id", "2.6"), ("inequality", "five-floor"))
     failures = [ReportRecord(
         "lemma", params + (("m", rec.m), ("n", rec.n)),
@@ -524,8 +570,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", metavar="PATH",
                         help="write the report to PATH instead of stdout")
     common.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help=f"worker processes (default: ${JOBS_ENV} or 1); "
-                             "output is identical for every value")
+                        help=f"at most N worker processes, started only "
+                             f"when the work left pays for them (default: "
+                             f"${JOBS_ENV} or 1); output is identical for "
+                             "every value")
 
     parser = argparse.ArgumentParser(
         prog="binomsum",

@@ -423,7 +423,17 @@ def _margin_scan(points, terms_of) -> tuple[int, list]:
 LEMMA24_REGIONS = ("all", "k0", "case3a")
 
 
-def lemma24_scan(m_max: int, *, region: str = "all",
+def _sub_range(whole: range, part: range | None, name: str) -> range:
+    """part, default whole; every value of part must lie in whole."""
+    if part is None:
+        return whole
+    if part and (part[0] not in whole or part[-1] not in whole):
+        raise ValueError(f"{name} must lie within {whole}")
+    return part
+
+
+def lemma24_scan(m_max: int, m_range: range | None = None, *,
+                 region: str = "all",
                  full_range: int | None = None) -> LemmaAudit:
     """Scan the eight-floor inequality for 2 <= m <= m_max.
 
@@ -432,7 +442,9 @@ def lemma24_scan(m_max: int, *, region: str = "all",
     re-proves by comparing against the fractional-part form at every
     point); full_range=N instead scans all 0 <= n <= N directly.  region
     restricts the points audited: "k0" keeps the k=0 slice, "case3a"
-    keeps points with 2n+k-1 >= 3m/2.
+    keeps points with 2n+k-1 >= 3m/2.  m_range restricts the scan to a
+    part of 2..m_max; params still name the whole scan, so the audits of
+    consecutive parts add up to the audit of the whole.
     """
     if m_max < 2:
         raise ValueError("lemma24_scan needs m_max >= 2")
@@ -440,7 +452,8 @@ def lemma24_scan(m_max: int, *, region: str = "all",
         raise ValueError(f"region must be one of {LEMMA24_REGIONS}")
     if full_range is not None and full_range < 0:
         raise ValueError("full_range must be nonnegative")
-    points = ((m, (n, k)) for m in range(2, m_max + 1)
+    ms = _sub_range(range(2, m_max + 1), m_range, "m_range")
+    points = ((m, (n, k)) for m in ms
               for n in range(m + 1 if full_range is None else full_range + 1)
               for k in (range(1) if region == "k0" else range(n + 1))
               if region != "case3a" or 2 * (2 * n + k - 1) >= 3 * m)
@@ -545,9 +558,11 @@ def _lemma25_steps(n: int, exps: list[int], spf: list[int]):
         r = r * up // down
 
 
-def lemma25_scan(n_max: int) -> LemmaAudit:
+def lemma25_scan(n_max: int, n_range: range | None = None) -> LemmaAudit:
     """Assert W(n,k) integral for 1 <= k <= n <= n_max, with a valuation
-    certificate that must reconstruct W exactly at every point.
+    certificate that must reconstruct W exactly at every point.  n_range
+    restricts the scan to a part of 1..n_max, as m_range does for
+    lemma24_scan.
 
     For each n the exponent vector of W(n,1) comes from Legendre's formula
     once; stepping along k by the term ratio W(n,k+1)/W(n,k) then gives the
@@ -561,10 +576,11 @@ def lemma25_scan(n_max: int) -> LemmaAudit:
     """
     if n_max < 1:
         raise ValueError("lemma25_scan needs n_max >= 1")
+    ns = _sub_range(range(1, n_max + 1), n_range, "n_range")
     spf = smallest_prime_factors(6 * n_max + 2)
     checked = 0
     violations = []
-    for n in range(1, n_max + 1):
+    for n in ns:
         exps = _lemma25_start(n, len(spf))
         for k, negatives, reconstructed in _lemma25_steps(n, exps, spf):
             w = lemma25_w(n, k)
@@ -612,16 +628,18 @@ def lemma26_floor_margin(m: int, n: int) -> int:
     return _floor_route(_five_floor_terms(n), m)
 
 
-def lemma26_ineq_scan(m_max: int) -> LemmaAudit:
-    """Exhaustive five-floor margin scan over 2 <= m <= m_max, 1 <= n <= m.
+def lemma26_ineq_scan(m_max: int, m_range: range | None = None) -> LemmaAudit:
+    """Exhaustive five-floor margin scan over 2 <= m <= m_max, 1 <= n <= m,
+    or over the part m_range of 2..m_max as in lemma24_scan.
 
     As with the eight-floor scan, both sides have equal linear sums
     (7n-6), so every margin is cross-checked against its fractional-part
     form."""
     if m_max < 2:
         raise ValueError("lemma26_ineq_scan needs m_max >= 2")
+    ms = _sub_range(range(2, m_max + 1), m_range, "m_range")
     checked, negative = _margin_scan(
-        ((m, (n,)) for m in range(2, m_max + 1) for n in range(1, m + 1)),
+        ((m, (n,)) for m in ms for n in range(1, m + 1)),
         _five_floor_terms)
     params = (("m_max", m_max),)
     return LemmaAudit("2.6", params, checked, tuple(

@@ -3,13 +3,16 @@ import os
 import shutil
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import binomsum.cli as cli_module
-from binomsum.cli import _row_blocks, _worker_count, main
+import binomsum.verify as verify_module
+from binomsum.cli import _blocks, _merged, _worker_count, main
 from binomsum.pairs import builtin_document_text
+from binomsum.verify import lemma24_scan, lemma25_scan, lemma26_ineq_scan
 
 
 def run_cli(capsys, *argv):
@@ -493,6 +496,54 @@ def test_serial_import_does_not_load_the_process_pool():
     assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
+def test_small_parallel_run_does_not_load_the_process_pool():
+    # Seven items of negligible work never pay for a pool at --jobs 2.
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, sys; from binomsum.cli import main; "
+         "code = main(['sumcheck', '--sum', 'all', '--n-min', '2', "
+         "'--n-max', '5', '--jobs', '2', '--output', os.devnull]); "
+         "print(code, 'concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "0 False\n")
+
+
+# Items _pid_item has run in this process; a worker appends to its own copy.
+_HERE = []
+
+
+def _pid_item(item):
+    _HERE.append(item)
+    return item, os.getpid()
+
+
+@pytest.mark.parametrize("switch,pooled", [(1, True), (4, True), (5, False)])
+def test_pmap_runs_a_prefix_here_and_the_rest_in_a_pool(monkeypatch, switch,
+                                                        pooled):
+    # The clock stands still until `switch` items ran here, then jumps far
+    # ahead, so the pool takes over before item `switch` if two workers
+    # have work left (two items or more).
+    items = list(range(6))
+    _HERE.clear()
+    monkeypatch.setattr(cli_module, "perf_counter_ns",
+                        lambda: 0 if len(_HERE) < switch else 10 ** 12)
+    monkeypatch.setattr(cli_module, "_POOL_COST_NS", 1)
+    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 2)
+    results = cli_module._pmap(_pid_item, items, 2)
+    assert [item for item, _ in results] == items
+    here = switch if pooled else len(items)
+    assert [pid == os.getpid() for _, pid in results] == (
+        [True] * here + [False] * (len(items) - here))
+
+
+def test_pmap_stays_serial_at_one_job(monkeypatch):
+    monkeypatch.setattr(cli_module, "_POOL_COST_NS", 0)
+    results = cli_module._pmap(_pid_item, list(range(4)), 1)
+    assert results == [(item, os.getpid()) for item in range(4)]
+
+
 def test_import_loads_neither_dataclasses_nor_the_report_formats():
     # dataclasses pulls in inspect, ast, dis and tokenize; csv and json are
     # loaded by the renderers that need them.  -S keeps site hooks out.
@@ -509,9 +560,54 @@ def test_import_loads_neither_dataclasses_nor_the_report_formats():
 @pytest.mark.parametrize("n_max", [1, 2, 3, 7, 45, 60])
 @pytest.mark.parametrize("blocks", [1, 2, 8])
 def test_row_blocks_cover_the_rows_in_order(n_max, blocks):
-    runs = _row_blocks(n_max, blocks)
+    runs = _blocks(range(1, n_max + 1), lambda n: n, blocks)
     assert [n for run in runs for n in run] == list(range(1, n_max + 1))
     assert all(run and run.step == 1 for run in runs)
     assert len(runs) <= blocks
     if blocks > 1 and n_max > 2:
         assert len(runs) > 1
+
+
+def _equal_parts(values: range, blocks: int) -> list[range]:
+    """values cut into `blocks` consecutive parts of near-equal length."""
+    cuts = [len(values) * j // blocks for j in range(blocks + 1)]
+    return [values[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3, 8])
+@pytest.mark.parametrize("scan,values", [
+    (partial(lemma24_scan, 14), range(2, 15)),
+    (partial(lemma24_scan, 20, region="k0"), range(2, 21)),
+    (partial(lemma24_scan, 20, region="case3a"), range(2, 21)),
+    (partial(lemma24_scan, 6, full_range=9), range(2, 7)),
+    (partial(lemma24_scan, 9, region="case3a", full_range=7), range(2, 10)),
+    (partial(lemma25_scan, 40), range(1, 41)),
+    (partial(lemma26_ineq_scan, 60), range(2, 61)),
+], ids=["2.4-all", "2.4-k0", "2.4-case3a", "2.4-full-range",
+        "2.4-case3a-full-range", "2.5", "2.6"])
+def test_merged_block_audits_equal_the_whole_scan(scan, values, blocks):
+    whole = scan()
+    for parts in (_equal_parts(values, blocks),
+                  _blocks(values, lambda v: v, blocks)):
+        assert _merged([scan(part) for part in parts]) == whole
+
+
+def test_merged_block_audits_keep_violations_in_scan_order(monkeypatch):
+    # Every margin reads -1, so each block contributes violations.
+    monkeypatch.setattr(verify_module, "_floor_route", lambda terms, m: -1)
+    monkeypatch.setattr(verify_module, "_fractional_route",
+                        lambda terms, m: -m)
+    whole = lemma24_scan(6, region="k0")
+    assert len(whole.violations) == whole.checked == 25
+    parts = _equal_parts(range(2, 7), 3)
+    assert _merged([lemma24_scan(6, part, region="k0")
+                    for part in parts]) == whole
+
+
+def test_scan_parts_must_lie_within_the_scan():
+    with pytest.raises(ValueError, match="m_range"):
+        lemma24_scan(5, range(4, 7))
+    with pytest.raises(ValueError, match="n_range"):
+        lemma25_scan(5, range(0, 3))
+    with pytest.raises(ValueError, match="m_range"):
+        lemma26_ineq_scan(5, range(1, 3))

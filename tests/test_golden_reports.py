@@ -4,10 +4,12 @@ The expected files under tests/golden/ are the exact stdout of each
 invocation; a refactor of the command line or of the scans must leave
 them byte-identical.  Each case lists the exit code it must return.
 """
+import hashlib
 from pathlib import Path
 
 import pytest
 
+import binomsum.cli as cli_module
 from binomsum.cli import main
 from binomsum.pairs import builtin_document_text
 from binomsum.report import FORMATS
@@ -138,6 +140,51 @@ def test_usage_error_messages(capsys, inputs, argv, message):
 
 
 def test_report_bytes_at_two_jobs(capsys, inputs):
+    for fmt in FORMATS:
+        for name, argv, code in CASES:
+            got = _run(capsys, argv + ["--format", fmt, "--jobs", "2"], inputs)
+            expected = (GOLDEN / f"{name}.{SUFFIX[fmt]}").read_bytes()
+            assert got == (code, expected), (name, fmt)
+
+
+@pytest.fixture
+def forced_pool(monkeypatch):
+    """At --jobs 2 a pool of two workers takes over from the second work
+    item of every audit that has two or more."""
+    monkeypatch.setattr(cli_module, "_POOL_COST_NS", 0)
+    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 2)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_report_bytes_in_a_forced_pool(capsys, inputs, forced_pool, fmt):
     for name, argv, code in CASES:
-        got = _run(capsys, argv + ["--format", "json", "--jobs", "2"], inputs)
-        assert got == (code, (GOLDEN / f"{name}.json").read_bytes()), name
+        got = _run(capsys, argv + ["--format", fmt, "--jobs", "2"], inputs)
+        expected = (GOLDEN / f"{name}.{SUFFIX[fmt]}").read_bytes()
+        assert got == (code, expected), name
+
+
+# Split scans at their benchmark or default sizes, against the --jobs 1
+# reports of the whole scans taken before they were split.
+SPLIT_SCANS = [
+    (["lemma", "--id", "2.4", "--region", "case3a", "--m-max", "60"],
+     b'{"check":"lemma","params":{"full_range":"none","id":"2.4",'
+     b'"m_max":60,"region":"case3a"},"status":"pass",'
+     b'"witness":{"checked":"24334","violations":"0"}}\n'),
+    (["lemma", "--id", "2.5"],
+     b'{"check":"lemma","params":{"id":"2.5","n_max":200},"status":"pass",'
+     b'"witness":{"checked":"20100","violations":"0"}}\n'),
+    (["lemma", "--id", "2.6", "--n-max", "200"],
+     "64fd56d07b8f90ea3c055df3828d9283ad3b60a6b1837182cd01605ff27522fa"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", SPLIT_SCANS,
+                         ids=[" ".join(c[0][1:]) for c in SPLIT_SCANS])
+def test_split_scan_bytes_in_a_forced_pool(capsys, inputs, forced_pool, argv,
+                                           expected):
+    code, out = _run(capsys, argv + ["--format", "json", "--jobs", "2"],
+                     inputs)
+    assert code == 0
+    if isinstance(expected, str):  # sha256 of a large report
+        out = hashlib.sha256(out).hexdigest()
+    assert out == expected
