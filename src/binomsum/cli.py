@@ -29,7 +29,7 @@ from .hyperterm import NotProportionalError, TermEvalError, eval_term
 from .pairs import WZPairSpec, builtin_document, builtin_pair, builtin_pair_names
 from .report import FAIL, FORMATS, PASS, SKIPPED, ReportRecord, render
 from .verify import LEMMA24_REGIONS, RATIO_IDENTITIES, SUM_SPECS, \
-    LemmaAudit, check_divisibility, lemma22_point, lemma23_point, \
+    LemmaAudit, check_divisibility, lemma22_row, lemma23_point, \
     lemma24_scan, lemma25_scan, lemma26_ineq_scan, lemma26_point, \
     ratio_identity, ratio_k_values, sum_spec, valuation_failures
 from .wz import telescope_audit, wz_certificate, wz_grid_rows, wz_symbolic_check
@@ -354,13 +354,10 @@ def _cmd_wzcheck(args: argparse.Namespace) -> list[ReportRecord]:
 # ---------------------------------------------------------------------------
 
 def _lemma22_row(n: int) -> list[ReportRecord]:
-    failures = []
-    for k in range(1, n + 1):
-        division = lemma22_point(n, k)
-        if not division.ok:
-            failures.append(ReportRecord(
-                "lemma", (("id", "2.2"), ("n", n), ("k", k)), FAIL,
-                tuple(_division_witness(division))))
+    failures = [ReportRecord("lemma", (("id", "2.2"), ("n", n), ("k", k)),
+                             FAIL, tuple(_division_witness(division)))
+                for k, division in enumerate(lemma22_row(n), 1)
+                if not division.ok]
     return _summary("lemma", (("id", "2.2"), ("n", n)), "k_checked", n,
                     failures)
 

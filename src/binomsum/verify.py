@@ -14,11 +14,19 @@ of prefix sums by S(k+1) = base*S(k) + t(k), so a point already reached
 is a lookup and a new one costs O(1) big-integer steps.  iter_sums runs
 the same recurrence but builds every summand afresh from factorial
 quotients (exact.binomial), so the two routes share no binomial.
+lemma22_row steps its binomials along k the same way, against the
+factorial quotients of lemma22_point.  The floor scans of lemmas 2.4 and
+2.6 read the arguments of _floor_terms / _five_floor_terms as weighted
+affine forms and sum tables of them row by row (_margin_rows).
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby, repeat
+from math import gcd
+from operator import add, itemgetter, mul
 from typing import NamedTuple
 
 from .exact import binomial, factorial, int_valuation, legendre_valuation, \
@@ -321,6 +329,21 @@ def lemma22_point(n: int, k: int) -> DivisionCheck:
     return divide(value, (2 * n + 2 * k - 1) * binomial(2 * k, k))
 
 
+def lemma22_row(n: int) -> list[DivisionCheck]:
+    """lemma22_point(n, k) for k = 1..n, with C(2n+2k, n+k), C(n+k, 2k)
+    and C(2k, k) stepped along k by their exact term ratios."""
+    if n < 1:
+        raise ValueError("lemma22_row needs n >= 1")
+    big = binomial(2 * n, n)
+    head, mid, central, checks = n * big, 1, 1, []
+    for k in range(n):  # from k to k + 1
+        big, central = _central_step(n + k, big), _central_step(k, central)
+        mid = _exact_step(mid * (n + k + 1) * (n - k),
+                          (2 * k + 1) * (2 * k + 2))
+        checks.append(divide(head * big * mid, (2 * n + 2 * k + 1) * central))
+    return checks
+
+
 class QuotientIdentity(NamedTuple):
     """A division check whose quotient must match a closed form."""
 
@@ -370,53 +393,100 @@ def _form_sum(terms: tuple[tuple[int, ...], tuple[int, ...]], f):
     return sum(f(a) for a in pos) - sum(f(b) for b in neg)
 
 
-def _floor_route(terms, m: int) -> int:
-    pos, neg = terms
-    return sum(a // m for a in pos) - sum(b // m for b in neg)
-
-
-def _fractional_route(terms, m: int) -> int:
-    """m times the floor margin, from fractional parts only: with equal
-    linear sums on both sides, sum(floor(a/m)) - sum(floor(b/m)) equals
-    (sum(b mod m) - sum(a mod m)) / m, which never touches floor division."""
-    pos, neg = terms
-    return sum(b % m for b in neg) - sum(a % m for a in pos)
-
-
 def floor_margin(m: int, n: int, k: int) -> MarginRecord:
     """Margin of the eight-floor inequality, via floor division only."""
     if m < 2:
         raise ValueError("floor_margin needs m >= 2")
     if not 0 <= k <= n:
         raise ValueError("floor_margin needs n >= k >= 0")
-    return MarginRecord(m, n, k, _floor_route(_floor_terms(n, k), m))
+    return MarginRecord(m, n, k, _form_sum(_floor_terms(n, k),
+                                           lambda a: a // m))
 
 
 def floor_margin_fractional(m: int, n: int, k: int) -> Fraction:
-    """The same margin computed from fractional parts only."""
+    """The same margin computed from fractional parts only: with equal
+    linear sums on both sides, sum(floor(a/m)) - sum(floor(b/m)) equals
+    (sum(b mod m) - sum(a mod m)) / m, which never touches floor division."""
     if m < 2:
         raise ValueError("floor_margin_fractional needs m >= 2")
     if not 0 <= k <= n:
         raise ValueError("floor_margin_fractional needs n >= k >= 0")
-    return Fraction(_fractional_route(_floor_terms(n, k), m), m)
+    return Fraction(-_form_sum(_floor_terms(n, k), lambda a: a % m), m)
 
 
-def _margin_scan(points, terms_of) -> tuple[int, list]:
-    """Floor margins at each (m, point), the point holding the arguments of
-    terms_of; a fractional-route mismatch raises.  The routes meet in
-    integers: m * margin against the fractional route's numerator.  Returns
-    the points checked and (m, point, margin) for each negative margin."""
-    checked = 0
-    negative = []
-    for m, point in points:
-        terms = terms_of(*point)
-        margin = _floor_route(terms, m)
-        if m * margin != _fractional_route(terms, m):
-            raise ArithmeticError(
-                f"floor/fractional margin mismatch at {(m, *point)}")
-        checked += 1
-        if margin < 0:
-            negative.append((m, point, margin))
+def _affine_forms(terms_of, arity: int) -> list[tuple[tuple[int, ...], int]]:
+    """The arguments of terms_of as affine forms (c0, c1, ...), worth
+    c0 + c1*x1 + ... at the point (x1, ...), with equal forms merged into
+    weights: +1 per copy on the positive side, -1 per copy on the negative.
+    Read off at the origin and the unit points, checked at (2, 3, ...)."""
+    points = [tuple(int(i == j) for i in range(arity))
+              for j in range(-1, arity)] + [tuple(range(2, arity + 2))]
+    *probes, check = [terms_of(*point) for point in points]
+    base, *ends = [sum(terms, ()) for terms in probes]
+    forms = [(c0, *(end[j] - c0 for end in ends)) for j, c0 in enumerate(base)]
+    if [c0 + sum(map(mul, cs, points[-1])) for c0, *cs in forms] \
+            != list(sum(check, ())):
+        raise ValueError(f"{terms_of.__name__} is not affine")
+    weights = Counter(forms[:len(probes[0][0])])
+    weights.subtract(forms[len(probes[0][0]):])
+    return [(form, w) for form, w in weights.items() if w]
+
+
+def _floor_route(m: int, w: int, values: range) -> list[int]:
+    """w * floor(x/m) at each x of values, by floor division only."""
+    return [w * (x // m) for x in values]
+
+
+def _fractional_route(m: int, w: int, values: range) -> list[int]:
+    """-w * (x mod m) at each x of values, by residues only; the weighted
+    forms sum to zero, so these add up to m * margin over all forms."""
+    return [-w * (x % m) for x in values]
+
+
+def _row_sums(tables, starts, strides, length: int) -> list[int]:
+    """The forms' tables summed along a row: from each start, length
+    entries every stride-th, or one entry for all when the stride is 0."""
+    total = repeat(sum(table[a] for table, a, stride
+                       in zip(tables, starts, strides) if not stride), length)
+    for table, a, stride in zip(tables, starts, strides):
+        if stride:
+            total = map(add, total, table[a:a + stride * length:stride])
+    return list(total)
+
+
+def _margin_rows(forms, rows) -> tuple[int, list]:
+    """Floor margins of weighted affine forms along rows (m, head, t0, t1),
+    the points head + (t,) for t0 <= t < t1.  Per m, each route tabulates
+    each form on the progression of its values on the rows; a row sums a
+    slice per form, or one entry for a form the row does not move.  The
+    routes meet in integers, m * margin against the fractional numerator,
+    at every point; a mismatch raises.  Returns the points checked and
+    (m, point, margin) for each negative margin, in row order."""
+    checked, negative = 0, []
+    for m, group in groupby(rows, itemgetter(0)):
+        group = [(*head, t0, t1 - t0) for _, head, t0, t1 in group if t0 < t1]
+        if not group:
+            continue
+        floors, residues, starts, strides = [], [], [], []
+        for (c0, *cs), w in forms:  # values at each row's start and end
+            firsts = [c0 + sum(map(mul, cs, row)) for row in group]
+            ends = [x + cs[-1] * row[-1] for x, row in zip(firsts, group)]
+            gap = gcd(cs[-1], *(x - firsts[0] for x in firsts)) or 1
+            values = range(min(firsts + ends), max(firsts + ends) + 1, gap)
+            floors.append(_floor_route(m, w, values))
+            residues.append(_fractional_route(m, w, values))
+            starts.append([(x - values.start) // gap for x in firsts])
+            strides.append(cs[-1] // gap)
+        for (*head, t0, length), row_starts in zip(group, zip(*starts)):
+            margins = _row_sums(floors, row_starts, strides, length)
+            if list(map(mul, margins, repeat(m))) \
+                    != _row_sums(residues, row_starts, strides, length):
+                raise ArithmeticError(f"floor/fractional margin mismatch "
+                                      f"on the row {(m, *head)}")
+            checked += length
+            if min(margins) < 0:
+                negative.extend((m, (*head, t), margin) for t, margin
+                                in enumerate(margins, t0) if margin < 0)
     return checked, negative
 
 
@@ -445,6 +515,8 @@ def lemma24_scan(m_max: int, m_range: range | None = None, *,
     keeps points with 2n+k-1 >= 3m/2.  m_range restricts the scan to a
     part of 2..m_max; params still name the whole scan, so the audits of
     consecutive parts add up to the audit of the whole.
+    The row kernel _margin_rows takes a row per (m, n) along k from the
+    region's first k, or for "k0" a row per m along n.
     """
     if m_max < 2:
         raise ValueError("lemma24_scan needs m_max >= 2")
@@ -453,15 +525,21 @@ def lemma24_scan(m_max: int, m_range: range | None = None, *,
     if full_range is not None and full_range < 0:
         raise ValueError("full_range must be nonnegative")
     ms = _sub_range(range(2, m_max + 1), m_range, "m_range")
-    points = ((m, (n, k)) for m in ms
-              for n in range(m + 1 if full_range is None else full_range + 1)
-              for k in (range(1) if region == "k0" else range(n + 1))
-              if region != "case3a" or 2 * (2 * n + k - 1) >= 3 * m)
-    checked, negative = _margin_scan(points, _floor_terms)
+    tops = [m if full_range is None else full_range for m in ms]
+    if region == "k0":  # the k = 0 slice: one row per m, along n
+        terms_of, arity = (lambda n: _floor_terms(n, 0)), 1
+        rows = ((m, (), 0, top + 1) for m, top in zip(ms, tops))
+    else:  # one row per (m, n), along k; case3a from 2(2n+k-1) >= 3m on
+        terms_of, arity = _floor_terms, 2
+        rows = ((m, (n,), 0 if region == "all"
+                 else max(0, (3 * m - 4 * n + 3) // 2), n + 1)
+                for m, top in zip(ms, tops) for n in range(top + 1))
+    checked, negative = _margin_rows(_affine_forms(terms_of, arity), rows)
     params = (("m_max", m_max), ("region", region),
               ("full_range", "none" if full_range is None else full_range))
-    return LemmaAudit("2.4", params, checked, tuple(
-        MarginRecord(m, n, k, margin) for m, (n, k), margin in negative))
+    return LemmaAudit("2.4", params, checked, tuple(  # k0 points are (n,)
+        MarginRecord(m, *(*point, 0)[:2], margin)
+        for m, point, margin in negative))
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +703,7 @@ def lemma26_floor_margin(m: int, n: int) -> int:
         raise ValueError("lemma26_floor_margin needs m >= 2")
     if n < 1:
         raise ValueError("lemma26_floor_margin needs n >= 1")
-    return _floor_route(_five_floor_terms(n), m)
+    return _form_sum(_five_floor_terms(n), lambda a: a // m)
 
 
 def lemma26_ineq_scan(m_max: int, m_range: range | None = None) -> LemmaAudit:
@@ -634,13 +712,12 @@ def lemma26_ineq_scan(m_max: int, m_range: range | None = None) -> LemmaAudit:
 
     As with the eight-floor scan, both sides have equal linear sums
     (7n-6), so every margin is cross-checked against its fractional-part
-    form."""
+    form.  The row kernel _margin_rows runs one row per m, along n."""
     if m_max < 2:
         raise ValueError("lemma26_ineq_scan needs m_max >= 2")
     ms = _sub_range(range(2, m_max + 1), m_range, "m_range")
-    checked, negative = _margin_scan(
-        ((m, (n,)) for m in ms for n in range(1, m + 1)),
-        _five_floor_terms)
+    checked, negative = _margin_rows(_affine_forms(_five_floor_terms, 1),
+                                     ((m, (), 1, m + 1) for m in ms))
     params = (("m_max", m_max),)
     return LemmaAudit("2.6", params, checked, tuple(
         MarginRecord(m, n, 0, margin) for m, (n,), margin in negative))

@@ -463,12 +463,17 @@ def test_rejects_bad_or_ignored_input(tmp_path, capsys, argv, message):
     assert message in err and err.count("\n") == 1
 
 
-def _mismatched_route(terms, m):
-    return 1234
+def _mismatched_route(m, w, values):
+    return [1234] * len(values)
 
 
 def _broken_point(n):
     raise ArithmeticError("binomial and factorial forms disagree")
+
+
+def _inexact_step(k, central):
+    # C(2k+2, k+1) without the factor 2 of 2(2k+1)/(k+1) leaves a remainder.
+    return verify_module._exact_step(central * (2 * k + 1), k + 1)
 
 
 @pytest.mark.parametrize("target,replacement,argv,kind", [
@@ -476,6 +481,8 @@ def _broken_point(n):
      ["lemma", "--id", "2.4", "--m-max", "3"], "ArithmeticError"),
     ("binomsum.cli.lemma23_point", _broken_point,
      ["lemma", "--id", "2.3", "--n-max", "5"], "ArithmeticError"),
+    ("binomsum.verify._central_step", _inexact_step,
+     ["lemma", "--id", "2.2", "--n-max", "5"], "ArithmeticError"),
 ])
 def test_internal_error_exits_three(monkeypatch, capsys, target, replacement,
                                     argv, kind):
@@ -593,10 +600,12 @@ def test_merged_block_audits_equal_the_whole_scan(scan, values, blocks):
 
 
 def test_merged_block_audits_keep_violations_in_scan_order(monkeypatch):
-    # Every margin reads -1, so each block contributes violations.
-    monkeypatch.setattr(verify_module, "_floor_route", lambda terms, m: -1)
+    # Every argument's floor reads 1 and its residue m, so every margin
+    # reads the weight sum 5 - 8 = -3: each block contributes violations.
+    monkeypatch.setattr(verify_module, "_floor_route",
+                        lambda m, w, values: [w] * len(values))
     monkeypatch.setattr(verify_module, "_fractional_route",
-                        lambda terms, m: -m)
+                        lambda m, w, values: [w * m] * len(values))
     whole = lemma24_scan(6, region="k0")
     assert len(whole.violations) == whole.checked == 25
     parts = _equal_parts(range(2, 7), 3)

@@ -7,9 +7,10 @@ import binomsum.exact as exact_module
 import binomsum.verify as verify_module
 from binomsum.exact import binomial, int_valuation, legendre_valuation, \
     primes_upto, rat_valuation, smallest_prime_factors
-from binomsum.verify import RATIO_IDENTITIES, SUM_SPECS, check_divisibility, \
-    check_divisibility_valuations, divide, divisor, eval_sum, floor_margin, \
-    floor_margin_fractional, iter_sums, lemma22_point, lemma23_point, \
+from binomsum.verify import RATIO_IDENTITIES, SUM_SPECS, MarginRecord, \
+    check_divisibility, check_divisibility_valuations, divide, divisor, \
+    eval_sum, floor_margin, floor_margin_fractional, iter_sums, \
+    lemma22_point, lemma22_row, lemma23_point, \
     lemma24_scan, lemma25_scan, lemma25_valuations, lemma25_w, \
     lemma26_floor_margin, lemma26_ineq_scan, lemma26_point, ratio_identity, \
     ratio_k_values, sum_spec, valuation_failures
@@ -251,6 +252,14 @@ def test_lemma22_grid_clean():
             assert lemma22_point(n, k).ok
 
 
+def test_lemma22_row_matches_the_points():
+    for n in range(1, 81):
+        assert lemma22_row(n) == [lemma22_point(n, k)
+                                  for k in range(1, n + 1)], n
+    with pytest.raises(ValueError):
+        lemma22_row(0)
+
+
 def test_lemma23_points_and_closed_form():
     point = lemma23_point(2)
     assert point.ok
@@ -311,6 +320,99 @@ def test_lemma24_case3a_filter_is_enforced():
 def test_lemma24_rejects_bad_region():
     with pytest.raises(ValueError):
         lemma24_scan(5, region="everything")
+
+
+def _pointwise_lemma24(m_max, region, full_range):
+    """lemma24_scan's (checked, violations), one point at a time through
+    floor_margin, with floor_margin_fractional required to agree."""
+    checked, violations = 0, []
+    for m in range(2, m_max + 1):
+        for n in range((m if full_range is None else full_range) + 1):
+            for k in range(1 if region == "k0" else n + 1):
+                if region == "case3a" and 2 * (2 * n + k - 1) < 3 * m:
+                    continue
+                record = floor_margin(m, n, k)
+                assert floor_margin_fractional(m, n, k) == record.margin
+                checked += 1
+                if record.violation:
+                    violations.append(record)
+    return checked, tuple(violations)
+
+
+def _pointwise_lemma26(m_max):
+    margins = [(m, n, lemma26_floor_margin(m, n))
+               for m in range(2, m_max + 1) for n in range(1, m + 1)]
+    return len(margins), tuple(MarginRecord(m, n, 0, margin)
+                               for m, n, margin in margins if margin < 0)
+
+
+@pytest.mark.parametrize("full_range", [None, 13])
+@pytest.mark.parametrize("region", ["all", "k0", "case3a"])
+def test_lemma24_scan_matches_pointwise_margins(region, full_range):
+    # m runs over odd and even values, so case3a rows start at both
+    # roundings of (3m - 4n + 2) / 2.
+    audit = lemma24_scan(40, region=region, full_range=full_range)
+    assert (audit.checked, audit.violations) \
+        == _pointwise_lemma24(40, region, full_range)
+
+
+def test_lemma26_ineq_scan_matches_pointwise_margins():
+    audit = lemma26_ineq_scan(100)
+    assert (audit.checked, audit.violations) == _pointwise_lemma26(100)
+
+
+def test_lemma24_exceptional_set_is_one_point_per_even_m():
+    assert lemma24_scan(64).violations == tuple(
+        MarginRecord(m, m // 2, m // 2, -1) for m in range(2, 65, 2))
+
+
+def test_affine_forms_merge_equal_arguments_into_weights():
+    forms = dict(verify_module._affine_forms(verify_module._floor_terms, 2))
+    # k x3, 2k x3 and n-k x2 merge; coefficients are (c0, c_n, c_k).
+    assert forms == {(-2, 4, 2): 1, (0, 0, 1): 3, (0, 2, 0): 1,
+                     (0, 0, 2): -3, (0, 1, 0): -1, (-1, 1, 0): -1,
+                     (0, 1, -1): -2, (-1, 2, 1): -1}
+    five = dict(verify_module._affine_forms(verify_module._five_floor_terms, 1))
+    assert five == {(-5, 6): 1, (-1, 1): 1, (-1, 2): -1, (-2, 2): -1,
+                    (-3, 3): -1}
+    for weighted in (forms, five):  # the weighted forms sum to zero
+        assert all(sum(w * form[i] for form, w in weighted.items()) == 0
+                   for i in range(len(next(iter(weighted)))))
+
+
+@pytest.mark.parametrize("terms_of,arity", [
+    (lambda n, k: ((n * k,), (0,)), 2),
+    (lambda n: ((n * n,), (n,)), 1),
+], ids=["bilinear", "quadratic"])
+def test_affine_forms_reject_non_affine_arguments(terms_of, arity):
+    with pytest.raises(ValueError, match="not affine"):
+        verify_module._affine_forms(terms_of, arity)
+
+
+def test_planted_argument_changes_reach_the_scans(monkeypatch):
+    floor_terms = verify_module._floor_terms
+    five_floor_terms = verify_module._five_floor_terms
+    clean24, clean26 = lemma24_scan(12), lemma26_ineq_scan(12)
+    # One argument alone unbalances the linear sums: the routes disagree.
+    monkeypatch.setattr(verify_module, "_floor_terms", lambda n, k: (
+        floor_terms(n, k)[0][:4] + (2 * n + 1,), floor_terms(n, k)[1]))
+    with pytest.raises(ArithmeticError, match="mismatch"):
+        lemma24_scan(3)
+    # 2n -> 2n+1 balanced by n-1 -> n: new violations, as the pointwise
+    # margins, which read the same argument list, predict.
+    monkeypatch.setattr(verify_module, "_floor_terms", lambda n, k: (
+        floor_terms(n, k)[0][:4] + (2 * n + 1,),
+        floor_terms(n, k)[1][:4] + (n,) + floor_terms(n, k)[1][5:]))
+    planted = lemma24_scan(12)
+    assert planted.violations != clean24.violations
+    assert (planted.checked, planted.violations) \
+        == _pointwise_lemma24(12, "all", None)
+    # 6n-5 -> 6n-4 balanced by 2n-1 -> 2n.
+    monkeypatch.setattr(verify_module, "_five_floor_terms", lambda n: (
+        (6 * n - 4, n - 1), (2 * n,) + five_floor_terms(n)[1][1:]))
+    planted = lemma26_ineq_scan(12)
+    assert planted.violations != clean26.violations
+    assert (planted.checked, planted.violations) == _pointwise_lemma26(12)
 
 
 # ---------------------------------------------------------------------------
