@@ -5,8 +5,8 @@ of alternating/positive central binomial sums is divisible by the divisors
 2n*C(2n,n) or 2n^2*C(2n,n)^2, and audits the certificate pairs (F, G) whose
 telescoping makes those divisibilities visible term by term.
 """
-from .dsl import DslError, ParseError, SemanticError, parse_document, parse_term, \
-    serialize_document, serialize_term
+from .dsl import DslError, ParseError, SemanticError, parse_document, \
+    serialize_document
 from .exact import binomial, factorial, int_valuation, legendre_valuation, \
     primes_upto, rat_valuation, smallest_prime_factors
 from .hyperterm import BaseFactor, BinomFactor, HypergeometricTerm, LinearForm, \
@@ -24,14 +24,14 @@ from .verify import DivisionCheck, LemmaAudit, MarginRecord, QuotientIdentity, \
     lemma22_point, lemma22_row, lemma23_point, lemma24_scan, lemma25_scan, \
     lemma25_valuations, lemma25_w, lemma26_floor_margin, lemma26_ineq_scan, \
     lemma26_point, ratio_identity, ratio_k_values, sum_spec
-from .wz import GridReport, TelescopeAudit, telescope_audit, wz_certificate, \
-    wz_grid_check, wz_grid_row, wz_grid_rows, wz_symbolic_check
+from .wz import TelescopeAudit, telescope_audit, wz_certificate, wz_grid_row, \
+    wz_grid_rows, wz_symbolic_check
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BaseFactor", "BinomFactor", "BivarPoly", "DIVISOR_KINDS", "DivisionCheck",
-    "DslError", "FORMATS", "GridReport", "HypergeometricTerm",
+    "DslError", "FORMATS", "HypergeometricTerm",
     "LEMMA24_REGIONS", "LemmaAudit", "LinearForm", "MarginRecord",
     "NotProportionalError", "ParseError", "QuotientIdentity",
     "RATIO_IDENTITIES", "RatioCheck", "RationalFunction", "ReportRecord",
@@ -44,10 +44,10 @@ __all__ = [
     "floor_margin_fractional", "int_valuation", "iter_sums", "legendre_valuation",
     "lemma22_point", "lemma22_row", "lemma23_point", "lemma24_scan",
     "lemma25_scan", "lemma25_valuations", "lemma25_w", "lemma26_floor_margin",
-    "lemma26_ineq_scan", "lemma26_point", "parse_document", "parse_term",
+    "lemma26_ineq_scan", "lemma26_point", "parse_document",
     "primes_upto", "rat_valuation", "ratio_identity", "ratio_k_values",
-    "render", "serialize_document", "serialize_term", "shift_quotient",
+    "render", "serialize_document", "shift_quotient",
     "smallest_prime_factors", "sum_spec", "telescope_audit", "term_quotient",
-    "wz_certificate", "wz_grid_check", "wz_grid_row", "wz_grid_rows",
+    "wz_certificate", "wz_grid_row", "wz_grid_rows",
     "wz_symbolic_check",
 ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import lru_cache, partial
+from functools import partial
 from pathlib import Path
 from time import perf_counter_ns
 
@@ -31,7 +31,7 @@ from .report import FAIL, FORMATS, PASS, SKIPPED, ReportRecord, render
 from .verify import LEMMA24_REGIONS, RATIO_IDENTITIES, SUM_SPECS, \
     LemmaAudit, check_divisibility, lemma22_row, lemma23_point, \
     lemma24_scan, lemma25_scan, lemma26_ineq_scan, lemma26_point, \
-    ratio_identity, ratio_k_values, sum_spec, valuation_failures
+    check_divisibility_valuations, ratio_identity, ratio_k_values, sum_spec
 from .wz import telescope_audit, wz_certificate, wz_grid_rows, wz_symbolic_check
 
 JOBS_ENV = "BINOMSUM_JOBS"
@@ -56,17 +56,20 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Pair references (picklable handles usable inside worker processes)
+# Pairs
 # ---------------------------------------------------------------------------
 
-def _pair_ref(text: str, scale_base: int | None, divisor_kind: str) -> tuple:
+def _load_pair(text: str, scale_base: int | None,
+               divisor_kind: str) -> WZPairSpec:
+    """The pair --pair names: builtin:<name>, or a directory holding one .F
+    and one .G document, named after the directory."""
     if text.startswith("builtin:"):
         name = text[len("builtin:"):]
         if name not in builtin_pair_names():
             raise ConfigError(
                 f"unknown builtin pair {name!r}; "
                 f"available: {', '.join(builtin_pair_names())}")
-        return ("builtin", name)
+        return builtin_pair(name)
     directory = Path(text)
     if not directory.is_dir():
         raise ConfigError(
@@ -78,19 +81,13 @@ def _pair_ref(text: str, scale_base: int | None, divisor_kind: str) -> tuple:
         raise ConfigError(
             f"pair directory {text!r} must contain exactly one .F and one .G "
             f"file (found {len(f_files)} and {len(g_files)})")
-    return ("path", f_files[0], g_files[0], directory.name,
-            2 if scale_base is None else scale_base, divisor_kind)
-
-
-@lru_cache(maxsize=None)
-def _resolve_pair(ref: tuple) -> WZPairSpec:
-    if ref[0] == "builtin":
-        return builtin_pair(ref[1])
-    _, f_path, g_path, name, scale_base, divisor_kind = ref
+    f_path, g_path = f_files[0], g_files[0]
     try:
         f_doc = parse_document(Path(f_path).read_text("utf-8"))
         g_doc = parse_document(Path(g_path).read_text("utf-8"))
-        return WZPairSpec(name=name, f=f_doc, g=g_doc, scale_base=scale_base,
+        return WZPairSpec(name=Path(os.path.abspath(text)).name,
+                          f=f_doc, g=g_doc,
+                          scale_base=2 if scale_base is None else scale_base,
                           divisor_kind=divisor_kind, sum_id="")
     except (OSError, ValueError) as exc:  # DslError is a ValueError
         raise ConfigError(f"cannot load pair from {f_path!r}/{g_path!r}: {exc}")
@@ -222,7 +219,7 @@ def _sum_records(args: tuple) -> list[ReportRecord]:
         witness = _division_witness(division)
         agree = True
         if valuation:
-            val_ok = not valuation_failures(division.value, used_kind, n)
+            val_ok, _ = check_divisibility_valuations(spec, kind, n)
             agree = val_ok == division.ok
             witness.append(("valuation", "agree" if agree else "disagree"))
         params = (("sum", name), ("divisor", used_kind), ("n", n))
@@ -245,10 +242,9 @@ def _cmd_sumcheck(args: argparse.Namespace) -> list[ReportRecord]:
 # wzcheck
 # ---------------------------------------------------------------------------
 
-def _grid_block_records(ref: tuple, rows: range
+def _grid_block_records(pair: WZPairSpec, rows: range
                         ) -> list[tuple[int, list[ReportRecord]]]:
     """(points checked, FAIL and SKIPPED records) for each row of a block."""
-    pair = _resolve_pair(ref)
     out = []
     for n, (checked, violations, skipped) in zip(rows,
                                                   wz_grid_rows(pair, rows)):
@@ -264,8 +260,7 @@ def _grid_block_records(ref: tuple, rows: range
 
 
 def _telescope_record(args: tuple) -> ReportRecord:
-    ref, big_n, scale_exp, kind = args
-    pair = _resolve_pair(ref)
+    pair, big_n, scale_exp, kind = args
     audit = telescope_audit(pair, big_n, scale_exp=scale_exp, divisor_kind=kind)
     params = (("pair", pair.name), ("mode", "telescope"), ("N", big_n),
               ("divisor_kind", audit.divisor_kind), ("scale_exp", audit.scale_exp))
@@ -286,10 +281,10 @@ def _telescope_record(args: tuple) -> ReportRecord:
     return ReportRecord("wzcheck", params, FAIL, tuple(witness))
 
 
-def _wz_options(args: argparse.Namespace, ref: tuple) -> None:
+def _wz_options(args: argparse.Namespace) -> None:
     """Reject options the chosen mode or pair would ignore, then fill in
     the --n-min/--n-max defaults."""
-    if ref[0] == "builtin" and args.scale_base is not None:
+    if args.pair.startswith("builtin:") and args.scale_base is not None:
         raise ConfigError("--scale-base applies to path pairs only")
     unused = {}
     if args.mode != "telescope":
@@ -305,17 +300,16 @@ def _wz_options(args: argparse.Namespace, ref: tuple) -> None:
 
 
 def _cmd_wzcheck(args: argparse.Namespace) -> list[ReportRecord]:
-    ref = _pair_ref(args.pair, args.scale_base,
-                    "strong" if args.divisor is None else args.divisor)
-    _wz_options(args, ref)
-    pair = _resolve_pair(ref)  # validate documents up front
+    pair = _load_pair(args.pair, args.scale_base,
+                      "strong" if args.divisor is None else args.divisor)
+    _wz_options(args)
 
     if args.mode == "grid":
         if args.n_max < 1:
             raise ConfigError("--n-max must be >= 1")
         # Rows in one block share their G row; row n has n points.
         rows = [row for block in _pmap_blocks(
-                    partial(_grid_block_records, ref),
+                    partial(_grid_block_records, pair),
                     range(1, args.n_max + 1), lambda n: n, args.jobs)
                 for row in block]
         checked = sum(c for c, _ in rows)
@@ -343,9 +337,9 @@ def _cmd_wzcheck(args: argparse.Namespace) -> list[ReportRecord]:
         return [ReportRecord("wzcheck", params, PASS if ok else FAIL, witness)]
 
     big_ns = _n_range(args, "telescope audits need")
-    if ref[0] == "path" and args.scale_base is None:
+    if not args.pair.startswith("builtin:") and args.scale_base is None:
         raise ConfigError("telescope mode on a path pair needs --scale-base")
-    items = [(ref, big_n, args.scale_exp, args.divisor) for big_n in big_ns]
+    items = [(pair, big_n, args.scale_exp, args.divisor) for big_n in big_ns]
     return _pmap(_telescope_record, items, args.jobs)
 
 

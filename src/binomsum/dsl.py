@@ -302,10 +302,6 @@ def parse_document(text: str) -> TermDocument:
     return TermDocument(name=name, term=term, note="\n".join(note_lines))
 
 
-def parse_term(text: str) -> HypergeometricTerm:
-    return parse_document(text).term
-
-
 def serialize_document(doc: TermDocument) -> str:
     """Canonical text form; parse(serialize(d)) reproduces d exactly."""
     lines: list[str] = []
@@ -327,6 +323,3 @@ def serialize_document(doc: TermDocument) -> str:
     lines.append("end")
     return "\n".join(lines) + "\n"
 
-
-def serialize_term(term: HypergeometricTerm, name: str = "term") -> str:
-    return serialize_document(TermDocument(name=name, term=term))

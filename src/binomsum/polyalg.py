@@ -54,10 +54,6 @@ class BivarPoly:
         return cls({(0, 0): Fraction(c)})
 
     @classmethod
-    def monomial(cls, i: int, j: int, c: Fraction | int = 1) -> "BivarPoly":
-        return cls({(i, j): Fraction(c)})
-
-    @classmethod
     def linear(cls, a: int, b: int, c: int) -> "BivarPoly":
         """The linear form a*n + b*k + c."""
         return cls({(1, 0): a, (0, 1): b, (0, 0): c})
@@ -83,16 +79,6 @@ class BivarPoly:
         if not self._c:
             return -1
         return max(i + j for i, j in self._c)
-
-    def degree_n(self) -> int:
-        if not self._c:
-            return -1
-        return max(i for i, _ in self._c)
-
-    def degree_k(self) -> int:
-        if not self._c:
-            return -1
-        return max(j for _, j in self._c)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, BivarPoly):
@@ -159,7 +145,7 @@ class BivarPoly:
             out = out + n ** i * k ** j * c
         return out
 
-    # ---- content and division ----
+    # ---- content ----
 
     def content(self) -> Fraction:
         """Positive rational c with self/c integer-primitive (0 for zero)."""
@@ -172,20 +158,6 @@ class BivarPoly:
             return Fraction(0), BivarPoly.zero()
         c = self.content()
         return c, self * (1 / c)
-
-    def divided_by(self, d: "BivarPoly") -> "BivarPoly | None":
-        """Exact quotient self/d, or None when d does not divide self.
-
-        By Gauss's lemma d divides self over Q exactly when the primitive
-        part of d divides that of self over Z.
-        """
-        if d.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        (c1, p1), (c2, p2) = self.primitive(), d.primitive()
-        try:
-            return BivarPoly(_quo(_ints(p1), _ints(p2))) * (c1 / c2)
-        except ArithmeticError:
-            return None
 
     # ---- rendering ----
 
@@ -421,10 +393,6 @@ class RationalFunction:
         r = cls.__new__(cls)
         r._num, r._den = _normal(num, den)
         return r
-
-    @classmethod
-    def from_poly(cls, num: BivarPoly) -> "RationalFunction":
-        return cls(num, BivarPoly.const(1))
 
     @classmethod
     def const(cls, c: Fraction | int) -> "RationalFunction":

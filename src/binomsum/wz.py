@@ -20,20 +20,6 @@ from .verify import DivisionCheck, divide, divisor
 GridPoint = tuple[int, int]
 
 
-class GridReport(NamedTuple):
-    """Outcome of a pointwise difference check over 1 <= k <= n <= n_max."""
-
-    pair_name: str
-    n_max: int
-    points_checked: int
-    violations: tuple[tuple[GridPoint, Fraction, Fraction], ...]
-    skipped: tuple[tuple[GridPoint, str], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def _eval_or_error(term: HypergeometricTerm, n: int,
                    k: int) -> Fraction | TermEvalError:
     try:
@@ -97,22 +83,6 @@ def wz_grid_row(pair: WZPairSpec, n: int) -> GridRow:
     if n < 1:
         raise ValueError("n must be at least 1")
     return wz_grid_rows(pair, range(n, n + 1))[0]
-
-
-def wz_grid_check(pair: WZPairSpec, n_max: int) -> GridReport:
-    """Compare F(n,k-1)-F(n,k) with G(n+1,k)-G(n,k) over 1 <= k <= n <= n_max."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    checked = 0
-    violations: list[tuple[GridPoint, Fraction, Fraction]] = []
-    skipped: list[tuple[GridPoint, str]] = []
-    for row_checked, row_violations, row_skipped in wz_grid_rows(
-            pair, range(1, n_max + 1)):
-        checked += row_checked
-        violations.extend(row_violations)
-        skipped.extend(row_skipped)
-    return GridReport(pair.name, n_max, checked,
-                      tuple(violations), tuple(skipped))
 
 
 def wz_certificate(pair: WZPairSpec) -> RationalFunction:

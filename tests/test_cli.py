@@ -137,6 +137,24 @@ def test_wzcheck_path_pair(tmp_path, capsys):
     assert json_lines(out)[0]["witness"]["conclusion_quotient"] == "-11"
 
 
+def test_wzcheck_path_pair_given_as_dot_is_named_after_the_directory(
+        tmp_path, monkeypatch, capsys):
+    pair_dir = tmp_path / "guillera1"
+    pair_dir.mkdir()
+    for name in ("guillera1.F", "guillera1.G"):
+        (pair_dir / name).write_text(builtin_document_text(name), "utf-8")
+    alias = tmp_path / "alias"
+    alias.symlink_to(pair_dir)  # named as given, not after its target
+    monkeypatch.chdir(pair_dir)
+    names = []
+    for text in (".", str(pair_dir), str(alias)):
+        code, out, _ = run_cli(capsys, "wzcheck", "--pair", text,
+                               "--mode", "symbolic", "--format", "json")
+        assert code == 0
+        names.append(json_lines(out)[0]["params"]["pair"])
+    assert names == ["guillera1", "guillera1", "alias"]
+
+
 def test_wzcheck_rejects_bad_pair_directory(tmp_path, capsys):
     code, _, err = run_cli(capsys, "wzcheck", "--pair", str(tmp_path),
                            "--mode", "grid")

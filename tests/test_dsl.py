@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from binomsum.dsl import DslError, ParseError, SemanticError, parse_document, \
-    parse_term, serialize_document, serialize_term
-from binomsum.hyperterm import eval_term
+    serialize_document
+from binomsum.hyperterm import TermDocument, eval_term
 from binomsum.pairs import builtin_document_names, builtin_document_text
 
 SIMPLE = """\
@@ -33,7 +33,7 @@ def test_parse_simple_document_fields():
 
 
 def test_parse_then_eval():
-    t = parse_term(SIMPLE)
+    t = parse_document(SIMPLE).term
     # (-1)^(n+k) 4^(1-2n) C(2n,n)^3 / C(2k,k) * (3n-k+2)/(2n+1)
     assert eval_term(t, 1, 0) == Fraction(-1 * 8 * 5, 4 * 3)
     assert eval_term(t, 1, 1) == Fraction(8 * 4, 4 * 2 * 3)
@@ -115,6 +115,7 @@ def test_errors_are_dsl_errors():
         parse_document("term x\nfactor binom(2*n n)\npoly 1\nend\n")
 
 
-def test_serialize_term_wraps_name():
-    t = parse_term(SIMPLE)
-    assert serialize_term(t, "renamed").startswith("term renamed\n")
+def test_serialize_document_writes_the_given_name():
+    t = parse_document(SIMPLE).term
+    doc = TermDocument(name="renamed", term=t)
+    assert serialize_document(doc).startswith("term renamed\n")

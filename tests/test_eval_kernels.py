@@ -103,7 +103,7 @@ N, K = LinearForm(1, 0, 0), LinearForm(0, 1, 0)
 # zero denominator polynomial: 1 / (n - k)
 @example(term(denom=BivarPoly.linear(1, -1, 0)), 3, 3)
 # negative denominator with fractional coefficients: (n/2) / (1/3 - n)
-@example(term(numer=BivarPoly.monomial(1, 0, Fraction(1, 2)),
+@example(term(numer=BivarPoly({(1, 0): Fraction(1, 2)}),
               denom=BivarPoly({(1, 0): -1, (0, 0): Fraction(1, 3)})), 4, 0)
 def test_eval_term_matches_fraction_chain(t, n, k):
     expected = outcome(reference_eval_term, t, n, k)

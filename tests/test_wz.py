@@ -11,21 +11,28 @@ from binomsum.hyperterm import NotProportionalError, TermDocument, \
 from binomsum.pairs import WZPairSpec, builtin_pair, builtin_pair_names
 from binomsum.polyalg import BivarPoly
 from binomsum.verify import eval_sum
-from binomsum.wz import telescope_audit, wz_certificate, wz_grid_check, \
-    wz_grid_row, wz_grid_rows, wz_symbolic_check
+from binomsum.wz import telescope_audit, wz_certificate, wz_grid_row, \
+    wz_grid_rows, wz_symbolic_check
 
 
 def test_builtin_pair_names():
     assert builtin_pair_names() == ["guillera1", "guillera2"]
 
 
+def _grid_totals(pair: WZPairSpec, n_max: int) -> tuple[int, list, list]:
+    """(points checked, violations, skipped) over 1 <= k <= n <= n_max."""
+    rows = wz_grid_rows(pair, range(1, n_max + 1))
+    return (sum(checked for checked, _, _ in rows),
+            [v for _, violations, _ in rows for v in violations],
+            [s for _, _, skipped in rows for s in skipped])
+
+
 def test_grid_check_clean_small():
     for name in builtin_pair_names():
-        report = wz_grid_check(builtin_pair(name), 20)
-        assert report.ok
-        assert report.violations == ()
-        assert report.skipped == ()
-        assert report.points_checked == sum(n for n in range(1, 21))
+        checked, violations, skipped = _grid_totals(builtin_pair(name), 20)
+        assert violations == []
+        assert skipped == []
+        assert checked == sum(n for n in range(1, 21))
 
 
 def test_grid_row_matches_difference_identity():
@@ -74,7 +81,7 @@ def _perturb_g_poly(pair: WZPairSpec, poly: BivarPoly) -> WZPairSpec:
 
 def test_single_factor_perturbation_flips_symbolic_result():
     pair = builtin_pair("guillera1")
-    bad = _perturb_g_poly(pair, BivarPoly.monomial(3, 0, 3))  # 2n^3 -> 3n^3
+    bad = _perturb_g_poly(pair, BivarPoly({(3, 0): 3}))  # 2n^3 -> 3n^3
     ok, residual = wz_symbolic_check(bad)
     assert not ok
     assert not residual.is_zero()
@@ -82,10 +89,9 @@ def test_single_factor_perturbation_flips_symbolic_result():
 
 def test_perturbation_also_breaks_the_grid():
     pair = builtin_pair("guillera2")
-    bad = _perturb_g_poly(pair, BivarPoly.monomial(2, 0, 3))  # n^2 -> 3n^2
-    report = wz_grid_check(bad, 6)
-    assert not report.ok
-    assert report.violations
+    bad = _perturb_g_poly(pair, BivarPoly({(2, 0): 3}))  # n^2 -> 3n^2
+    _, violations, _ = _grid_totals(bad, 6)
+    assert violations
 
 
 def test_non_proportional_pair_raises():
@@ -129,6 +135,23 @@ def test_telescope_conclusion_matches_sum_route():
             audit = telescope_audit(pair, big_n)
             assert audit.ok
             assert audit.conclusion.value == eval_sum(pair.sum_id, big_n)
+
+
+def _telescoped_equation_holds(audit) -> bool:
+    """The scaled sum of F(n, 0) over n < N equals the scaled G sum of row
+    N plus the scaled corner F(N-1, N-1)."""
+    return audit.conclusion.value == audit.g_sum.value + audit.corner.value
+
+
+def test_telescoped_equation_holds_and_breaks_under_perturbation():
+    perturbed = {"guillera1": BivarPoly({(3, 0): 3}),   # 2n^3 -> 3n^3
+                 "guillera2": BivarPoly({(2, 0): 3})}   # n^2 -> 3n^2
+    for name in builtin_pair_names():
+        pair = builtin_pair(name)
+        bad = _perturb_g_poly(pair, perturbed[name])
+        for big_n in range(2, 25):
+            assert _telescoped_equation_holds(telescope_audit(pair, big_n))
+            assert not _telescoped_equation_holds(telescope_audit(bad, big_n))
 
 
 def test_telescope_parts_are_g_values():
