@@ -15,9 +15,10 @@ is a lookup and a new one costs O(1) big-integer steps.  iter_sums runs
 the same recurrence but builds every summand afresh from factorial
 quotients (exact.binomial), so the two routes share no binomial.
 lemma22_row steps its binomials along k the same way, against the
-factorial quotients of lemma22_point.  The floor scans of lemmas 2.4 and
-2.6 read the arguments of _floor_terms / _five_floor_terms as weighted
-affine forms and sum tables of them row by row (_margin_rows).
+factorial quotients of lemma22_point.  The floor forms of lemmas 2.4-2.6
+are declared once, as weighted affine forms in _EIGHT_FLOOR_FORMS and
+_FIVE_FLOOR_FORMS; the floor scans sum tables of them row by row
+(_margin_rows), and lemma 2.5's Legendre sums and step ratio read them.
 """
 from __future__ import annotations
 
@@ -368,29 +369,28 @@ def lemma23_point(n: int) -> QuotientIdentity:
 
 
 # ---------------------------------------------------------------------------
-# Floor forms of lemmas 2.4 (eight floors) and 2.6 (five floors), two routes
+# Floor forms of lemmas 2.4/2.5 (eight floors) and 2.6 (five floors)
 # ---------------------------------------------------------------------------
 
-def _floor_terms(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The eight linear arguments: (positive side, negative side).
+# Each entry ((c0, c_n[, c_k]), w) stands for w factorials of the argument
+# c0 + c_n*n + c_k*k, in the denominator when w < 0.  By Landau's
+# criterion the ratio is an integer iff sum(w * floor(x/m)) >= 0 for all
+# m >= 2.  The weighted forms sum to zero.  lemma25_w and lemma26_point
+# state the same ratios independently; the tests tie the tables to them.
 
-    Both sides have the same linear-form sum 6n+5k-2, which is what makes
-    the margin a pure function of the residues of n and k.
-    """
-    pos = (4 * n + 2 * k - 2, k, k, k, 2 * n)
-    neg = (2 * k, 2 * k, 2 * k, n, n - 1, n - k, n - k, 2 * n + k - 1)
-    return pos, neg
+# W(n,k) = k!^3 (2n)! (2k+4n-2)! / ((2k)!^3 n! (n-1)! (n-k)!^2 (k+2n-1)!)
+_EIGHT_FLOOR_FORMS = (((-2, 4, 2), 1), ((0, 0, 1), 3), ((0, 2, 0), 1),
+                      ((0, 0, 2), -3), ((0, 1, 0), -1), ((-1, 1, 0), -1),
+                      ((0, 1, -1), -2), ((-1, 2, 1), -1))
+
+# (6n-5)! (n-1)! / ((2n-1)! (2n-2)! (3n-3)!)
+_FIVE_FLOOR_FORMS = (((-5, 6), 1), ((-1, 1), 1), ((-1, 2), -1),
+                     ((-2, 2), -1), ((-3, 3), -1))
 
 
-def _five_floor_terms(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The five arguments of lemma 2.6; both sides sum to 7n-6."""
-    return (6 * n - 5, n - 1), (2 * n - 1, 2 * n - 2, 3 * n - 3)
-
-
-def _form_sum(terms: tuple[tuple[int, ...], tuple[int, ...]], f):
-    """Sum of f over the positive arguments minus the sum over the negative."""
-    pos, neg = terms
-    return sum(f(a) for a in pos) - sum(f(b) for b in neg)
+def _form_values(forms, *point: int) -> list[tuple[int, int]]:
+    """(argument, weight) of each form at the point (n[, k])."""
+    return [(c0 + sum(map(mul, cs, point)), w) for (c0, *cs), w in forms]
 
 
 def floor_margin(m: int, n: int, k: int) -> MarginRecord:
@@ -399,37 +399,20 @@ def floor_margin(m: int, n: int, k: int) -> MarginRecord:
         raise ValueError("floor_margin needs m >= 2")
     if not 0 <= k <= n:
         raise ValueError("floor_margin needs n >= k >= 0")
-    return MarginRecord(m, n, k, _form_sum(_floor_terms(n, k),
-                                           lambda a: a // m))
+    return MarginRecord(m, n, k, sum(
+        w * (x // m) for x, w in _form_values(_EIGHT_FLOOR_FORMS, n, k)))
 
 
 def floor_margin_fractional(m: int, n: int, k: int) -> Fraction:
-    """The same margin computed from fractional parts only: with equal
-    linear sums on both sides, sum(floor(a/m)) - sum(floor(b/m)) equals
-    (sum(b mod m) - sum(a mod m)) / m, which never touches floor division."""
+    """The same margin computed from fractional parts only: the weighted
+    forms sum to zero, so sum(w * floor(x/m)) equals
+    -sum(w * (x mod m)) / m, which never touches floor division."""
     if m < 2:
         raise ValueError("floor_margin_fractional needs m >= 2")
     if not 0 <= k <= n:
         raise ValueError("floor_margin_fractional needs n >= k >= 0")
-    return Fraction(-_form_sum(_floor_terms(n, k), lambda a: a % m), m)
-
-
-def _affine_forms(terms_of, arity: int) -> list[tuple[tuple[int, ...], int]]:
-    """The arguments of terms_of as affine forms (c0, c1, ...), worth
-    c0 + c1*x1 + ... at the point (x1, ...), with equal forms merged into
-    weights: +1 per copy on the positive side, -1 per copy on the negative.
-    Read off at the origin and the unit points, checked at (2, 3, ...)."""
-    points = [tuple(int(i == j) for i in range(arity))
-              for j in range(-1, arity)] + [tuple(range(2, arity + 2))]
-    *probes, check = [terms_of(*point) for point in points]
-    base, *ends = [sum(terms, ()) for terms in probes]
-    forms = [(c0, *(end[j] - c0 for end in ends)) for j, c0 in enumerate(base)]
-    if [c0 + sum(map(mul, cs, points[-1])) for c0, *cs in forms] \
-            != list(sum(check, ())):
-        raise ValueError(f"{terms_of.__name__} is not affine")
-    weights = Counter(forms[:len(probes[0][0])])
-    weights.subtract(forms[len(probes[0][0]):])
-    return [(form, w) for form, w in weights.items() if w]
+    return Fraction(-sum(w * (x % m) for x, w
+                         in _form_values(_EIGHT_FLOOR_FORMS, n, k)), m)
 
 
 def _floor_route(m: int, w: int, values: range) -> list[int]:
@@ -526,15 +509,18 @@ def lemma24_scan(m_max: int, m_range: range | None = None, *,
         raise ValueError("full_range must be nonnegative")
     ms = _sub_range(range(2, m_max + 1), m_range, "m_range")
     tops = [m if full_range is None else full_range for m in ms]
-    if region == "k0":  # the k = 0 slice: one row per m, along n
-        terms_of, arity = (lambda n: _floor_terms(n, 0)), 1
+    if region == "k0":  # the k = 0 slice, equal forms merged: rows along n
+        weights: Counter = Counter()
+        for (c0, c_n, _), w in _EIGHT_FLOOR_FORMS:
+            weights[c0, c_n] += w
+        forms = [(form, w) for form, w in weights.items() if w]
         rows = ((m, (), 0, top + 1) for m, top in zip(ms, tops))
     else:  # one row per (m, n), along k; case3a from 2(2n+k-1) >= 3m on
-        terms_of, arity = _floor_terms, 2
+        forms = _EIGHT_FLOOR_FORMS
         rows = ((m, (n,), 0 if region == "all"
                  else max(0, (3 * m - 4 * n + 3) // 2), n + 1)
                 for m, top in zip(ms, tops) for n in range(top + 1))
-    checked, negative = _margin_rows(_affine_forms(terms_of, arity), rows)
+    checked, negative = _margin_rows(forms, rows)
     params = (("m_max", m_max), ("region", region),
               ("full_range", "none" if full_range is None else full_range))
     return LemmaAudit("2.4", params, checked, tuple(  # k0 points are (n,)
@@ -572,18 +558,11 @@ def lemma25_valuations(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
     (equivalently, combines Legendre factorial valuations); the second
     reduces W(n,k) to lowest terms and counts powers of p directly.
     """
-    w = lemma25_w(n, k)
-    terms = _floor_terms(n, k)
-    return tuple((p, _form_sum(terms, lambda a: legendre_valuation(p, a)),
-                  rat_valuation(p, w))
-                 for p in primes_upto(4 * n + 2 * k - 2))
-
-
-def _lemma25_step_factors(n: int, k: int) -> tuple[tuple[int, int], ...]:
-    """W(n,k+1)/W(n,k) = (k+1)^3 (2k+4n-1)(2k+4n)(n-k)^2
-    / ((2k+1)^3 (2k+2)^3 (k+2n)), as (integer, exponent) pairs."""
-    return ((k + 1, 3), (2 * k + 4 * n - 1, 1), (2 * k + 4 * n, 1),
-            (n - k, 2), (2 * k + 1, -3), (2 * k + 2, -3), (k + 2 * n, -1))
+    ratio = lemma25_w(n, k)
+    values = _form_values(_EIGHT_FLOOR_FORMS, n, k)
+    return tuple((p, sum(w * legendre_valuation(p, x) for x, w in values),
+                  rat_valuation(p, ratio))
+                 for p in primes_upto(max(x for x, _ in values)))
 
 
 def _lemma25_start(n: int, size: int) -> list[int]:
@@ -591,9 +570,9 @@ def _lemma25_start(n: int, size: int) -> list[int]:
     p from the Legendre sums of lemma25_valuations, zero at non-primes and
     at p > 4n, where no factorial argument reaches p."""
     exps = [0] * size
-    terms = _floor_terms(n, 1)
-    for p in primes_upto(4 * n):
-        exps[p] = _form_sum(terms, lambda a: legendre_valuation(p, a))
+    values = _form_values(_EIGHT_FLOOR_FORMS, n, 1)
+    for p in primes_upto(max(x for x, _ in values)):
+        exps[p] = sum(w * legendre_valuation(p, x) for x, w in values)
     return exps
 
 
@@ -603,11 +582,16 @@ def _lemma25_steps(n: int, exps: list[int], spf: list[int]):
     Yields (k, negatives, r) for k = 1..n, with exps updated in place to
     the vector at k, negatives the count of its negative entries and r the
     product of p**e over its positive entries.  Each step adds the
-    valuations of the ratio's seven numerator integers and subtracts those
-    of its seven denominator integers, read off the sieve spf; an entry
-    moving from a to b multiplies or exactly divides r by
-    p**(max(b, 0) - max(a, 0)).
+    valuations of the ratio's integers, read off the sieve spf, times their
+    exponents; an entry moving from a to b multiplies or exactly divides r
+    by p**(max(b, 0) - max(a, 0)).  A form x of weight w moving by c along
+    k gives the integers x+1..x+c at exponent w, or x+c+1..x at -w.
     """
+    steps = []
+    for (c0, c_n, c), w in _EIGHT_FLOOR_FORMS:
+        a = c0 + c_n * n
+        steps += ([(a + j, c, w) for j in range(1, c + 1)] if c > 0
+                  else [(a - j, c, -w) for j in range(-c)])
     negatives = sum(1 for e in exps if e < 0)
     r = 1
     for p, e in enumerate(exps):
@@ -618,7 +602,8 @@ def _lemma25_steps(n: int, exps: list[int], spf: list[int]):
         if k == n:
             return
         delta: dict[int, int] = {}
-        for m, weight in _lemma25_step_factors(n, k):
+        for a, c, weight in steps:
+            m = a + c * k
             while m > 1:
                 p = spf[m]
                 m //= p
@@ -703,7 +688,7 @@ def lemma26_floor_margin(m: int, n: int) -> int:
         raise ValueError("lemma26_floor_margin needs m >= 2")
     if n < 1:
         raise ValueError("lemma26_floor_margin needs n >= 1")
-    return _form_sum(_five_floor_terms(n), lambda a: a // m)
+    return sum(w * (x // m) for x, w in _form_values(_FIVE_FLOOR_FORMS, n))
 
 
 def lemma26_ineq_scan(m_max: int, m_range: range | None = None) -> LemmaAudit:
@@ -716,7 +701,7 @@ def lemma26_ineq_scan(m_max: int, m_range: range | None = None) -> LemmaAudit:
     if m_max < 2:
         raise ValueError("lemma26_ineq_scan needs m_max >= 2")
     ms = _sub_range(range(2, m_max + 1), m_range, "m_range")
-    checked, negative = _margin_rows(_affine_forms(_five_floor_terms, 1),
+    checked, negative = _margin_rows(_FIVE_FLOOR_FORMS,
                                      ((m, (), 1, m + 1) for m in ms))
     params = (("m_max", m_max),)
     return LemmaAudit("2.6", params, checked, tuple(

@@ -4,8 +4,11 @@ Every module of binomsum is parsed. A public module-level function or class,
 or a public method, must be named by some ast.Name or ast.Attribute in a
 module other than __init__.py; a re-export alone does not keep a name
 alive. The allow-list holds the names kept for a caller outside the package.
+A private module-level function, class or constant must be named somewhere
+in the package outside its own definition; dunders are exempt.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 import binomsum
@@ -73,3 +76,41 @@ def test_guard_flags_each_kind_of_uncalled_name():
               "class D: pass\nx = D\n"),
     }
     assert uncalled(sources) == ["a.C", "a.C.n", "a.g"]
+
+
+def names_in(node: ast.AST) -> Counter:
+    return Counter(sub.id if isinstance(sub, ast.Name) else sub.attr
+                   for sub in ast.walk(node)
+                   if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
+def defined_names(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def unused_private(sources: dict[str, str]) -> list[str]:
+    """Private module-level names in {module: source} that nothing names
+    outside the statement that defines them."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum(map(names_in, trees.values()), Counter())
+    return sorted(f"{module}.{name}" for module, tree in trees.items()
+                  for node in tree.body for name in defined_names(node)
+                  if name.startswith("_") and not name.endswith("__")
+                  and everywhere[name] == names_in(node)[name])
+
+
+def test_every_private_name_is_used_in_the_package():
+    sources = {
+        "a": ("def _f(): return _f()\ndef _g(): pass\nclass _K: pass\n"
+              "_C = 1\n_D: int = 2\n_E = _D\n__all__ = []\n"
+              "def __getattr__(name): pass\n"),
+        "b": "from .a import _K\nx = _g\n",
+    }
+    # Self-reference and a bare import keep nothing alive.
+    assert unused_private(sources) == ["a._C", "a._E", "a._K", "a._f"]
+    modules = sorted(Path(binomsum.__file__).parent.glob("*.py"))
+    assert unused_private({m.stem: m.read_text() for m in modules}) == []

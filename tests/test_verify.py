@@ -5,8 +5,8 @@ import pytest
 
 import binomsum.exact as exact_module
 import binomsum.verify as verify_module
-from binomsum.exact import binomial, int_valuation, legendre_valuation, \
-    primes_upto, rat_valuation, smallest_prime_factors
+from binomsum.exact import binomial, factorial, int_valuation, \
+    legendre_valuation, primes_upto, rat_valuation, smallest_prime_factors
 from binomsum.verify import RATIO_IDENTITIES, SUM_SPECS, MarginRecord, \
     check_divisibility, check_divisibility_valuations, divide, divisor, \
     eval_sum, floor_margin, floor_margin_fractional, iter_sums, \
@@ -367,12 +367,12 @@ def test_lemma24_exceptional_set_is_one_point_per_even_m():
 
 
 def test_affine_forms_merge_equal_arguments_into_weights():
-    forms = dict(verify_module._affine_forms(verify_module._floor_terms, 2))
+    forms = dict(verify_module._EIGHT_FLOOR_FORMS)
     # k x3, 2k x3 and n-k x2 merge; coefficients are (c0, c_n, c_k).
     assert forms == {(-2, 4, 2): 1, (0, 0, 1): 3, (0, 2, 0): 1,
                      (0, 0, 2): -3, (0, 1, 0): -1, (-1, 1, 0): -1,
                      (0, 1, -1): -2, (-1, 2, 1): -1}
-    five = dict(verify_module._affine_forms(verify_module._five_floor_terms, 1))
+    five = dict(verify_module._FIVE_FLOOR_FORMS)
     assert five == {(-5, 6): 1, (-1, 1): 1, (-1, 2): -1, (-2, 2): -1,
                     (-3, 3): -1}
     for weighted in (forms, five):  # the weighted forms sum to zero
@@ -380,39 +380,50 @@ def test_affine_forms_merge_equal_arguments_into_weights():
                    for i in range(len(next(iter(weighted)))))
 
 
-@pytest.mark.parametrize("terms_of,arity", [
-    (lambda n, k: ((n * k,), (0,)), 2),
-    (lambda n: ((n * n,), (n,)), 1),
-], ids=["bilinear", "quadratic"])
-def test_affine_forms_reject_non_affine_arguments(terms_of, arity):
-    with pytest.raises(ValueError, match="not affine"):
-        verify_module._affine_forms(terms_of, arity)
+def test_floor_tables_state_the_factorial_ratios():
+    # Each table, read as a product of factorials, is the ratio that the
+    # typed statement of its lemma computes independently.
+    def product(forms, *point):
+        ratio = Fraction(1)
+        for x, w in verify_module._form_values(forms, *point):
+            ratio *= Fraction(factorial(x)) ** w
+        return ratio
+
+    for n in range(1, 61):
+        point = lemma26_point(n)
+        assert product(verify_module._FIVE_FLOOR_FORMS, n) \
+            == Fraction(point.value, point.divisor), n
+    for n in range(1, 31):
+        for k in range(1, n + 1):
+            assert product(verify_module._EIGHT_FLOOR_FORMS, n, k) \
+                == lemma25_w(n, k), (n, k)
 
 
 def test_planted_argument_changes_reach_the_scans(monkeypatch):
-    floor_terms = verify_module._floor_terms
-    five_floor_terms = verify_module._five_floor_terms
+    def planted(forms, changes):
+        return tuple((changes.get(form, form), w) for form, w in forms)
+
+    eight = verify_module._EIGHT_FLOOR_FORMS
     clean24, clean26 = lemma24_scan(12), lemma26_ineq_scan(12)
-    # One argument alone unbalances the linear sums: the routes disagree.
-    monkeypatch.setattr(verify_module, "_floor_terms", lambda n, k: (
-        floor_terms(n, k)[0][:4] + (2 * n + 1,), floor_terms(n, k)[1]))
+    # One argument alone unbalances the weighted sum: the routes disagree.
+    monkeypatch.setattr(verify_module, "_EIGHT_FLOOR_FORMS",
+                        planted(eight, {(0, 2, 0): (1, 2, 0)}))
     with pytest.raises(ArithmeticError, match="mismatch"):
         lemma24_scan(3)
     # 2n -> 2n+1 balanced by n-1 -> n: new violations, as the pointwise
-    # margins, which read the same argument list, predict.
-    monkeypatch.setattr(verify_module, "_floor_terms", lambda n, k: (
-        floor_terms(n, k)[0][:4] + (2 * n + 1,),
-        floor_terms(n, k)[1][:4] + (n,) + floor_terms(n, k)[1][5:]))
-    planted = lemma24_scan(12)
-    assert planted.violations != clean24.violations
-    assert (planted.checked, planted.violations) \
+    # margins, which read the same table, predict.
+    monkeypatch.setattr(verify_module, "_EIGHT_FLOOR_FORMS", planted(
+        eight, {(0, 2, 0): (1, 2, 0), (-1, 1, 0): (0, 1, 0)}))
+    planted24 = lemma24_scan(12)
+    assert planted24.violations != clean24.violations
+    assert (planted24.checked, planted24.violations) \
         == _pointwise_lemma24(12, "all", None)
     # 6n-5 -> 6n-4 balanced by 2n-1 -> 2n.
-    monkeypatch.setattr(verify_module, "_five_floor_terms", lambda n: (
-        (6 * n - 4, n - 1), (2 * n,) + five_floor_terms(n)[1][1:]))
-    planted = lemma26_ineq_scan(12)
-    assert planted.violations != clean26.violations
-    assert (planted.checked, planted.violations) == _pointwise_lemma26(12)
+    monkeypatch.setattr(verify_module, "_FIVE_FLOOR_FORMS", planted(
+        verify_module._FIVE_FLOOR_FORMS, {(-5, 6): (-4, 6), (-1, 2): (0, 2)}))
+    planted26 = lemma26_ineq_scan(12)
+    assert planted26.violations != clean26.violations
+    assert (planted26.checked, planted26.violations) == _pointwise_lemma26(12)
 
 
 # ---------------------------------------------------------------------------
