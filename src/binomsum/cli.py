@@ -88,7 +88,7 @@ def _load_pair(text: str, scale_base: int | None,
         return WZPairSpec(name=Path(os.path.abspath(text)).name,
                           f=f_doc, g=g_doc,
                           scale_base=2 if scale_base is None else scale_base,
-                          divisor_kind=divisor_kind, sum_id="")
+                          divisor_kind=divisor_kind)
     except (OSError, ValueError) as exc:  # DslError is a ValueError
         raise ConfigError(f"cannot load pair from {f_path!r}/{g_path!r}: {exc}")
 
@@ -195,12 +195,14 @@ def _division_witness(division) -> list[tuple[str, str]]:
 
 
 def _summary(check: str, params: tuple, count_key: str, count: int,
-             failures: list[ReportRecord]) -> list[ReportRecord]:
-    """A summary record counting points and violations, then the failures."""
+             records: list[ReportRecord], *extra) -> list[ReportRecord]:
+    """A summary record counting points, FAIL records and then any extra
+    witness pairs, followed by the records."""
+    fails = sum(rec.status == FAIL for rec in records)
     summary = ReportRecord(
-        check, params, PASS if not failures else FAIL,
-        ((count_key, str(count)), ("violations", str(len(failures)))))
-    return [summary] + failures
+        check, params, FAIL if fails else PASS,
+        ((count_key, str(count)), ("violations", str(fails))) + extra)
+    return [summary] + records
 
 
 # ---------------------------------------------------------------------------
@@ -312,17 +314,12 @@ def _cmd_wzcheck(args: argparse.Namespace) -> list[ReportRecord]:
                     partial(_grid_block_records, pair),
                     range(1, args.n_max + 1), lambda n: n, args.jobs)
                 for row in block]
-        checked = sum(c for c, _ in rows)
-        point_records = [rec for _, recs in rows for rec in recs]
-        statuses = [rec.status for rec in point_records]
-        summary = ReportRecord(
+        records = [rec for _, recs in rows for rec in recs]
+        return _summary(
             "wzcheck",
             (("pair", pair.name), ("mode", "grid"), ("n_max", args.n_max)),
-            FAIL if FAIL in statuses else PASS,
-            (("points", str(checked)),
-             ("violations", str(statuses.count(FAIL))),
-             ("skipped", str(statuses.count(SKIPPED)))))
-        return [summary] + point_records
+            "points", sum(c for c, _ in rows), records,
+            ("skipped", str(sum(rec.status == SKIPPED for rec in records))))
 
     if args.mode == "symbolic":
         params = (("pair", pair.name), ("mode", "symbolic"))

@@ -1,4 +1,8 @@
-"""Builtin certificate pairs and access to their shipped term documents."""
+"""Sum specifications, and the builtin certificate pairs that read them.
+
+A builtin pair is named after the sum its telescoping concludes with and
+takes that sum's base and divisor family; F and G are shipped documents.
+"""
 from __future__ import annotations
 
 from functools import cache
@@ -12,13 +16,56 @@ from .records import Validated
 DIVISOR_KINDS = ("weak", "strong")
 
 
+class _SumFields(NamedTuple):
+    name: str
+    coeff: tuple[int, int, int]
+    central_power: int
+    base: int
+    include_quad_central: bool = False
+    divisor_kind: str = "weak"
+
+
+class SumSpec(Validated, _SumFields):
+    """One sum of the shape sum((c2*k^2+c1*k+c0) * C(2k,k)**central_power
+    * [C(4k,2k)] * base**(n-k-1) for k in range(n))."""
+
+    __slots__ = ()
+
+    def _validate(self) -> None:
+        if self.base == 0:
+            raise ValueError("base must be nonzero")
+        if self.central_power < 1:
+            raise ValueError("central_power must be at least 1")
+        if self.divisor_kind not in DIVISOR_KINDS:
+            raise ValueError(f"divisor kind must be one of {DIVISOR_KINDS}")
+
+
+SUM_SPECS: dict[str, SumSpec] = {s.name: s for s in (
+    SumSpec("sun_a", (0, 3, 1), 3, -8),
+    SumSpec("sun_b", (0, 3, 1), 3, 16),
+    SumSpec("sun_c", (0, 6, 1), 3, 256),
+    SumSpec("sun_d", (0, 6, 1), 3, -512),
+    SumSpec("sun_e", (0, 42, 5), 3, 4096),
+    SumSpec("guillera1", (20, 8, 1), 5, -4096, divisor_kind="strong"),
+    SumSpec("guillera2", (120, 34, 3), 4, 65536,
+            include_quad_central=True, divisor_kind="strong"),
+)}
+
+
+def sum_spec(name: str) -> SumSpec:
+    try:
+        return SUM_SPECS[name]
+    except KeyError:
+        raise ValueError(f"unknown sum {name!r}; "
+                         f"available: {', '.join(sorted(SUM_SPECS))}") from None
+
+
 class _PairFields(NamedTuple):
     name: str
     f: TermDocument
     g: TermDocument
     scale_base: int
     divisor_kind: str
-    sum_id: str
 
 
 class WZPairSpec(Validated, _PairFields):
@@ -39,14 +86,12 @@ class WZPairSpec(Validated, _PairFields):
             raise ValueError("pair documents must have distinct names")
 
 
-_BUILTIN_META = {
-    "guillera1": (-4096, "strong", "guillera1"),
-    "guillera2": (65536, "strong", "guillera2"),
-}
+# Sums of SUM_SPECS with a shipped pair: terms/<name>.F and terms/<name>.G.
+_BUILTIN_PAIRS = ("guillera1", "guillera2")
 
 
 def builtin_pair_names() -> list[str]:
-    return sorted(_BUILTIN_META)
+    return sorted(_BUILTIN_PAIRS)
 
 
 def builtin_document_names() -> list[str]:
@@ -67,15 +112,16 @@ def builtin_document(name: str) -> TermDocument:
 
 @cache
 def builtin_pair(name: str) -> WZPairSpec:
-    if name not in _BUILTIN_META:
+    """The shipped pair that telescopes to the sum of the same name, scaled
+    by that sum's base and audited against its divisor family."""
+    if name not in _BUILTIN_PAIRS:
         raise ValueError(f"unknown builtin pair {name!r}; "
                          f"available: {', '.join(builtin_pair_names())}")
-    scale_base, kind, sum_id = _BUILTIN_META[name]
+    spec = SUM_SPECS[name]
     return WZPairSpec(
         name=name,
         f=builtin_document(f"{name}.F"),
         g=builtin_document(f"{name}.G"),
-        scale_base=scale_base,
-        divisor_kind=kind,
-        sum_id=sum_id,
+        scale_base=spec.base,
+        divisor_kind=spec.divisor_kind,
     )

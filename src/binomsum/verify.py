@@ -19,6 +19,8 @@ factorial quotients of lemma22_point.  The floor forms of lemmas 2.4-2.6
 are declared once, as weighted affine forms in _EIGHT_FLOOR_FORMS and
 _FIVE_FLOOR_FORMS; the floor scans sum tables of them row by row
 (_margin_rows), and lemma 2.5's Legendre sums and step ratio read them.
+Each ratio identity scales a stored pair term by its sum's base and
+divisor (pairs.SUM_SPECS) and compares it with a lemma function's quantity.
 """
 from __future__ import annotations
 
@@ -33,57 +35,13 @@ from typing import NamedTuple
 from .exact import binomial, factorial, int_valuation, legendre_valuation, \
     primes_upto, rat_valuation, smallest_prime_factors
 from .hyperterm import eval_term, k0_prefix_sum
-from .pairs import DIVISOR_KINDS, builtin_pair
-from .records import Validated
+from .pairs import DIVISOR_KINDS, SUM_SPECS, SumSpec, WZPairSpec, \
+    builtin_pair, sum_spec
 
 
 # ---------------------------------------------------------------------------
-# Sum specifications
+# Sums (stated in pairs.SUM_SPECS)
 # ---------------------------------------------------------------------------
-
-class _SumFields(NamedTuple):
-    name: str
-    coeff: tuple[int, int, int]
-    central_power: int
-    base: int
-    include_quad_central: bool = False
-    divisor_kind: str = "weak"
-
-
-class SumSpec(Validated, _SumFields):
-    """One sum of the shape sum((c2*k^2+c1*k+c0) * C(2k,k)**central_power
-    * [C(4k,2k)] * base**(n-k-1) for k in range(n))."""
-
-    __slots__ = ()
-
-    def _validate(self) -> None:
-        if self.base == 0:
-            raise ValueError("base must be nonzero")
-        if self.central_power < 1:
-            raise ValueError("central_power must be at least 1")
-        if self.divisor_kind not in DIVISOR_KINDS:
-            raise ValueError(f"divisor kind must be one of {DIVISOR_KINDS}")
-
-
-SUM_SPECS: dict[str, SumSpec] = {s.name: s for s in (
-    SumSpec("sun_a", (0, 3, 1), 3, -8),
-    SumSpec("sun_b", (0, 3, 1), 3, 16),
-    SumSpec("sun_c", (0, 6, 1), 3, 256),
-    SumSpec("sun_d", (0, 6, 1), 3, -512),
-    SumSpec("sun_e", (0, 42, 5), 3, 4096),
-    SumSpec("guillera1", (20, 8, 1), 5, -4096, divisor_kind="strong"),
-    SumSpec("guillera2", (120, 34, 3), 4, 65536,
-            include_quad_central=True, divisor_kind="strong"),
-)}
-
-
-def sum_spec(name: str) -> SumSpec:
-    try:
-        return SUM_SPECS[name]
-    except KeyError:
-        raise ValueError(f"unknown sum {name!r}; "
-                         f"available: {', '.join(sorted(SUM_SPECS))}") from None
-
 
 def _summand(spec: SumSpec, k: int) -> int:
     c2, c1, c0 = spec.coeff
@@ -216,6 +174,11 @@ class DivisionCheck(NamedTuple):
     @property
     def ok(self) -> bool:
         return self.remainder == 0
+
+    @property
+    def exact_quotient(self) -> Fraction:
+        """value / divisor as a Fraction, whether or not it divides."""
+        return Fraction(self.value, self.divisor)
 
 
 def divide(value: int | Fraction, div: int) -> DivisionCheck:
@@ -551,6 +514,14 @@ def lemma25_w(n: int, k: int) -> Fraction:
     return value
 
 
+def _legendre_sums(n: int, k: int) -> list[tuple[int, int]]:
+    """(p, v_p(W(n,k))) by Legendre's formula over the eight-floor table,
+    for every prime p up to the largest factorial argument of the point."""
+    values = _form_values(_EIGHT_FLOOR_FORMS, n, k)
+    return [(p, sum(w * legendre_valuation(p, x) for x, w in values))
+            for p in primes_upto(max(x for x, _ in values))]
+
+
 def lemma25_valuations(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
     """Per-prime triples (p, margin-sum route, direct-valuation route).
 
@@ -559,20 +530,17 @@ def lemma25_valuations(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
     reduces W(n,k) to lowest terms and counts powers of p directly.
     """
     ratio = lemma25_w(n, k)
-    values = _form_values(_EIGHT_FLOOR_FORMS, n, k)
-    return tuple((p, sum(w * legendre_valuation(p, x) for x, w in values),
-                  rat_valuation(p, ratio))
-                 for p in primes_upto(max(x for x, _ in values)))
+    return tuple((p, v, rat_valuation(p, ratio))
+                 for p, v in _legendre_sums(n, k))
 
 
 def _lemma25_start(n: int, size: int) -> list[int]:
     """The exponent vector of W(n,1) as a list of length size: v_p at index
-    p from the Legendre sums of lemma25_valuations, zero at non-primes and
-    at p > 4n, where no factorial argument reaches p."""
+    p from _legendre_sums, zero at non-primes and at p > 4n, where no
+    factorial argument reaches p."""
     exps = [0] * size
-    values = _form_values(_EIGHT_FLOOR_FORMS, n, 1)
-    for p in primes_upto(max(x for x, _ in values)):
-        exps[p] = sum(w * legendre_valuation(p, x) for x, w in values)
+    for p, v in _legendre_sums(n, 1):
+        exps[p] = v
     return exps
 
 
@@ -746,24 +714,24 @@ def ratio_k_values(identity: str, big_n: int):
     return None
 
 
-def _scaled_g(pair_name: str, big_n: int, k: int) -> Fraction:
-    pair = builtin_pair(pair_name)
-    scale = Fraction(pair.scale_base) ** (big_n - 1)
-    return scale * eval_term(pair.g.term, big_n, k) / divisor("strong", big_n)
+def _scaled(pair: WZPairSpec, big_n: int, x: Fraction) -> DivisionCheck:
+    """B^(N-1)*x against P(N): the pair's scale base B, divisor family P."""
+    return divide(Fraction(pair.scale_base) ** (big_n - 1) * x,
+                  divisor(pair.divisor_kind, big_n))
 
 
-def _scaled_corner(pair_name: str, big_n: int) -> Fraction:
-    pair = builtin_pair(pair_name)
-    scale = Fraction(pair.scale_base) ** (big_n - 1)
-    return (scale * eval_term(pair.f.term, big_n - 1, big_n - 1)
-            / divisor("strong", big_n))
+def _catalan(n: int) -> Fraction:
+    """C(4n-4, 2n-2) / (2n-1), the Catalan number of index 2n-2."""
+    return Fraction(binomial(4 * n - 4, 2 * n - 2), 2 * n - 1)
 
 
 def ratio_identity(identity: str, big_n: int, k: int | None = None) -> RatioCheck:
     """Evaluate both sides of one scaled-term closed form exactly.
 
-    The left side always comes from evaluating the stored pair terms and
-    scaling; the right side is computed from the independent closed form.
+    The left side scales the stored pair terms by the pair's own base and
+    divisor family.  The right side is a quantity that a lemma function
+    audits, times a power of 2; those functions never read the pair
+    documents.  f1_corner reads the Catalan term of catalan_split.
     """
     if identity not in RATIO_IDENTITIES:
         raise ValueError(f"unknown ratio identity {identity!r}")
@@ -780,54 +748,41 @@ def ratio_identity(identity: str, big_n: int, k: int | None = None) -> RatioChec
             raise ValueError(f"{identity} needs k in {k_range}, got {k}")
     n = big_n
     alt: Fraction | None = None
+    pair1, pair2 = builtin_pair("guillera1"), builtin_pair("guillera2")
 
     if identity == "g1_col1":
-        lhs = _scaled_g("guillera1", n, 1)
-        rhs = Fraction(
-            n * n * (n + 1) * binomial(2 * n, n) * binomial(2 * n - 2, n - 1)
-            * binomial(2 * n + 2, n + 1),
-            64 * (2 * n + 1))
+        lhs = _scaled(pair1, n, eval_term(pair1.g.term, n, 1)).exact_quotient
+        rhs = lemma23_point(n).division.exact_quotient
     elif identity == "g1_gen":
-        lhs = _scaled_g("guillera1", n, k)
-        rhs = Fraction(
-            2 ** (4 * k - 8) * n * binomial(2 * n, n) * (-1) ** (k + 1)
-            * binomial(k + n, n - k) * binomial(2 * n - 2 * k, n - k)
-            * binomial(2 * k + 2 * n, k + n),
-            binomial(2 * k, k) * (2 * k + 2 * n - 1))
+        lhs = _scaled(pair1, n, eval_term(pair1.g.term, n, k)).exact_quotient
+        rhs = ((-1) ** (k + 1) * 2 ** (4 * k - 8)
+               * binomial(2 * n - 2 * k, n - k)
+               * lemma22_point(n, k).exact_quotient)
     elif identity == "f1_corner":
-        lhs = _scaled_corner("guillera1", n)
+        lhs = _scaled(pair1, n,
+                      eval_term(pair1.f.term, n - 1, n - 1)).exact_quotient
         alt = Fraction(
             (-1) ** (n + 1) * 2 ** (4 * n - 5) * (8 * n * n - 10 * n + 3)
             * binomial(2 * n - 2, n - 1) ** 2 * binomial(4 * n - 4, 2 * n - 2),
             n * n * binomial(2 * n, n) ** 2)
-        rhs = Fraction(
-            (-1) ** (n + 1) * 2 ** (4 * n - 7) * (4 * n - 3)
-            * binomial(4 * n - 4, 2 * n - 2),
-            2 * n - 1)
+        rhs = (-1) ** (n + 1) * 2 ** (4 * n - 7) * (4 * n - 3) * _catalan(n)
     elif identity == "catalan_split":
-        lhs = Fraction(binomial(4 * n - 4, 2 * n - 2), 2 * n - 1)
+        lhs = _catalan(n)
         rhs = Fraction(binomial(4 * n - 4, 2 * n - 2)
                        - binomial(4 * n - 4, 2 * n - 3))
     elif identity == "g2_gen":
-        lhs = _scaled_g("guillera2", n, k)
-        rhs = (Fraction(2) ** (4 * k - 7)
-               * binomial(2 * n, n) * binomial(n, k) * binomial(k + n, n - k)
-               * binomial(k + 2 * n - 1, n - 1)
-               * binomial(2 * k + 4 * n - 2, k + 2 * n - 1)
-               / binomial(2 * k, k) ** 2)
+        lhs = _scaled(pair2, n, eval_term(pair2.g.term, n, k)).exact_quotient
+        rhs = Fraction(2) ** (4 * k - 7) * lemma25_w(n, k)
     elif identity == "f2_corner":
-        lhs = _scaled_corner("guillera2", n)
+        lhs = _scaled(pair2, n,
+                      eval_term(pair2.f.term, n - 1, n - 1)).exact_quotient
         alt = Fraction(
             3 * 2 ** (4 * n - 5) * (12 * n * n - 16 * n + 5)
             * binomial(2 * n - 2, n - 1) * binomial(3 * n - 3, n - 1)
             * binomial(6 * n - 6, 3 * n - 3),
             n * n * binomial(2 * n, n) ** 2)
-        rhs = Fraction(
-            3 * 2 ** (4 * n - 7) * factorial(6 * n - 5) * factorial(n - 1),
-            factorial(2 * n - 1) * factorial(2 * n - 2) * factorial(3 * n - 3))
-    else:  # telescoped_sum
-        pair = builtin_pair("guillera2")
-        scale = Fraction(pair.scale_base) ** (n - 1)
-        lhs = scale * k0_prefix_sum(pair.f.term, n)
-        rhs = Fraction(eval_sum(pair.sum_id, n))
+        rhs = 3 * 2 ** (4 * n - 7) * lemma26_point(n).exact_quotient
+    else:  # telescoped_sum: the pair telescopes to its own sum
+        lhs = _scaled(pair2, n, k0_prefix_sum(pair2.f.term, n)).value
+        rhs = Fraction(eval_sum(pair2.name, n))
     return RatioCheck(identity, n, k, lhs, rhs, alt)

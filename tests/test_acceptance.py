@@ -110,7 +110,7 @@ def test_criterion_5_telescoping_audits_match_sums():
                 assert audit.ok, (name, big_n)
                 assert all(part.ok for _, part in audit.g_terms)
                 assert audit.g_sum.ok and audit.corner.ok
-                assert audit.conclusion.value == eval_sum(pair.sum_id, big_n)
+                assert audit.conclusion.value == eval_sum(pair.name, big_n)
 
 
 def test_criterion_6_supporting_divisibility_lemmas():

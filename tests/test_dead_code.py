@@ -18,7 +18,6 @@ ALLOWED = {
     "verify.floor_margin": "reference for the lemma 2.4 row kernel",
     "verify.floor_margin_fractional": "the fractional route of floor_margin",
     "verify.lemma26_floor_margin": "reference for the lemma 2.6 row kernel",
-    "verify.lemma22_point": "reference for the stepped lemma 2.2 rows",
     "verify.iter_sums": "the second route to the values of eval_sum",
     # Benchmark tracer target (perfbench/tracer.py TARGETS).
     "wz.wz_grid_row": "traced by the benchmark's certificates workload",

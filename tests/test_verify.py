@@ -648,3 +648,30 @@ def test_telescoped_sum_ties_routes_together():
         check = ratio_identity("telescoped_sum", big_n)
         assert check.equal
         assert check.rhs == eval_sum("guillera2", big_n)
+
+
+def _doubled(division):
+    return verify_module.divide(2 * division.value, division.divisor)
+
+
+# identity: (the lemma function its right side reads, that function's
+# quantity doubled, a point of the identity)
+DOUBLED_LEMMAS = {
+    "g1_col1": ("lemma23_point",
+                lambda q: q._replace(division=_doubled(q.division)), (5,)),
+    "g1_gen": ("lemma22_point", _doubled, (5, 3)),
+    "g2_gen": ("lemma25_w", lambda w: 2 * w, (5, 3)),
+    "f2_corner": ("lemma26_point", _doubled, (5,)),
+}
+
+
+@pytest.mark.parametrize("identity", DOUBLED_LEMMAS)
+def test_lemma_faults_reach_the_ratio_identities(monkeypatch, identity):
+    # The right side reads the lemma's quantity, so a lemma function that
+    # audits the wrong quantity breaks the identity with the pair's term.
+    lemma, doubled, point = DOUBLED_LEMMAS[identity]
+    assert ratio_identity(identity, *point).equal
+    real = getattr(verify_module, lemma)
+    monkeypatch.setattr(verify_module, lemma,
+                        lambda *args: doubled(real(*args)))
+    assert not ratio_identity(identity, *point).equal

@@ -98,8 +98,7 @@ def test_non_proportional_pair_raises():
     f_doc = builtin_pair("guillera1").f
     g_doc = builtin_pair("guillera2").g
     mismatched = WZPairSpec(name="mixed", f=f_doc, g=g_doc,
-                            scale_base=-4096, divisor_kind="strong",
-                            sum_id="")
+                            scale_base=-4096, divisor_kind="strong")
     with pytest.raises(NotProportionalError):
         wz_symbolic_check(mismatched)
 
@@ -134,7 +133,7 @@ def test_telescope_conclusion_matches_sum_route():
         for big_n in range(2, 13):
             audit = telescope_audit(pair, big_n)
             assert audit.ok
-            assert audit.conclusion.value == eval_sum(pair.sum_id, big_n)
+            assert audit.conclusion.value == eval_sum(pair.name, big_n)
 
 
 def _telescoped_equation_holds(audit) -> bool:
@@ -195,7 +194,7 @@ def test_telescope_audit_independent_of_call_order():
 def test_telescope_pole_in_conclusion_propagates():
     f_doc = parse_document("term p.F\npoly 1\ndenompoly n+k-3\nend\n")
     pair = WZPairSpec(name="pole", f=f_doc, g=builtin_pair("guillera1").g,
-                      scale_base=2, divisor_kind="strong", sum_id="")
+                      scale_base=2, divisor_kind="strong")
     with pytest.raises(TermEvalError) as pole:
         eval_term(f_doc.term, 3, 0)
     for big_n in (5, 3, 4, 6):
@@ -268,7 +267,7 @@ def test_grid_row_skip_reasons_follow_evaluation_order(skip_pair_dir):
         name="skips",
         f=parse_document((skip_pair_dir / "s.F").read_text("utf-8")),
         g=parse_document((skip_pair_dir / "s.G").read_text("utf-8")),
-        scale_base=-4096, divisor_kind="strong", sum_id="")
+        scale_base=-4096, divisor_kind="strong")
     # k=3: G(n+1,3) fails first; k=5: F(n,5); k=6: F(n,5) again as
     # F(n,k-1) although F(n,6) fails too; k=7: F(n,6) as F(n,k-1).
     assert wz_grid_row(pair, 7) == (3, [], [
@@ -301,7 +300,7 @@ def test_grid_block_matches_single_rows(skip_pair_dir, rows):
         name="skips",
         f=parse_document((skip_pair_dir / "s.F").read_text("utf-8")),
         g=parse_document((skip_pair_dir / "s.G").read_text("utf-8")),
-        scale_base=-4096, divisor_kind="strong", sum_id="")
+        scale_base=-4096, divisor_kind="strong")
     assert wz_grid_rows(pair, rows) == [wz_grid_row(pair, n) for n in rows]
 
 
