@@ -16,14 +16,14 @@ from .pairs import DIVISOR_KINDS, WZPairSpec, builtin_document, \
     builtin_document_names, builtin_document_text, builtin_pair, \
     builtin_pair_names
 from .polyalg import BivarPoly, RationalFunction
-from .report import FORMATS, ReportRecord, render
+from .report import FORMATS, ReportRecord, render, write
 from .verify import DivisionCheck, LemmaAudit, MarginRecord, QuotientIdentity, \
     RatioCheck, SumSpec, LEMMA24_REGIONS, RATIO_IDENTITIES, SUM_SPECS, \
     check_divisibility, check_divisibility_valuations, \
     divisor, eval_sum, floor_margin, floor_margin_fractional, iter_sums, \
     lemma22_point, lemma22_row, lemma23_point, lemma24_scan, lemma25_scan, \
     lemma25_valuations, lemma25_w, lemma26_floor_margin, lemma26_ineq_scan, \
-    lemma26_point, ratio_identity, ratio_k_values, sum_spec
+    lemma26_point, lemma26_rows, ratio_identity, ratio_k_values, sum_spec
 from .wz import TelescopeAudit, telescope_audit, wz_certificate, wz_grid_row, \
     wz_grid_rows, wz_symbolic_check
 
@@ -44,10 +44,10 @@ __all__ = [
     "floor_margin_fractional", "int_valuation", "iter_sums", "legendre_valuation",
     "lemma22_point", "lemma22_row", "lemma23_point", "lemma24_scan",
     "lemma25_scan", "lemma25_valuations", "lemma25_w", "lemma26_floor_margin",
-    "lemma26_ineq_scan", "lemma26_point", "parse_document",
+    "lemma26_ineq_scan", "lemma26_point", "lemma26_rows", "parse_document",
     "primes_upto", "rat_valuation", "ratio_identity", "ratio_k_values",
     "render", "serialize_document", "shift_quotient",
     "smallest_prime_factors", "sum_spec", "telescope_audit", "term_quotient",
-    "wz_certificate", "wz_grid_row", "wz_grid_rows",
+    "write", "wz_certificate", "wz_grid_row", "wz_grid_rows",
     "wz_symbolic_check",
 ]

@@ -3,6 +3,8 @@
 Scans parallelize over their outer parameter with an ordered merge, so
 report bytes are identical for every --jobs value.  --jobs is an upper
 bound: work items run in this process until the work left pays for a pool.
+Every record is computed before the first byte of the report is written;
+report.write then streams the records one at a time.
 
 Exit codes:
   0  no record failed;
@@ -27,10 +29,10 @@ from time import perf_counter_ns
 from .dsl import DslError, parse_document, serialize_document
 from .hyperterm import NotProportionalError, TermEvalError, eval_term
 from .pairs import WZPairSpec, builtin_document, builtin_pair, builtin_pair_names
-from .report import FAIL, FORMATS, PASS, SKIPPED, ReportRecord, render
+from .report import FAIL, FORMATS, PASS, SKIPPED, ReportRecord, write
 from .verify import LEMMA24_REGIONS, RATIO_IDENTITIES, SUM_SPECS, \
     LemmaAudit, check_divisibility, lemma22_row, lemma23_point, \
-    lemma24_scan, lemma25_scan, lemma26_ineq_scan, lemma26_point, \
+    lemma24_scan, lemma25_scan, lemma26_ineq_scan, lemma26_rows, \
     check_divisibility_valuations, ratio_identity, ratio_k_values, sum_spec
 from .wz import telescope_audit, wz_certificate, wz_grid_rows, wz_symbolic_check
 
@@ -186,12 +188,11 @@ def _reject_ignored(context: str, options: dict) -> None:
             raise ConfigError(f"{context} takes no {flag}")
 
 
-def _division_witness(division) -> list[tuple[str, str]]:
+def _division_witness(division) -> tuple:
     """value, divisor, then the quotient on success or the remainder."""
-    last = (("quotient", str(division.quotient)) if division.ok
-            else ("remainder", str(division.remainder)))
-    return [("value", str(division.value)),
-            ("divisor", str(division.divisor)), last]
+    last = (("quotient", division.quotient) if division.ok
+            else ("remainder", division.remainder))
+    return (("value", division.value), ("divisor", division.divisor), last)
 
 
 def _summary(check: str, params: tuple, count_key: str, count: int,
@@ -201,7 +202,7 @@ def _summary(check: str, params: tuple, count_key: str, count: int,
     fails = sum(rec.status == FAIL for rec in records)
     summary = ReportRecord(
         check, params, FAIL if fails else PASS,
-        ((count_key, str(count)), ("violations", str(fails))) + extra)
+        ((count_key, count), ("violations", fails)) + extra)
     return [summary] + records
 
 
@@ -223,11 +224,11 @@ def _sum_records(args: tuple) -> list[ReportRecord]:
         if valuation:
             val_ok, _ = check_divisibility_valuations(spec, kind, n)
             agree = val_ok == division.ok
-            witness.append(("valuation", "agree" if agree else "disagree"))
+            witness += (("valuation", "agree" if agree else "disagree"),)
         params = (("sum", name), ("divisor", used_kind), ("n", n))
         records.append(ReportRecord(
             "sumcheck", params, PASS if division.ok and agree else FAIL,
-            tuple(witness)))
+            witness))
     return records
 
 
@@ -252,7 +253,7 @@ def _grid_block_records(pair: WZPairSpec, rows: range
                                                   wz_grid_rows(pair, rows)):
         params = (("pair", pair.name), ("mode", "grid"), ("n", n))
         records = [ReportRecord("wzcheck", params + (("k", k),), FAIL,
-                                (("lhs", str(lhs)), ("rhs", str(rhs))))
+                                (("lhs", lhs), ("rhs", rhs)))
                    for (_, k), lhs, rhs in violations]
         records += [ReportRecord("wzcheck", params + (("k", k),), SKIPPED,
                                  (("reason", message),))
@@ -266,11 +267,11 @@ def _telescope_record(args: tuple) -> ReportRecord:
     audit = telescope_audit(pair, big_n, scale_exp=scale_exp, divisor_kind=kind)
     params = (("pair", pair.name), ("mode", "telescope"), ("N", big_n),
               ("divisor_kind", audit.divisor_kind), ("scale_exp", audit.scale_exp))
-    witness: list[tuple[str, str]] = [("divisor", str(audit.divisor))]
+    witness: list[tuple] = [("divisor", audit.divisor)]
     if audit.ok:
-        witness += [("g_sum_quotient", str(audit.g_sum.quotient)),
-                    ("corner_quotient", str(audit.corner.quotient)),
-                    ("conclusion_quotient", str(audit.conclusion.quotient))]
+        witness += [("g_sum_quotient", audit.g_sum.quotient),
+                    ("corner_quotient", audit.corner.quotient),
+                    ("conclusion_quotient", audit.conclusion.quotient)]
         return ReportRecord("wzcheck", params, PASS, tuple(witness))
     for label, rec in ([(f"g_term_k{k}", r) for k, r in audit.g_terms]
                        + [("g_sum", audit.g_sum), ("corner", audit.corner),
@@ -278,7 +279,7 @@ def _telescope_record(args: tuple) -> ReportRecord:
         if not rec.ok:
             reason = "non-integral" if not rec.integral else "not-divisible"
             witness += [("failed_at", label), ("reason", reason),
-                        ("value", str(rec.value))]
+                        ("value", rec.value)]
             break
     return ReportRecord("wzcheck", params, FAIL, tuple(witness))
 
@@ -319,7 +320,7 @@ def _cmd_wzcheck(args: argparse.Namespace) -> list[ReportRecord]:
             "wzcheck",
             (("pair", pair.name), ("mode", "grid"), ("n_max", args.n_max)),
             "points", sum(c for c, _ in rows), records,
-            ("skipped", str(sum(rec.status == SKIPPED for rec in records))))
+            ("skipped", sum(rec.status == SKIPPED for rec in records)))
 
     if args.mode == "symbolic":
         params = (("pair", pair.name), ("mode", "symbolic"))
@@ -346,7 +347,7 @@ def _cmd_wzcheck(args: argparse.Namespace) -> list[ReportRecord]:
 
 def _lemma22_row(n: int) -> list[ReportRecord]:
     failures = [ReportRecord("lemma", (("id", "2.2"), ("n", n), ("k", k)),
-                             FAIL, tuple(_division_witness(division)))
+                             FAIL, _division_witness(division))
                 for k, division in enumerate(lemma22_row(n), 1)
                 if not division.ok]
     return _summary("lemma", (("id", "2.2"), ("n", n)), "k_checked", n,
@@ -355,31 +356,31 @@ def _lemma22_row(n: int) -> list[ReportRecord]:
 
 def _lemma23_record(n: int) -> ReportRecord:
     point = lemma23_point(n)
-    witness = _division_witness(point.division) + [
-        ("closed_form", str(point.closed_form))]
+    witness = _division_witness(point.division) + (
+        ("closed_form", point.closed_form),)
     return ReportRecord("lemma", (("id", "2.3"), ("n", n)),
-                        PASS if point.ok else FAIL, tuple(witness))
+                        PASS if point.ok else FAIL, witness)
 
 
-def _lemma26_record(n: int) -> ReportRecord:
-    division = lemma26_point(n)
-    return ReportRecord("lemma", (("id", "2.6"), ("n", n)),
-                        PASS if division.ok else FAIL,
-                        tuple(_division_witness(division)))
+def _lemma26_records(ns: range) -> list[ReportRecord]:
+    return [ReportRecord("lemma", (("id", "2.6"), ("n", n)),
+                         PASS if division.ok else FAIL,
+                         _division_witness(division))
+            for n, division in zip(ns, lemma26_rows(ns))]
 
 
 def _lemma25_violation_record(violation: tuple) -> ReportRecord:
     kind, n, k = violation[:3]
     params = (("id", "2.5"), ("n", n), ("k", k))
     if kind == "non-integral":
-        witness = (("reason", kind), ("value", str(violation[3])))
+        witness = (("reason", kind), ("value", violation[3]))
     elif kind == "negative-valuation":
         detail = " ".join(f"p{p}:{s}" for p, s in violation[3])
         witness = (("reason", kind), ("valuations", detail))
     else:  # valuation-mismatch
         _, _, _, p, margin_sum, direct = violation
-        witness = (("reason", kind), ("p", str(p)),
-                   ("margin_sum", str(margin_sum)), ("direct", str(direct)))
+        witness = (("reason", kind), ("p", p), ("margin_sum", margin_sum),
+                   ("direct", direct))
     return ReportRecord("lemma", params, FAIL, witness)
 
 
@@ -428,7 +429,7 @@ def _cmd_lemma(args: argparse.Namespace) -> list[ReportRecord]:
             range(2, m_max + 1), visited, args.jobs))
         failures = [ReportRecord(
             "lemma", (("id", "2.4"), ("m", rec.m), ("n", rec.n), ("k", rec.k)),
-            FAIL, (("margin", str(rec.margin)),)) for rec in audit.violations]
+            FAIL, (("margin", rec.margin),)) for rec in audit.violations]
         return _summary("lemma", (("id", "2.4"),) + audit.params, "checked",
                         audit.checked, failures)
 
@@ -441,13 +442,16 @@ def _cmd_lemma(args: argparse.Namespace) -> list[ReportRecord]:
                         audit.checked, failures)
 
     # 2.6: pointwise quotients plus the five-floor inequality scan
-    records = _pmap(_lemma26_record, list(range(1, n_max + 1)), args.jobs)
+    records = [rec for block in _pmap_blocks(_lemma26_records,
+                                             range(1, n_max + 1), lambda n: n,
+                                             args.jobs)
+               for rec in block]
     audit = _merged(_pmap_blocks(partial(lemma26_ineq_scan, m_max),
                                  range(2, m_max + 1), lambda m: m, args.jobs))
     params = (("id", "2.6"), ("inequality", "five-floor"))
     failures = [ReportRecord(
         "lemma", params + (("m", rec.m), ("n", rec.n)),
-        FAIL, (("margin", str(rec.margin)),)) for rec in audit.violations]
+        FAIL, (("margin", rec.margin),)) for rec in audit.violations]
     return records + _summary("lemma", params + audit.params, "checked",
                               audit.checked, failures)
 
@@ -461,9 +465,9 @@ def _ratio_records(args: tuple) -> list[ReportRecord]:
     k_range = ratio_k_values(identity, big_n)
     if k_range is None:
         check = ratio_identity(identity, big_n)
-        witness = [("lhs", str(check.lhs)), ("rhs", str(check.rhs))]
+        witness = [("lhs", check.lhs), ("rhs", check.rhs)]
         if check.alt is not None:
-            witness.append(("alt", str(check.alt)))
+            witness.append(("alt", check.alt))
         return [ReportRecord("ratio", (("id", identity), ("N", big_n)),
                              PASS if check.equal else FAIL, tuple(witness))]
     failures = []
@@ -472,7 +476,7 @@ def _ratio_records(args: tuple) -> list[ReportRecord]:
         if not check.equal:
             failures.append(ReportRecord(
                 "ratio", (("id", identity), ("N", big_n), ("k", k)), FAIL,
-                (("lhs", str(check.lhs)), ("rhs", str(check.rhs)))))
+                (("lhs", check.lhs), ("rhs", check.rhs))))
     return _summary("ratio", (("id", identity), ("N", big_n)), "k_checked",
                     len(k_range), failures)
 
@@ -515,8 +519,8 @@ def _cmd_term(args: argparse.Namespace) -> list[ReportRecord] | str:
         term = doc.term
         witness = (("name", doc.name),
                    ("sign", term.sign_exponent.render()),
-                   ("base_factors", str(len(term.base_factors))),
-                   ("binom_factors", str(len(term.binom_factors))))
+                   ("base_factors", len(term.base_factors)),
+                   ("binom_factors", len(term.binom_factors)))
         return [ReportRecord("term", (("action", "parse"),), PASS, witness)]
     if args.n is None or args.k is None:
         raise ConfigError("term eval needs --n and --k")
@@ -526,7 +530,7 @@ def _cmd_term(args: argparse.Namespace) -> list[ReportRecord] | str:
         value = eval_term(doc.term, args.n, args.k)
     except TermEvalError as exc:
         return [ReportRecord("term", params, FAIL, (("reason", str(exc)),))]
-    return [ReportRecord("term", params, PASS, (("value", str(value)),))]
+    return [ReportRecord("term", params, PASS, (("value", value),))]
 
 
 # ---------------------------------------------------------------------------
@@ -636,12 +640,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(writer, output: str | None) -> None:
+    """writer(stream) on stdout, or on the file --output names, which is
+    opened only now."""
     if output is None:
-        sys.stdout.write(text)
+        writer(sys.stdout)
         return
     try:
-        Path(output).write_text(text, "utf-8")
+        with open(output, "w", encoding="utf-8") as out:
+            writer(out)
     except OSError as exc:
         raise ConfigError(f"cannot write report to {output!r}: {exc}")
 
@@ -651,11 +658,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.jobs = _jobs(args.jobs)
-        result = args.run(args)
-        if isinstance(result, str):
-            _emit(result, args.output)
+        result = args.run(args)  # every record, before the first byte
+        if isinstance(result, str):  # term serialize: the text itself
+            _emit(lambda out: out.write(result), args.output)
             return 0
-        _emit(render(result, args.format), args.output)
+        _emit(partial(write, result, args.format), args.output)
         return 1 if any(rec.status == FAIL for rec in result) else 0
     except ConfigError as exc:
         print(f"binomsum: error: {exc}", file=sys.stderr)

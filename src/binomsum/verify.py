@@ -15,10 +15,12 @@ is a lookup and a new one costs O(1) big-integer steps.  iter_sums runs
 the same recurrence but builds every summand afresh from factorial
 quotients (exact.binomial), so the two routes share no binomial.
 lemma22_row steps its binomials along k the same way, against the
-factorial quotients of lemma22_point.  The floor forms of lemmas 2.4-2.6
-are declared once, as weighted affine forms in _EIGHT_FLOOR_FORMS and
-_FIVE_FLOOR_FORMS; the floor scans sum tables of them row by row
-(_margin_rows), and lemma 2.5's Legendre sums and step ratio read them.
+factorial quotients of lemma22_point, and lemma26_rows steps the five
+factorials of lemma 2.6 along n, against lemma26_point.  The floor forms
+of lemmas 2.4-2.6 are declared once, as weighted affine forms in
+_EIGHT_FLOOR_FORMS and _FIVE_FLOOR_FORMS; the floor scans sum tables of
+them row by row (_margin_rows), and lemma 2.5's Legendre sums and step
+ratio and lemma26_rows read them.
 Each ratio identity scales a stored pair term by its sum's base and
 divisor (pairs.SUM_SPECS) and compares it with a lemma function's quantity.
 """
@@ -28,7 +30,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, repeat
-from math import gcd
+from math import gcd, prod
 from operator import add, itemgetter, mul
 from typing import NamedTuple
 
@@ -647,6 +649,41 @@ def lemma26_point(n: int) -> DivisionCheck:
     value = factorial(6 * n - 5) * factorial(n - 1)
     div = factorial(2 * n - 1) * factorial(2 * n - 2) * factorial(3 * n - 3)
     return divide(value, div)
+
+
+def _rising(x: int, c: int) -> int:
+    """(x+1)(x+2)...(x+c): the factor that takes x! to (x+c)!."""
+    return prod(range(x + 1, x + c + 1))
+
+
+def lemma26_rows(ns: range) -> list[DivisionCheck]:
+    """lemma26_point(n) for each n of the run ns, with the five factorials
+    of _FIVE_FLOOR_FORMS stepped along n instead of looked up.
+
+    The products start at n = 1, where every factorial argument is 0 or 1,
+    and a form c0 + c_n*n moves from n to n + 1 by the rising product of
+    its c_n next integers, into the numerator or the denominator by the
+    sign of its weight.  A run that starts later steps up to it unrecorded:
+    small multiplications only, and no factorial enters a cache."""
+    if not ns:
+        return []
+    if ns[0] < 1 or ns.step != 1:
+        raise ValueError("lemma26_rows needs a run of consecutive n >= 1")
+    num = den = 1
+    checks = []
+    for n in range(1, ns[-1] + 1):
+        if n > 1:  # from n - 1 to n
+            up = down = 1
+            for (c0, c_n), w in _FIVE_FLOOR_FORMS:
+                step = _rising(c0 + c_n * (n - 1), c_n) ** abs(w)
+                if w > 0:
+                    up *= step
+                else:
+                    down *= step
+            num, den = num * up, den * down
+        if n >= ns[0]:
+            checks.append(divide(num, den))
+    return checks
 
 
 def lemma26_floor_margin(m: int, n: int) -> int:

@@ -10,9 +10,11 @@ import pytest
 
 import binomsum.cli as cli_module
 import binomsum.verify as verify_module
-from binomsum.cli import _blocks, _merged, _worker_count, main
-from binomsum.pairs import builtin_document_text
-from binomsum.verify import lemma24_scan, lemma25_scan, lemma26_ineq_scan
+from binomsum.cli import LEMMA_IDS, _blocks, _merged, _worker_count, main
+from binomsum.hyperterm import eval_term
+from binomsum.pairs import builtin_document, builtin_document_text
+from binomsum.verify import check_divisibility, lemma24_scan, lemma25_scan, \
+    lemma26_ineq_scan
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +69,19 @@ def test_sumcheck_rejects_bad_range(capsys):
     code, _, err = run_cli(capsys, "sumcheck", "--n-min", "1", "--n-max", "5")
     assert code == 2
     assert "n-min" in err
+
+
+def test_sumcheck_witnesses_beyond_the_digit_limit(capsys, int_str_limit):
+    # S(1990) of guillera2 has about 9,600 digits, over int.__str__'s limit.
+    code, out, err = run_cli(capsys, "sumcheck", "--sum", "guillera2",
+                             "--n-min", "1990", "--n-max", "1990",
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    (record,) = json_lines(out)
+    assert len(record["witness"]["value"]) > 4300
+    division = check_divisibility("guillera2", None, 1990)
+    assert record["witness"] == {key: int_str_limit(getattr(division, key))
+                                 for key in ("value", "divisor", "quotient")}
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +300,16 @@ def test_term_eval_builtin(capsys):
     assert record["witness"]["value"] == "-28755/32768"
 
 
+def test_term_eval_witness_beyond_the_digit_limit(capsys, int_str_limit):
+    code, out, err = run_cli(capsys, "term", "eval", "builtin:guillera1.F",
+                             "--n", "3000", "--k", "0", "--format", "json")
+    assert (code, err) == (0, "")
+    (record,) = json_lines(out)
+    value = eval_term(builtin_document("guillera1.F").term, 3000, 0)
+    assert len(record["witness"]["value"]) > 4300
+    assert record["witness"]["value"] == int_str_limit(value)
+
+
 def test_term_eval_requires_point(capsys):
     code, _, err = run_cli(capsys, "term", "eval", "builtin:guillera1.F")
     assert code == 2
@@ -318,6 +343,27 @@ def test_term_parse_error_exits_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "term", "parse", str(bad))
     assert code == 2
     assert "bad.F" in err
+
+
+def test_overlong_literal_exits_two_naming_its_position(tmp_path, capsys):
+    text = "term long\npoly 3*n+" + "1" * 5000 + "\nend\n"
+    where = "line 2, col 10: integer literal of 5000 digits"
+    doc = tmp_path / "long.F"
+    doc.write_text(text, "utf-8")
+    for argv in (["term", "parse", str(doc)],
+                 ["term", "eval", str(doc), "--n", "1", "--k", "0"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"long.F: {where}" in err
+    pair_dir = tmp_path / "pair"
+    pair_dir.mkdir()
+    (pair_dir / "long.F").write_text(text, "utf-8")
+    (pair_dir / "long.G").write_text(builtin_document_text("guillera1.G"),
+                                     "utf-8")
+    code, out, err = run_cli(capsys, "wzcheck", "--pair", str(pair_dir),
+                             "--mode", "symbolic")
+    assert (code, out) == (2, "")
+    assert err.startswith("binomsum: error: cannot load pair") and where in err
 
 
 def test_term_eval_pole_is_audit_failure(tmp_path, capsys):
@@ -571,15 +617,22 @@ def test_pmap_stays_serial_at_one_job(monkeypatch):
 
 def test_import_loads_neither_dataclasses_nor_the_report_formats():
     # dataclasses pulls in inspect, ast, dis and tokenize; csv and json are
-    # loaded by the renderers that need them.  -S keeps site hooks out.
+    # loaded by the writers that need them, so a whole human-format run
+    # loads none of them either.  -S keeps site hooks out.
     src = str(Path(cli_module.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
-         "import sys, binomsum.cli; print(sorted(m for m in "
-         "('dataclasses', 'inspect', 'csv', 'json') if m in sys.modules))"],
+         "import sys, binomsum.cli\n"
+         "def loaded(): return sorted(m for m in "
+         "('dataclasses', 'inspect', 'csv', 'json') if m in sys.modules)\n"
+         "print(loaded())\n"
+         "code = binomsum.cli.main(['term', 'parse', 'builtin:guillera2.G'])\n"
+         "print(code, loaded())"],
         capture_output=True, text=True, env=env)
-    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+    first, *report, last = proc.stdout.splitlines()
+    assert (proc.returncode, first, last) == (0, "[]", "0 []")
+    assert len(report) == 1 and report[0].startswith("PASS  term")
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 7, 45, 60])
@@ -638,3 +691,25 @@ def test_scan_parts_must_lie_within_the_scan():
         lemma25_scan(5, range(0, 3))
     with pytest.raises(ValueError, match="m_range"):
         lemma26_ineq_scan(5, range(1, 3))
+
+
+# ---------------------------------------------------------------------------
+# Every subcommand at its defaults
+# ---------------------------------------------------------------------------
+
+SMOKE = ([["sumcheck"], ["ratio"]]
+         + [["wzcheck", "--pair", f"builtin:{pair}", "--mode", mode]
+            for pair in ("guillera1", "guillera2")
+            for mode in ("grid", "symbolic", "telescope")]
+         + [["lemma", "--id", lemma] for lemma in LEMMA_IDS]
+         + [["term", action, "builtin:guillera2.G"]
+            for action in ("parse", "serialize")]
+         + [["term", "eval", "builtin:guillera2.G", "--n", "5", "--k", "2"]])
+
+
+@pytest.mark.parametrize("argv", SMOKE, ids=" ".join)
+def test_every_subcommand_completes_at_its_defaults(capsys, argv):
+    # --jobs 2 lets the longer audits (lemma 2.5, ratio) take a pool.
+    code, out, err = run_cli(capsys, *argv, "--jobs", "2")
+    assert (code, err) == (1 if argv == ["lemma", "--id", "2.4"] else 0, "")
+    assert out

@@ -119,3 +119,23 @@ def test_serialize_document_writes_the_given_name():
     t = parse_document(SIMPLE).term
     doc = TermDocument(name="renamed", term=t)
     assert serialize_document(doc).startswith("term renamed\n")
+
+
+# A literal one digit longer than the default int-from-str limit of 4300.
+LONG = "1" * 4301
+
+
+@pytest.mark.parametrize("line,col", [
+    ("poly 3*n+" + LONG, 10),           # a polynomial coefficient
+    ("poly n^" + LONG, 8),              # an exponent
+    ("base -" + LONG + "^(n)", 7),      # a base
+    ("factor binom(n," + LONG + ")", 16),  # a linear form
+    ("factor binom(n,k)^" + LONG, 19),  # a binomial's power
+])
+def test_overlong_integer_literal_is_a_parse_error_at_its_position(line,
+                                                                    col):
+    poly = "" if line.startswith("poly") else "poly 1\n"
+    with pytest.raises(ParseError) as err:
+        parse_document(f"term x\n{line}\n{poly}end\n")
+    assert (err.value.line, err.value.col) == (2, col)
+    assert "4301 digits" in str(err.value)

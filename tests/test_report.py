@@ -1,11 +1,11 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
-from binomsum.report import FORMATS, ReportRecord, render, render_csv, \
-    render_human, render_json
+from binomsum.report import FORMATS, ReportRecord, number_text, render, write
 
 SAMPLE = [
     ReportRecord("sumcheck", (("sum", "sun_a"), ("n", 2)), "pass",
@@ -23,7 +23,7 @@ def test_status_is_validated():
 
 
 def test_json_is_one_object_per_line():
-    text = render_json(SAMPLE)
+    text = render(SAMPLE, "json")
     lines = text.splitlines()
     assert len(lines) == 3
     first = json.loads(lines[0])
@@ -37,13 +37,13 @@ def test_json_is_one_object_per_line():
 def test_json_big_integers_are_strings():
     big = str(2 ** 400)
     rec = ReportRecord("sumcheck", (("n", 5),), "pass", (("value", big),))
-    parsed = json.loads(render_json([rec]).strip())
+    parsed = json.loads(render([rec], "json").strip())
     assert parsed["witness"]["value"] == big
     assert isinstance(parsed["witness"]["value"], str)
 
 
 def test_csv_header_and_cells():
-    rows = list(csv.reader(io.StringIO(render_csv(SAMPLE))))
+    rows = list(csv.reader(io.StringIO(render(SAMPLE, "csv"))))
     assert rows[0] == ["check", "params", "status", "witness"]
     assert len(rows) == 4
     assert rows[1][0] == "sumcheck"
@@ -52,7 +52,7 @@ def test_csv_header_and_cells():
 
 
 def test_human_format_lines_up():
-    lines = render_human(SAMPLE).splitlines()
+    lines = render(SAMPLE, "human").splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("PASS")
     assert lines[1].startswith("FAIL")
@@ -62,17 +62,67 @@ def test_human_format_lines_up():
 
 def test_render_dispatch_and_empty_input():
     for fmt in FORMATS:
-        assert render(SAMPLE, fmt) == {
-            "json": render_json, "csv": render_csv, "human": render_human,
-        }[fmt](SAMPLE)
-        # empty record set renders to empty output (header-only for csv)
+        stream = io.StringIO()
+        write(SAMPLE, fmt, stream)
+        assert render(SAMPLE, fmt) == stream.getvalue()
+    # empty record set renders to empty output (header-only for csv)
     assert render([], "json") == ""
     assert render([], "human") == ""
     assert render([], "csv") == "check,params,status,witness\n"
     with pytest.raises(ValueError):
         render(SAMPLE, "xml")
+    with pytest.raises(ValueError):
+        write(SAMPLE, "xml", io.StringIO())
 
 
 def test_rendering_is_deterministic():
     for fmt in FORMATS:
         assert render(SAMPLE, fmt) == render(list(SAMPLE), fmt)
+
+
+class _Lines(io.StringIO):
+    """A text stream that records each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def test_writers_put_one_record_at_a_time_on_the_stream():
+    for fmt in FORMATS:
+        stream = _Lines()
+        write(SAMPLE, fmt, stream)
+        assert stream.getvalue() == render(SAMPLE, fmt)
+        assert max(len(text) for text in stream.writes) < 120, fmt
+
+
+@pytest.mark.parametrize("digits", [1, 4300, 4301, 4400, 6000, 30000])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_number_text_is_exact_at_any_size(int_str_limit, digits, sign):
+    for value in (sign * 10 ** (digits - 1), sign * (10 ** digits - 1),
+                  sign * 7 ** int(digits / 0.8451)):
+        assert number_text(value) == int_str_limit(value)
+    with pytest.raises(ValueError):  # the guard itself stays in force
+        str(10 ** 4300)
+
+
+def test_number_text_of_fractions_and_text(int_str_limit):
+    big = 3 ** 20000
+    assert number_text(Fraction(-big, 2)) == f"-{int_str_limit(big)}/2"
+    assert number_text(Fraction(big)) == int_str_limit(big)
+    assert number_text(Fraction(-28755, 32768)) == "-28755/32768"
+    assert number_text("agree") == "agree"
+    assert number_text(0) == "0"
+
+
+def test_witness_numbers_render_as_their_text_in_every_format():
+    numbers = ReportRecord("lemma", (("n", 3),), "pass",
+                           (("value", 24), ("ratio", Fraction(-1, 3))))
+    texts = ReportRecord("lemma", (("n", 3),), "pass",
+                         (("value", "24"), ("ratio", "-1/3")))
+    for fmt in FORMATS:
+        assert render([numbers], fmt) == render([texts], fmt)

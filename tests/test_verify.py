@@ -12,8 +12,8 @@ from binomsum.verify import RATIO_IDENTITIES, SUM_SPECS, MarginRecord, \
     eval_sum, floor_margin, floor_margin_fractional, iter_sums, \
     lemma22_point, lemma22_row, lemma23_point, \
     lemma24_scan, lemma25_scan, lemma25_valuations, lemma25_w, \
-    lemma26_floor_margin, lemma26_ineq_scan, lemma26_point, ratio_identity, \
-    ratio_k_values, sum_spec, valuation_failures
+    lemma26_floor_margin, lemma26_ineq_scan, lemma26_point, lemma26_rows, \
+    ratio_identity, ratio_k_values, sum_spec, valuation_failures
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +559,51 @@ def test_lemma26_points():
     assert lemma26_point(3).quotient == 6006
     for n in range(1, 80):
         assert lemma26_point(n).ok
+
+
+# Runs of n for lemma26_rows: the whole range, blocks that start mid-range
+# (as the CLI's blocks do at --jobs 2), single points and the empty run.
+LEMMA26_RUNS = [range(1, 301), range(137, 301), range(2, 3), range(250, 263),
+                range(1, 2), range(40, 40)]
+
+
+@pytest.fixture(scope="module")
+def lemma26_points():
+    return {n: lemma26_point(n) for n in range(1, 301)}
+
+
+@pytest.mark.parametrize("ns", LEMMA26_RUNS, ids=str)
+def test_lemma26_rows_match_the_factorial_quotients(lemma26_points, ns):
+    assert lemma26_rows(ns) == [lemma26_points[n] for n in ns]
+
+
+def test_lemma26_rows_fill_no_factorial_cache(monkeypatch):
+    monkeypatch.setattr(exact_module, "_factorials", [1, 1])
+    assert all(check.ok for check in lemma26_rows(range(290, 301)))
+    assert exact_module._factorials == [1, 1]
+
+
+@pytest.mark.parametrize("ns", [range(0, 3), range(1, 9, 2)], ids=str)
+def test_lemma26_rows_reject_bad_runs(ns):
+    with pytest.raises(ValueError):
+        lemma26_rows(ns)
+
+
+def test_lemma26_rows_catch_a_planted_one_off_step(lemma26_points,
+                                                   monkeypatch):
+    # One step of one form multiplies by x..x+c-1 instead of x+1..x+c: the
+    # (3n-3)! factor moving from n = 150 to 151, so every point from 151 on
+    # is wrong.
+    rising = verify_module._rising
+
+    def planted(x, c):
+        return rising(x - 1, c) if (x, c) == (3 * 150 - 3, 3) else rising(x, c)
+
+    monkeypatch.setattr(verify_module, "_rising", planted)
+    for ns in LEMMA26_RUNS[:2]:
+        wrong = [n for n, check in zip(ns, lemma26_rows(ns))
+                 if check != lemma26_points[n]]
+        assert wrong == list(range(151, 301)), ns
 
 
 def test_lemma26_floor_margin_spots():
