@@ -656,22 +656,18 @@ def _rising(x: int, c: int) -> int:
     return prod(range(x + 1, x + c + 1))
 
 
-def lemma26_rows(ns: range) -> list[DivisionCheck]:
-    """lemma26_point(n) for each n of the run ns, with the five factorials
-    of _FIVE_FLOOR_FORMS stepped along n instead of looked up.
+def lemma26_rows(n_max: int) -> list[DivisionCheck]:
+    """lemma26_point(n) for n = 1..n_max, with the five factorials of
+    _FIVE_FLOOR_FORMS stepped along n instead of looked up.
 
     The products start at n = 1, where every factorial argument is 0 or 1,
     and a form c0 + c_n*n moves from n to n + 1 by the rising product of
     its c_n next integers, into the numerator or the denominator by the
-    sign of its weight.  A run that starts later steps up to it unrecorded:
-    small multiplications only, and no factorial enters a cache."""
-    if not ns:
-        return []
-    if ns[0] < 1 or ns.step != 1:
-        raise ValueError("lemma26_rows needs a run of consecutive n >= 1")
+    sign of its weight: small multiplications only, and no factorial
+    enters a cache."""
     num = den = 1
     checks = []
-    for n in range(1, ns[-1] + 1):
+    for n in range(1, n_max + 1):
         if n > 1:  # from n - 1 to n
             up = down = 1
             for (c0, c_n), w in _FIVE_FLOOR_FORMS:
@@ -681,8 +677,7 @@ def lemma26_rows(ns: range) -> list[DivisionCheck]:
                 else:
                     down *= step
             num, den = num * up, den * down
-        if n >= ns[0]:
-            checks.append(divide(num, den))
+        checks.append(divide(num, den))
     return checks
 
 

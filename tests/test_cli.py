@@ -708,7 +708,9 @@ SMOKE = ([["sumcheck"], ["ratio"]]
 
 
 @pytest.mark.parametrize("argv", SMOKE, ids=" ".join)
-def test_every_subcommand_completes_at_its_defaults(capsys, argv):
+def test_every_subcommand_completes_at_its_defaults(capsys, int_str_limit,
+                                                   argv):
+    # Under the default digit limit, which lemma 2.6's witnesses pass.
     # --jobs 2 lets the longer audits (lemma 2.5, ratio) take a pool.
     code, out, err = run_cli(capsys, *argv, "--jobs", "2")
     assert (code, err) == (1 if argv == ["lemma", "--id", "2.4"] else 0, "")

@@ -561,32 +561,20 @@ def test_lemma26_points():
         assert lemma26_point(n).ok
 
 
-# Runs of n for lemma26_rows: the whole range, blocks that start mid-range
-# (as the CLI's blocks do at --jobs 2), single points and the empty run.
-LEMMA26_RUNS = [range(1, 301), range(137, 301), range(2, 3), range(250, 263),
-                range(1, 2), range(40, 40)]
-
-
 @pytest.fixture(scope="module")
 def lemma26_points():
-    return {n: lemma26_point(n) for n in range(1, 301)}
+    return [lemma26_point(n) for n in range(1, 301)]
 
 
-@pytest.mark.parametrize("ns", LEMMA26_RUNS, ids=str)
-def test_lemma26_rows_match_the_factorial_quotients(lemma26_points, ns):
-    assert lemma26_rows(ns) == [lemma26_points[n] for n in ns]
+@pytest.mark.parametrize("n_max", [0, 1, 2, 300])
+def test_lemma26_rows_match_the_factorial_quotients(lemma26_points, n_max):
+    assert lemma26_rows(n_max) == lemma26_points[:n_max]
 
 
 def test_lemma26_rows_fill_no_factorial_cache(monkeypatch):
     monkeypatch.setattr(exact_module, "_factorials", [1, 1])
-    assert all(check.ok for check in lemma26_rows(range(290, 301)))
+    assert all(check.ok for check in lemma26_rows(300))
     assert exact_module._factorials == [1, 1]
-
-
-@pytest.mark.parametrize("ns", [range(0, 3), range(1, 9, 2)], ids=str)
-def test_lemma26_rows_reject_bad_runs(ns):
-    with pytest.raises(ValueError):
-        lemma26_rows(ns)
 
 
 def test_lemma26_rows_catch_a_planted_one_off_step(lemma26_points,
@@ -600,10 +588,9 @@ def test_lemma26_rows_catch_a_planted_one_off_step(lemma26_points,
         return rising(x - 1, c) if (x, c) == (3 * 150 - 3, 3) else rising(x, c)
 
     monkeypatch.setattr(verify_module, "_rising", planted)
-    for ns in LEMMA26_RUNS[:2]:
-        wrong = [n for n, check in zip(ns, lemma26_rows(ns))
-                 if check != lemma26_points[n]]
-        assert wrong == list(range(151, 301)), ns
+    wrong = [n for n, (check, point) in enumerate(
+        zip(lemma26_rows(300), lemma26_points), 1) if check != point]
+    assert wrong == list(range(151, 301))
 
 
 def test_lemma26_floor_margin_spots():
