@@ -21,9 +21,10 @@ from .verify import DivisionCheck, LemmaAudit, MarginRecord, QuotientIdentity, \
     RatioCheck, SumSpec, LEMMA24_REGIONS, RATIO_IDENTITIES, SUM_SPECS, \
     check_divisibility, check_divisibility_valuations, \
     divisor, eval_sum, floor_margin, floor_margin_fractional, iter_sums, \
-    lemma22_point, lemma22_row, lemma23_point, lemma24_scan, lemma25_scan, \
-    lemma25_valuations, lemma25_w, lemma26_floor_margin, lemma26_ineq_scan, \
-    lemma26_point, lemma26_rows, ratio_identity, ratio_k_values, sum_spec
+    lemma22_point, lemma22_row, lemma23_point, lemma23_rows, lemma24_scan, \
+    lemma25_row, lemma25_scan, lemma25_valuations, lemma25_w, \
+    lemma26_floor_margin, lemma26_ineq_scan, lemma26_point, lemma26_rows, \
+    ratio_identity, ratio_k_values, sum_spec
 from .wz import TelescopeAudit, telescope_audit, wz_certificate, wz_grid_row, \
     wz_grid_rows, wz_symbolic_check
 
@@ -42,8 +43,9 @@ __all__ = [
     "check_divisibility", "check_divisibility_valuations", "divisor",
     "eval_sum", "eval_term", "factorial", "floor_margin",
     "floor_margin_fractional", "int_valuation", "iter_sums", "legendre_valuation",
-    "lemma22_point", "lemma22_row", "lemma23_point", "lemma24_scan",
-    "lemma25_scan", "lemma25_valuations", "lemma25_w", "lemma26_floor_margin",
+    "lemma22_point", "lemma22_row", "lemma23_point", "lemma23_rows",
+    "lemma24_scan", "lemma25_row", "lemma25_scan", "lemma25_valuations",
+    "lemma25_w", "lemma26_floor_margin",
     "lemma26_ineq_scan", "lemma26_point", "lemma26_rows", "parse_document",
     "primes_upto", "rat_valuation", "ratio_identity", "ratio_k_values",
     "render", "serialize_document", "shift_quotient",

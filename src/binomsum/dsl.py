@@ -13,7 +13,9 @@ Polynomials use +, -, *, ^ over integer literals and the symbols n and
 k; whitespace inside a line is insignificant and '#' starts a comment.
 Serialization is canonical (decreasing lex term order, n before k), so
 serialize(parse(serialize(parse(text)))) == serialize(parse(text)) and
-files written by the serializer round-trip byte for byte.
+files written by the serializer round-trip byte for byte, unless an
+integer in them is longer than the int-from-str digit limit (see
+serialize_document).
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ import re
 import sys
 from fractions import Fraction
 
+from .exact import int_text
 from .hyperterm import (BaseFactor, BinomFactor, HypergeometricTerm,
                         LinearForm, TermDocument, ZERO_FORM)
 from .polyalg import BivarPoly
@@ -315,7 +318,12 @@ def parse_document(text: str) -> TermDocument:
 
 
 def serialize_document(doc: TermDocument) -> str:
-    """Canonical text form; parse(serialize(d)) reproduces d exactly."""
+    """Canonical text form; parse(serialize(d)) reproduces d exactly.
+
+    Every integer is written exactly at any size (exact.int_text), but
+    parse rejects a literal longer than the int-from-str digit limit, so
+    a coefficient past it (10^5000*n, say) serializes without parsing
+    back."""
     lines: list[str] = []
     if doc.note:
         for note_line in doc.note.split("\n"):
@@ -325,7 +333,7 @@ def serialize_document(doc: TermDocument) -> str:
     if t.sign_exponent != ZERO_FORM:
         lines.append(f"sign (-1)^({t.sign_exponent.render()})")
     for bf in t.base_factors:
-        lines.append(f"base {bf.base}^({bf.exponent.render()})")
+        lines.append(f"base {int_text(bf.base)}^({bf.exponent.render()})")
     for fb in t.binom_factors:
         suffix = "" if fb.power == 1 else f"^{fb.power}"
         lines.append(f"factor binom({fb.top.render()},{fb.bottom.render()}){suffix}")

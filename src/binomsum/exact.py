@@ -1,9 +1,9 @@
 """Exact integer and rational arithmetic primitives.
 
 All functions operate on Python ints (arbitrary precision) and
-fractions.Fraction; nothing here ever rounds. The factorial cache grows
-incrementally so repeated audits over a contiguous range stay amortized
-linear. It is per process: parallel audits run in worker processes,
+fractions.Fraction; nothing here ever rounds, and int_text renders an int
+of any size in decimal. The factorial cache grows incrementally so
+repeated audits over a contiguous range stay amortized linear. It is per process: parallel audits run in worker processes,
 each of which fills its own copy.
 """
 from __future__ import annotations
@@ -45,6 +45,28 @@ def binomial(a: int, b: int) -> int:
     if b < 0 or a < 0 or b > a:
         return 0
     return factorial(a) // (factorial(b) * factorial(a - b))
+
+
+def int_text(value: int) -> str:
+    """str(value) for an int of any size.
+
+    Within sys.get_int_max_str_digits() digits this is str() itself.
+    Beyond it, |value| is split by divmod at about half its digits, and
+    each half is rendered the same way, so every str() call stays under
+    the limit, which itself stays in force.  For the 4,300 to 10,000
+    digits the audits produce (lemma 2.6 at its defaults, sumcheck near
+    n = 2000) and the coefficients a symbolic render may carry, this is
+    faster than a divide and conquer through exact
+    decimal values, which wins only above about 15,000 digits.
+    """
+    try:
+        return str(value)
+    except ValueError:  # more digits than the int-to-str limit allows
+        pass
+    half = (abs(value).bit_length() * 1233 >> 12) // 2  # log10(2) ~ 1233/4096
+    hi, lo = divmod(abs(value), 10 ** half)
+    digits = int_text(hi) + int_text(lo).zfill(half)
+    return "-" + digits if value < 0 else digits
 
 
 def legendre_valuation(p: int, n: int) -> int:

@@ -17,6 +17,8 @@ from fractions import Fraction
 from functools import reduce
 from typing import Iterator, Mapping
 
+from .exact import int_text
+
 Monomial = tuple[int, int]
 
 
@@ -185,8 +187,8 @@ def _render_term(m: Monomial, mag: Fraction) -> str:
     i, j = m
     factors: list[str] = []
     if mag != 1 or (i == 0 and j == 0):
-        factors.append(str(mag.numerator) if mag.denominator == 1 else
-                       f"{mag.numerator}/{mag.denominator}")
+        factors.append(int_text(mag.numerator) if mag.denominator == 1 else
+                       f"{int_text(mag.numerator)}/{int_text(mag.denominator)}")
     if i:
         factors.append("n" if i == 1 else f"n^{i}")
     if j:

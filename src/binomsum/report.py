@@ -14,6 +14,7 @@ import io
 from fractions import Fraction
 from typing import NamedTuple, TextIO
 
+from .exact import int_text
 from .records import Validated
 
 FORMATS = ("json", "csv", "human")
@@ -44,36 +45,15 @@ class ReportRecord(Validated, _RecordFields):
 # Exact decimal text of any size
 # ---------------------------------------------------------------------------
 
-def _int_text(value: int) -> str:
-    """str(value) for an int of any size.
-
-    Within sys.get_int_max_str_digits() digits this is str() itself.
-    Beyond it, |value| is split by divmod at about half its digits, and
-    each half is rendered the same way, so every str() call stays under
-    the limit, which itself stays in force.  For the 4,300 to 10,000
-    digits the audits produce (lemma 2.6 at its defaults, sumcheck near
-    n = 2000) this is faster than a divide and conquer through exact
-    decimal values, which wins only above about 15,000 digits.
-    """
-    try:
-        return str(value)
-    except ValueError:  # more digits than the int-to-str limit allows
-        pass
-    half = (abs(value).bit_length() * 1233 >> 12) // 2  # log10(2) ~ 1233/4096
-    hi, lo = divmod(abs(value), 10 ** half)
-    digits = _int_text(hi) + _int_text(lo).zfill(half)
-    return "-" + digits if value < 0 else digits
-
-
 def number_text(value: int | Fraction | str) -> str:
     """str(value), exact at any size: an int in decimal, a Fraction as
     p/q (or p when q is 1), and any other value as str gives it."""
     if isinstance(value, int):
-        return _int_text(value)
+        return int_text(value)
     if isinstance(value, Fraction):
         if value.denominator == 1:
-            return _int_text(value.numerator)
-        return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
+            return int_text(value.numerator)
+        return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
     return str(value)
 
 

@@ -14,13 +14,16 @@ of prefix sums by S(k+1) = base*S(k) + t(k), so a point already reached
 is a lookup and a new one costs O(1) big-integer steps.  iter_sums runs
 the same recurrence but builds every summand afresh from factorial
 quotients (exact.binomial), so the two routes share no binomial.
-lemma22_row steps its binomials along k the same way, against the
-factorial quotients of lemma22_point, and lemma26_rows steps the five
-factorials of lemma 2.6 along n, against lemma26_point.  The floor forms
-of lemmas 2.4-2.6 are declared once, as weighted affine forms in
-_EIGHT_FLOOR_FORMS and _FIVE_FLOOR_FORMS; the floor scans sum tables of
-them row by row (_margin_rows), and lemma 2.5's Legendre sums and step
-ratio and lemma26_rows read them.
+The lemma audits step along a row the same way, each against a per-point
+reference that builds every binomial or factorial afresh: lemma22_row
+(binomials along k) against lemma22_point, lemma23_rows (binomials along
+n) against lemma23_point, lemma25_row (binomials and the factorial form
+of W along k) against lemma25_w, and lemma26_rows (five factorials along
+n) against lemma26_point.  The floor forms of lemmas 2.4-2.6 are declared
+once, as weighted affine forms in _EIGHT_FLOOR_FORMS and
+_FIVE_FLOOR_FORMS; the floor scans sum tables of them row by row
+(_margin_rows), and lemma 2.5's Legendre sums, step ratio and factorial
+form, and lemma26_rows, read them.
 Each ratio identity scales a stored pair term by its sum's base and
 divisor (pairs.SUM_SPECS) and compares it with a lemma function's quantity.
 """
@@ -82,6 +85,11 @@ def _exact_step(num: int, den: int) -> int:
 def _central_step(k: int, central: int) -> int:
     """C(2k+2, k+1) from central = C(2k, k)."""
     return _exact_step(central * (2 * (2 * k + 1)), k + 1)
+
+
+def _middle_step(n: int, k: int, mid: int) -> int:
+    """C(n+k+1, 2k+2) from mid = C(n+k, 2k)."""
+    return _exact_step(mid * (n + k + 1) * (n - k), (2 * k + 1) * (2 * k + 2))
 
 
 def _quad_step(k: int, quad: int) -> int:
@@ -304,8 +312,7 @@ def lemma22_row(n: int) -> list[DivisionCheck]:
     head, mid, central, checks = n * big, 1, 1, []
     for k in range(n):  # from k to k + 1
         big, central = _central_step(n + k, big), _central_step(k, central)
-        mid = _exact_step(mid * (n + k + 1) * (n - k),
-                          (2 * k + 1) * (2 * k + 2))
+        mid = _middle_step(n, k, mid)
         checks.append(divide(head * big * mid, (2 * n + 2 * k + 1) * central))
     return checks
 
@@ -333,6 +340,26 @@ def lemma23_point(n: int) -> QuotientIdentity:
     return QuotientIdentity(division, closed)
 
 
+def lemma23_rows(n_max: int) -> list[QuotientIdentity]:
+    """lemma23_point(n) for n = 2..n_max, with the consecutive central
+    binomials C(2n-2, n-1), C(2n, n), C(2n+2, n+1) kept current by one
+    _central_step per n, and the closed form's C(2n-3, n-1) stepped by
+    its own ratio 2(2n-1)/n."""
+    if n_max < 2:
+        raise ValueError("lemma23_rows needs n_max >= 2")
+    low, mid, high = binomial(2, 1), binomial(4, 2), binomial(6, 3)
+    odd = binomial(1, 1)
+    points = []
+    for n in range(2, n_max + 1):
+        if n > 2:  # from n - 1 to n
+            low, mid, high = mid, high, _central_step(n, high)
+            odd = _exact_step(odd * (2 * (2 * n - 3)), n - 1)
+        division = divide(n * n * (n + 1) * mid * low * high,
+                          64 * (2 * n + 1))
+        points.append(QuotientIdentity(division, (2 * n - 1) ** 2 * odd ** 3))
+    return points
+
+
 # ---------------------------------------------------------------------------
 # Floor forms of lemmas 2.4/2.5 (eight floors) and 2.6 (five floors)
 # ---------------------------------------------------------------------------
@@ -356,6 +383,39 @@ _FIVE_FLOOR_FORMS = (((-5, 6), 1), ((-1, 1), 1), ((-1, 2), -1),
 def _form_values(forms, *point: int) -> list[tuple[int, int]]:
     """(argument, weight) of each form at the point (n[, k])."""
     return [(c0 + sum(map(mul, cs, point)), w) for (c0, *cs), w in forms]
+
+
+def _rising(x: int, c: int) -> int:
+    """(x+1)(x+2)...(x+c): the factor that takes x! to (x+c)!."""
+    return prod(range(x + 1, x + c + 1))
+
+
+def _moving_forms(forms, *head: int) -> list[tuple[int, int, int, int, bool]]:
+    """(b, c, |c|, |w|, rises) for each form whose argument moves with its
+    last variable t by c per step, the variables before it fixed at head.
+    From t to t + 1 the integers b + c*t + 1 .. b + c*t + |c| enter the
+    form's factorial (c > 0) or leave it (c < 0), so a product of
+    factorials**w gains them |w| times above the line (rises) or below."""
+    moving = []
+    for (c0, *cs), w in forms:
+        c = cs[-1]
+        if c:
+            b = c0 + sum(map(mul, cs, head)) + min(c, 0)
+            moving.append((b, c, abs(c), abs(w), (c > 0) == (w > 0)))
+    return moving
+
+
+def _step_factors(moving, t: int) -> tuple[int, int]:
+    """(up, down) that take a product of factorials over moving from t to
+    t + 1, as product * up / down."""
+    up = down = 1
+    for b, c, width, power, rises in moving:
+        step = _rising(b + c * t, width) ** power
+        if rises:
+            up *= step
+        else:
+            down *= step
+    return up, down
 
 
 def floor_margin(m: int, n: int, k: int) -> MarginRecord:
@@ -516,6 +576,54 @@ def lemma25_w(n: int, k: int) -> Fraction:
     return value
 
 
+def lemma25_row(n: int) -> list[tuple[int, int]]:
+    """W(n,k) for k = 1..n as pairs (P, D) with W = P/D: P the product
+    C(2n,n) C(n,k) C(k+n,2k) C(k+2n-1,n-1) C(2k+4n-2,k+2n-1) and
+    D = C(2k,k)**2, as in lemma25_w.
+
+    The binomials are built once at k = 1 and stepped along k by their
+    exact term ratios, so a remainder raises.  The factorial form of
+    _EIGHT_FLOOR_FORMS steps in the same loop, by _step_factors, as two
+    integers: built from factorials at k = 1 and kept small by two cheap
+    reductions, by their gcd once at k = 1 and each step's factors by
+    theirs.  At every point P times its denominator must equal D times its
+    numerator, the cross-multiplication of lemma25_w, or ArithmeticError
+    names the point.
+    """
+    if n < 1:
+        raise ValueError("lemma25_row needs n >= 1")
+    head, choose, mid = binomial(2 * n, n), binomial(n, 1), binomial(n + 1, 2)
+    low, big = binomial(2 * n, n - 1), binomial(4 * n, 2 * n)
+    central = binomial(2, 1)
+    fact_num = fact_den = 1
+    for x, w in _form_values(_EIGHT_FLOOR_FORMS, n, 1):
+        if w > 0:
+            fact_num *= factorial(x) ** w
+        else:
+            fact_den *= factorial(x) ** -w
+    g = gcd(fact_num, fact_den)
+    fact_num, fact_den = fact_num // g, fact_den // g
+    moving = _moving_forms(_EIGHT_FLOOR_FORMS, n)
+    row = []
+    for k in range(1, n + 1):
+        if k > 1:  # from j = k - 1 to k
+            j = k - 1
+            choose = _exact_step(choose * (n - j), k)
+            mid = _middle_step(n, j, mid)
+            low = _exact_step(low * (j + 2 * n), j + n + 1)
+            big = _central_step(j + 2 * n - 1, big)
+            central = _central_step(j, central)
+            up, down = _step_factors(moving, j)
+            g = gcd(up, down)
+            fact_num, fact_den = fact_num * (up // g), fact_den * (down // g)
+        num, den = head * choose * mid * low * big, central * central
+        if num * fact_den != den * fact_num:
+            raise ArithmeticError(
+                f"binomial and factorial forms of W disagree at {(n, k)}")
+        row.append((num, den))
+    return row
+
+
 def _legendre_sums(n: int, k: int) -> list[tuple[int, int]]:
     """(p, v_p(W(n,k))) by Legendre's formula over the eight-floor table,
     for every prime p up to the largest factorial argument of the point."""
@@ -524,14 +632,16 @@ def _legendre_sums(n: int, k: int) -> list[tuple[int, int]]:
             for p in primes_upto(max(x for x, _ in values))]
 
 
-def lemma25_valuations(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
+def lemma25_valuations(n: int, k: int, w: Fraction | None = None
+                       ) -> tuple[tuple[int, int, int], ...]:
     """Per-prime triples (p, margin-sum route, direct-valuation route).
 
     The first route sums the eight-floor margins over all powers of p
     (equivalently, combines Legendre factorial valuations); the second
-    reduces W(n,k) to lowest terms and counts powers of p directly.
+    reduces W(n,k) to lowest terms and counts powers of p directly, in w
+    when the caller holds W(n,k) already, else in lemma25_w(n, k).
     """
-    ratio = lemma25_w(n, k)
+    ratio = lemma25_w(n, k) if w is None else w
     return tuple((p, v, rat_valuation(p, ratio))
                  for p, v in _legendre_sums(n, k))
 
@@ -601,9 +711,11 @@ def lemma25_scan(n_max: int, n_range: range | None = None) -> LemmaAudit:
     once; stepping along k by the term ratio W(n,k+1)/W(n,k) then gives the
     vector of every W(n,k) at O(log n) small operations per point, with a
     count of negative exponents and the integer R they reconstruct kept
-    current.  A negative exponent is a violation; otherwise R must equal
-    the value from lemma25_w, and when it does not, lemma25_valuations
-    names each prime where the Legendre sum and the direct valuation
+    current.  The binomial route to W(n,k) = P/D is lemma25_row, stepped
+    along k too.  A point passes when no exponent is negative and
+    R*D == P.  Otherwise W becomes a Fraction: a negative exponent is a
+    violation, and R differing from W names, through lemma25_valuations
+    of that W, each prime where the Legendre sum and the direct valuation
     disagree.  R differing from W where every prime agrees means the
     stepping itself is wrong, which raises.
     """
@@ -615,9 +727,12 @@ def lemma25_scan(n_max: int, n_range: range | None = None) -> LemmaAudit:
     violations = []
     for n in ns:
         exps = _lemma25_start(n, len(spf))
-        for k, negatives, reconstructed in _lemma25_steps(n, exps, spf):
-            w = lemma25_w(n, k)
+        for (k, negatives, reconstructed), (product, central_sq) in zip(
+                _lemma25_steps(n, exps, spf), lemma25_row(n)):
             checked += 1
+            if not negatives and reconstructed * central_sq == product:
+                continue
+            w = Fraction(product, central_sq)
             if w.denominator != 1:
                 violations.append(("non-integral", n, k, w))
             elif negatives:
@@ -627,7 +742,7 @@ def lemma25_scan(n_max: int, n_range: range | None = None) -> LemmaAudit:
                 mismatches = [("valuation-mismatch", n, k, p, margin_sum,
                                direct)
                               for p, margin_sum, direct
-                              in lemma25_valuations(n, k)
+                              in lemma25_valuations(n, k, w)
                               if margin_sum != direct]
                 if not mismatches:
                     raise ArithmeticError(
@@ -651,11 +766,6 @@ def lemma26_point(n: int) -> DivisionCheck:
     return divide(value, div)
 
 
-def _rising(x: int, c: int) -> int:
-    """(x+1)(x+2)...(x+c): the factor that takes x! to (x+c)!."""
-    return prod(range(x + 1, x + c + 1))
-
-
 def lemma26_rows(n_max: int) -> list[DivisionCheck]:
     """lemma26_point(n) for n = 1..n_max, with the five factorials of
     _FIVE_FLOOR_FORMS stepped along n instead of looked up.
@@ -663,19 +773,14 @@ def lemma26_rows(n_max: int) -> list[DivisionCheck]:
     The products start at n = 1, where every factorial argument is 0 or 1,
     and a form c0 + c_n*n moves from n to n + 1 by the rising product of
     its c_n next integers, into the numerator or the denominator by the
-    sign of its weight: small multiplications only, and no factorial
-    enters a cache."""
+    sign of its weight (_step_factors): small multiplications only, and no
+    factorial enters a cache."""
+    moving = _moving_forms(_FIVE_FLOOR_FORMS)
     num = den = 1
     checks = []
     for n in range(1, n_max + 1):
         if n > 1:  # from n - 1 to n
-            up = down = 1
-            for (c0, c_n), w in _FIVE_FLOOR_FORMS:
-                step = _rising(c0 + c_n * (n - 1), c_n) ** abs(w)
-                if w > 0:
-                    up *= step
-                else:
-                    down *= step
+            up, down = _step_factors(moving, n - 1)
             num, den = num * up, den * down
         checks.append(divide(num, den))
     return checks

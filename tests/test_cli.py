@@ -366,6 +366,25 @@ def test_overlong_literal_exits_two_naming_its_position(tmp_path, capsys):
     assert err.startswith("binomsum: error: cannot load pair") and where in err
 
 
+@pytest.mark.parametrize("body,line,col", [
+    ("poly 10^5000*n+1", "poly {big}*n+1", 6),
+    ("factor binom(10^5000*n,k)\npoly 1", "factor binom({big}*n,k)", 14),
+], ids=["poly", "factor"])
+def test_term_serialize_coefficients_beyond_the_digit_limit(
+        tmp_path, capsys, int_str_limit, body, line, col):
+    doc = tmp_path / "big.F"
+    doc.write_text(f"term big\n{body}\nend\n", "utf-8")
+    code, out, err = run_cli(capsys, "term", "serialize", str(doc))
+    assert (code, err) == (0, "")
+    assert line.format(big=int_str_limit(10 ** 5000)) in out.splitlines()
+    # The text is exact, but its 5001-digit literal does not parse back.
+    again = tmp_path / "again.F"
+    again.write_text(out, "utf-8")
+    code, out, err = run_cli(capsys, "term", "serialize", str(again))
+    assert (code, out) == (2, "")
+    assert f"again.F: line 2, col {col}: integer literal of 5001 digits" in err
+
+
 def test_term_eval_pole_is_audit_failure(tmp_path, capsys):
     doc = tmp_path / "pole.F"
     doc.write_text("term pole\npoly 1\ndenompoly n-2\nend\n", "utf-8")
@@ -531,10 +550,6 @@ def _mismatched_route(m, w, values):
     return [1234] * len(values)
 
 
-def _broken_point(n):
-    raise ArithmeticError("binomial and factorial forms disagree")
-
-
 def _inexact_step(k, central):
     # C(2k+2, k+1) without the factor 2 of 2(2k+1)/(k+1) leaves a remainder.
     return verify_module._exact_step(central * (2 * k + 1), k + 1)
@@ -543,7 +558,7 @@ def _inexact_step(k, central):
 @pytest.mark.parametrize("target,replacement,argv,kind", [
     ("binomsum.verify._fractional_route", _mismatched_route,
      ["lemma", "--id", "2.4", "--m-max", "3"], "ArithmeticError"),
-    ("binomsum.cli.lemma23_point", _broken_point,
+    ("binomsum.verify._central_step", _inexact_step,
      ["lemma", "--id", "2.3", "--n-max", "5"], "ArithmeticError"),
     ("binomsum.verify._central_step", _inexact_step,
      ["lemma", "--id", "2.2", "--n-max", "5"], "ArithmeticError"),

@@ -121,6 +121,15 @@ def test_serialize_document_writes_the_given_name():
     assert serialize_document(doc).startswith("term renamed\n")
 
 
+def test_serialize_writes_a_base_beyond_the_digit_limit(int_str_limit):
+    # No literal can state such a base, but a term built in code can hold it.
+    t = parse_document(SIMPLE).term
+    big = -10 ** 5000
+    term = t._replace(base_factors=(t.base_factors[0]._replace(base=big),))
+    text = serialize_document(TermDocument(name="big", term=term))
+    assert f"base {int_str_limit(big)}^(-2*n+1)" in text.splitlines()
+
+
 # A literal one digit longer than the default int-from-str limit of 4300.
 LONG = "1" * 4301
 

@@ -10,8 +10,8 @@ from binomsum.exact import binomial, factorial, int_valuation, \
 from binomsum.verify import RATIO_IDENTITIES, SUM_SPECS, MarginRecord, \
     check_divisibility, check_divisibility_valuations, divide, divisor, \
     eval_sum, floor_margin, floor_margin_fractional, iter_sums, \
-    lemma22_point, lemma22_row, lemma23_point, \
-    lemma24_scan, lemma25_scan, lemma25_valuations, lemma25_w, \
+    lemma22_point, lemma22_row, lemma23_point, lemma23_rows, \
+    lemma24_scan, lemma25_row, lemma25_scan, lemma25_valuations, lemma25_w, \
     lemma26_floor_margin, lemma26_ineq_scan, lemma26_point, lemma26_rows, \
     ratio_identity, ratio_k_values, sum_spec, valuation_failures
 
@@ -271,6 +271,14 @@ def test_lemma23_points_and_closed_form():
         assert lemma23_point(n).ok
 
 
+def test_lemma23_rows_match_the_points():
+    for n_max in (2, 3, 500):
+        assert lemma23_rows(n_max) == [lemma23_point(n)
+                                       for n in range(2, n_max + 1)], n_max
+    with pytest.raises(ValueError):
+        lemma23_rows(1)
+
+
 # ---------------------------------------------------------------------------
 # Lemma 2.4: the eight-floor inequality
 # ---------------------------------------------------------------------------
@@ -503,19 +511,33 @@ def test_lemma25_stepper_tracks_signs_and_product():
 
 
 def test_lemma25_planted_w_times_p_is_a_valuation_mismatch(monkeypatch):
-    real = verify_module.lemma25_w
-    monkeypatch.setattr(verify_module, "lemma25_w", lambda n, k: (
-        real(n, k) * 7 if (n, k) == (5, 2) else real(n, k)))
-    direct = rat_valuation(7, real(5, 2))
+    real = verify_module.lemma25_row
+
+    def planted(n):  # P(5, 2) times 7
+        row = real(n)
+        if n == 5:
+            product, central_sq = row[1]
+            row[1] = (product * 7, central_sq)
+        return row
+
+    monkeypatch.setattr(verify_module, "lemma25_row", planted)
+    direct = rat_valuation(7, lemma25_w(5, 2))
     assert lemma25_scan(6).violations == (
         ("valuation-mismatch", 5, 2, 7, direct, direct + 1),)
 
 
 def test_lemma25_planted_w_over_p_is_non_integral(monkeypatch):
-    real = verify_module.lemma25_w
-    w = real(4, 3) / 101
-    monkeypatch.setattr(verify_module, "lemma25_w", lambda n, k: (
-        w if (n, k) == (4, 3) else real(n, k)))
+    real = verify_module.lemma25_row
+    w = lemma25_w(4, 3) / 101
+
+    def planted(n):  # D(4, 3) times 101
+        row = real(n)
+        if n == 4:
+            product, central_sq = row[2]
+            row[2] = (product, central_sq * 101)
+        return row
+
+    monkeypatch.setattr(verify_module, "lemma25_row", planted)
     assert w.denominator == 101
     assert lemma25_scan(5).violations == (("non-integral", 4, 3, w),)
 
@@ -547,6 +569,47 @@ def test_lemma25_wrong_stepping_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(verify_module, "_lemma25_start", planted)
     with pytest.raises(ArithmeticError, match=r"at \(1, 1\)"):
         lemma25_scan(3)
+
+
+def test_lemma25_row_matches_the_points():
+    for n in range(1, 61):
+        row = lemma25_row(n)
+        assert [Fraction(product, central_sq) for product, central_sq in row] \
+            == [lemma25_w(n, k) for k in range(1, n + 1)], n
+        assert [central_sq for _, central_sq in row] \
+            == [binomial(2 * k, k) ** 2 for k in range(1, n + 1)], n
+    with pytest.raises(ValueError):
+        lemma25_row(0)
+
+
+def test_lemma25_planted_binomial_step_fails_where_it_differs(monkeypatch):
+    # C(k+n, 2k) stepped as if it were C(k+n, 2k-1): the anchor C(n+1, 2)
+    # is still built right, and k = 2 is the first point that differs.
+    def planted(n, k, mid):
+        return verify_module._exact_step(mid * (n + k + 1) * (n - k + 1),
+                                         (2 * k) * (2 * k + 1))
+
+    monkeypatch.setattr(verify_module, "_middle_step", planted)
+    assert lemma25_scan(1).ok  # no step is taken
+    for n in range(2, 13):
+        with pytest.raises(ArithmeticError) as info:
+            lemma25_row(n)
+        message = str(info.value)
+        assert f"disagree at {(n, 2)}" in message \
+            or message.startswith("inexact binomial step"), (n, message)
+    with pytest.raises(ArithmeticError, match=r"disagree at \(2, 2\)"):
+        lemma25_scan(3)
+
+
+def test_lemma25_planted_factorial_step_fault_raises(monkeypatch):
+    # (n-1)! in place of (n-k)!: the same factorial at k = 1, but one that
+    # no longer moves along k.
+    monkeypatch.setattr(verify_module, "_EIGHT_FLOOR_FORMS", tuple(
+        ((-1, 1, 0) if form == (0, 1, -1) else form, w)
+        for form, w in verify_module._EIGHT_FLOOR_FORMS))
+    with pytest.raises(ArithmeticError, match=r"binomial and factorial forms "
+                                              r"of W disagree at \(5, 2\)"):
+        lemma25_row(5)
 
 
 # ---------------------------------------------------------------------------
