@@ -10,8 +10,8 @@ from .dsl import DslError, ParseError, SemanticError, parse_document, \
 from .exact import binomial, factorial, int_valuation, legendre_valuation, \
     primes_upto, rat_valuation, smallest_prime_factors
 from .hyperterm import BaseFactor, BinomFactor, HypergeometricTerm, LinearForm, \
-    NotProportionalError, TermDocument, TermEvalError, eval_term, shift_quotient, \
-    term_quotient
+    NotProportionalError, TermDocument, TermEvalError, eval_term, \
+    eval_term_pair, shift_quotient, term_quotient
 from .pairs import DIVISOR_KINDS, WZPairSpec, builtin_document, \
     builtin_document_names, builtin_document_text, builtin_pair, \
     builtin_pair_names
@@ -24,7 +24,7 @@ from .verify import DivisionCheck, LemmaAudit, MarginRecord, QuotientIdentity, \
     lemma22_point, lemma22_row, lemma23_point, lemma23_rows, lemma24_scan, \
     lemma25_row, lemma25_scan, lemma25_valuations, lemma25_w, \
     lemma26_floor_margin, lemma26_ineq_scan, lemma26_point, lemma26_rows, \
-    ratio_identity, ratio_k_values, sum_spec
+    ratio_identity, ratio_k_values, ratio_row_failures, sum_spec
 from .wz import TelescopeAudit, telescope_audit, wz_certificate, wz_grid_row, \
     wz_grid_rows, wz_symbolic_check
 
@@ -41,14 +41,14 @@ __all__ = [
     "binomial", "builtin_document", "builtin_document_names",
     "builtin_document_text", "builtin_pair", "builtin_pair_names",
     "check_divisibility", "check_divisibility_valuations", "divisor",
-    "eval_sum", "eval_term", "factorial", "floor_margin",
+    "eval_sum", "eval_term", "eval_term_pair", "factorial", "floor_margin",
     "floor_margin_fractional", "int_valuation", "iter_sums", "legendre_valuation",
     "lemma22_point", "lemma22_row", "lemma23_point", "lemma23_rows",
     "lemma24_scan", "lemma25_row", "lemma25_scan", "lemma25_valuations",
     "lemma25_w", "lemma26_floor_margin",
     "lemma26_ineq_scan", "lemma26_point", "lemma26_rows", "parse_document",
     "primes_upto", "rat_valuation", "ratio_identity", "ratio_k_values",
-    "render", "serialize_document", "shift_quotient",
+    "ratio_row_failures", "render", "serialize_document", "shift_quotient",
     "smallest_prime_factors", "sum_spec", "telescope_audit", "term_quotient",
     "write", "wz_certificate", "wz_grid_row", "wz_grid_rows",
     "wz_symbolic_check",

@@ -44,6 +44,9 @@ def binomial(a: int, b: int) -> int:
     """
     if b < 0 or a < 0 or b > a:
         return 0
+    facts = _factorials
+    if a < len(facts):  # all three cached: read them without three calls
+        return facts[a] // (facts[b] * facts[a - b])
     return factorial(a) // (factorial(b) * factorial(a - b))
 
 

@@ -11,6 +11,11 @@ the zero convention; they are expanded into factorial triples only inside
 term_quotient, which returns a formal RationalFunction (a shift quotient is
 the term_quotient of the shifted term and the term).  Formal identities are
 therefore only asserted on grids where no factorial argument goes negative.
+
+A term is evaluated by one kernel, eval_term_pair, to an unreduced pair
+(num, den) of ints; eval_term is that pair reduced once to a Fraction.
+The certificate audits compare pairs by cross-multiplication and build a
+Fraction only for a value they report.
 """
 from __future__ import annotations
 
@@ -138,59 +143,73 @@ class TermDocument(Validated, _DocumentFields):
             raise ValueError(f"invalid term name {self.name!r}")
 
 
-def eval_term(term: HypergeometricTerm, n: int, k: int) -> Fraction:
-    """Exact value of the term at integer (n, k).
+def eval_term_pair(term: HypergeometricTerm, n: int,
+                   k: int) -> tuple[int, int]:
+    """Exact value of the term at integer (n, k) as an unreduced pair
+    (num, den) of ints with den > 0, value = num / den.
 
     A binomial factor that vanishes under the zero convention makes the
-    whole term 0 when its power is positive; vanishing under a negative
-    power raises TermEvalError, as does a zero denominator polynomial.
+    whole term 0, the pair (0, 1), when its power is positive; vanishing
+    under a negative power raises TermEvalError, as does a zero
+    denominator polynomial.
 
-    Evaluation stays exact and normalises once: every factor is
-    multiplied into one integer numerator or one integer denominator,
-    by the sign of its power, and only the returned Fraction is reduced.
+    Every factor is multiplied into the integer numerator or the integer
+    denominator, by the sign of its power; the polynomials enter through
+    their common denominators (BivarPoly.evaluate_pair).  Nothing is
+    reduced: callers compare pairs by cross-multiplication and build a
+    Fraction only for a value they report.
     """
-    denom_value = term.denom_poly.evaluate(n, k)
-    if denom_value == 0:
+    denom_total, denom_lcm = term.denom_poly.evaluate_pair(n, k)
+    if denom_total == 0:
         raise TermEvalError(f"denominator polynomial vanishes at (n={n}, k={k})")
     num = den = 1
     vanishes = False
     for bf in term.binom_factors:
-        v = binomial(bf.top.evaluate(n, k), bf.bottom.evaluate(n, k))
+        # Forms unpacked, not LinearForm.evaluate: every audit runs this loop.
+        (ta, tb, tc), (ba, bb, bc), power = bf
+        v = binomial(ta * n + tb * k + tc, ba * n + bb * k + bc)
         if v == 0:
-            if bf.power < 0:
+            if power < 0:
                 raise TermEvalError(
                     f"binom({bf.top.render()},{bf.bottom.render()}) is 0 at "
-                    f"(n={n}, k={k}) but has power {bf.power}")
+                    f"(n={n}, k={k}) but has power {power}")
             vanishes = True
         elif not vanishes:
-            if bf.power >= 0:
-                num *= v ** bf.power
+            if power >= 0:
+                num *= v if power == 1 else v ** power
             else:
-                den *= v ** -bf.power
+                den *= v if power == -1 else v ** -power
     if vanishes:
-        return Fraction(0)
-    numer_value = term.numer_poly.evaluate(n, k)
-    num *= numer_value.numerator * denom_value.denominator
-    den *= numer_value.denominator * denom_value.numerator
-    for bf in term.base_factors:
-        e = bf.exponent.evaluate(n, k)
+        return 0, 1
+    numer_total, numer_lcm = term.numer_poly.evaluate_pair(n, k)
+    num *= numer_total * denom_lcm
+    den *= numer_lcm * denom_total
+    for base, (a, b, c) in term.base_factors:
+        e = a * n + b * k + c
         if e >= 0:
-            num *= bf.base ** e
+            num *= base ** e
         else:
-            den *= bf.base ** -e
+            den *= base ** -e
     if term.sign_exponent.evaluate(n, k) % 2:
         num = -num
-    return Fraction(num, den)
+    return (-num, -den) if den < 0 else (num, den)
+
+
+def eval_term(term: HypergeometricTerm, n: int, k: int) -> Fraction:
+    """Exact value of the term at integer (n, k): eval_term_pair reduced
+    once, to a Fraction."""
+    return Fraction(*eval_term_pair(term, n, k))
 
 
 @lru_cache(maxsize=1)
-def _k0_prefix_table(term: HypergeometricTerm) -> list[Fraction]:
+def _k0_prefix_table(term: HypergeometricTerm) -> list[tuple[int, int]]:
     """Entry i is the sum of term(n, 0) over n < i, as far as computed."""
-    return [Fraction(0)]
+    return [(0, 1)]
 
 
-def k0_prefix_sum(term: HypergeometricTerm, big_n: int) -> Fraction:
-    """The sum of term(n, 0) over 0 <= n < big_n.
+def k0_prefix_sum(term: HypergeometricTerm, big_n: int) -> tuple[int, int]:
+    """The sum of term(n, 0) over 0 <= n < big_n as a pair (num, den),
+    den > 0 the lcm of the denominators of the eval_term_pair summands.
 
     Each term(n, 0) is evaluated once per process: the prefix sums of the
     most recent term are kept and grown to the largest big_n asked for.
@@ -201,7 +220,11 @@ def k0_prefix_sum(term: HypergeometricTerm, big_n: int) -> Fraction:
         raise ValueError("k0_prefix_sum needs big_n >= 0")
     table = _k0_prefix_table(term)
     for n in range(len(table) - 1, big_n):
-        table.append(table[-1] + eval_term(term, n, 0))
+        num, den = table[-1]
+        t_num, t_den = eval_term_pair(term, n, 0)
+        common = math.lcm(den, t_den)
+        table.append((num * (common // den) + t_num * (common // t_den),
+                      common))
     return table[big_n]
 
 

@@ -25,7 +25,8 @@ Monomial = tuple[int, int]
 class BivarPoly:
     """Immutable sparse polynomial in n and k with Fraction coefficients."""
 
-    __slots__ = ("_c",)
+    # _scaled caches the integer form of evaluate_pair, set on first use.
+    __slots__ = ("_c", "_scaled")
 
     def __init__(self, coeffs: Mapping[Monomial, Fraction | int] | None = None):
         clean: dict[Monomial, Fraction] = {}
@@ -123,19 +124,31 @@ class BivarPoly:
             e >>= 1
         return out
 
-    def evaluate(self, n: Fraction | int, k: Fraction | int) -> Fraction:
-        """Exact value at (n, k), normalised once.
+    def evaluate_pair(self, n: Fraction | int,
+                      k: Fraction | int) -> tuple[int | Fraction, int]:
+        """The value at (n, k) as an unreduced pair (total, L), value =
+        total / L, with L > 0 the common denominator of the coefficients.
 
-        Coefficients are brought to their common denominator L and the
-        scaled numerators summed; only the final Fraction(total, L) is
-        reduced. Integer arguments keep the sum an int; Fraction
-        arguments make it a Fraction, which Fraction(total, L) accepts.
+        The coefficients times L are integers, computed on the first call
+        and kept with the polynomial.  Integer arguments keep total an
+        int; Fraction arguments make it a Fraction.
         """
-        den = math.lcm(*(c.denominator for c in self._c.values()))
+        try:
+            terms, den = self._scaled
+        except AttributeError:
+            den = math.lcm(*(c.denominator for c in self._c.values()))
+            terms = tuple((i, j, c.numerator * (den // c.denominator))
+                          for (i, j), c in self._c.items())
+            self._scaled = terms, den
         total = 0
-        for (i, j), c in self._c.items():
-            total += c.numerator * (den // c.denominator) * n ** i * k ** j
-        return Fraction(total, den)
+        for i, j, c in terms:
+            total += c * n ** i * k ** j
+        return total, den
+
+    def evaluate(self, n: Fraction | int, k: Fraction | int) -> Fraction:
+        """Exact value at (n, k), normalised once: Fraction(total, L) of
+        evaluate_pair is the only reduction."""
+        return Fraction(*self.evaluate_pair(n, k))
 
     def shift(self, dn: int, dk: int) -> "BivarPoly":
         """Substitute n -> n + dn, k -> k + dk."""

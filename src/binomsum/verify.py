@@ -26,6 +26,10 @@ _FIVE_FLOOR_FORMS; the floor scans sum tables of them row by row
 form, and lemma26_rows, read them.
 Each ratio identity scales a stored pair term by its sum's base and
 divisor (pairs.SUM_SPECS) and compares it with a lemma function's quantity.
+ratio_identity evaluates one point over Fractions; ratio_row_failures runs
+the whole k row of g1_gen or g2_gen at once, on unreduced integer pairs
+against the stepped lemma22_row and lemma25_row, and stays tested against
+ratio_identity.
 """
 from __future__ import annotations
 
@@ -39,7 +43,7 @@ from typing import NamedTuple
 
 from .exact import binomial, factorial, int_valuation, legendre_valuation, \
     primes_upto, rat_valuation, smallest_prime_factors
-from .hyperterm import eval_term, k0_prefix_sum
+from .hyperterm import eval_term, eval_term_pair, k0_prefix_sum
 from .pairs import DIVISOR_KINDS, SUM_SPECS, SumSpec, WZPairSpec, \
     builtin_pair, sum_spec
 
@@ -840,6 +844,10 @@ class RatioCheck(NamedTuple):
         return self.lhs == self.rhs and (self.alt is None or self.alt == self.lhs)
 
 
+# The right sides of g1_gen and g2_gen carry 2**(4k + offset).
+_TWO_POWER_OFFSETS = {"g1_gen": -8, "g2_gen": -7}
+
+
 def ratio_k_values(identity: str, big_n: int):
     """Admissible k range for an identity (None when k is not a parameter)."""
     if identity not in RATIO_IDENTITIES:
@@ -892,7 +900,8 @@ def ratio_identity(identity: str, big_n: int, k: int | None = None) -> RatioChec
         rhs = lemma23_point(n).division.exact_quotient
     elif identity == "g1_gen":
         lhs = _scaled(pair1, n, eval_term(pair1.g.term, n, k)).exact_quotient
-        rhs = ((-1) ** (k + 1) * 2 ** (4 * k - 8)
+        rhs = ((-1) ** (k + 1)
+               * Fraction(2) ** (4 * k + _TWO_POWER_OFFSETS[identity])
                * binomial(2 * n - 2 * k, n - k)
                * lemma22_point(n, k).exact_quotient)
     elif identity == "f1_corner":
@@ -909,7 +918,8 @@ def ratio_identity(identity: str, big_n: int, k: int | None = None) -> RatioChec
                        - binomial(4 * n - 4, 2 * n - 3))
     elif identity == "g2_gen":
         lhs = _scaled(pair2, n, eval_term(pair2.g.term, n, k)).exact_quotient
-        rhs = Fraction(2) ** (4 * k - 7) * lemma25_w(n, k)
+        rhs = (Fraction(2) ** (4 * k + _TWO_POWER_OFFSETS[identity])
+               * lemma25_w(n, k))
     elif identity == "f2_corner":
         lhs = _scaled(pair2, n,
                       eval_term(pair2.f.term, n - 1, n - 1)).exact_quotient
@@ -920,6 +930,49 @@ def ratio_identity(identity: str, big_n: int, k: int | None = None) -> RatioChec
             n * n * binomial(2 * n, n) ** 2)
         rhs = 3 * 2 ** (4 * n - 7) * lemma26_point(n).exact_quotient
     else:  # telescoped_sum: the pair telescopes to its own sum
-        lhs = _scaled(pair2, n, k0_prefix_sum(pair2.f.term, n)).value
+        lhs = _scaled(pair2, n,
+                      Fraction(*k0_prefix_sum(pair2.f.term, n))).value
         rhs = Fraction(eval_sum(pair2.name, n))
     return RatioCheck(identity, n, k, lhs, rhs, alt)
+
+
+def ratio_row_failures(identity: str, big_n: int) -> list[RatioCheck]:
+    """ratio_identity(identity, N, k) at each k where it is not equal, in
+    the order of k, for identity g1_gen or g2_gen: the whole row of N at
+    once.
+
+    The left side is the pair's G(N, k) as an unreduced pair
+    (eval_term_pair) times B^(N-1) over P(N).  The right side reads the
+    stepped rows: lemma22_row(N) for g1_gen, and lemma25_row(N) for
+    g2_gen with lemma25_w(N, 0) at k = 0.  The sides are compared by
+    cross-multiplication, and only a failing k builds its Fractions.
+    """
+    if identity not in _TWO_POWER_OFFSETS:
+        raise ValueError(f"ratio rows are stated for "
+                         f"{sorted(_TWO_POWER_OFFSETS)}, not {identity!r}")
+    if big_n < 2:
+        raise ValueError("ratio identities need N >= 2")
+    n = big_n
+    pair = builtin_pair("guillera1" if identity == "g1_gen" else "guillera2")
+    scale = pair.scale_base ** (n - 1)
+    div = divisor(pair.divisor_kind, n)
+    if identity == "g1_gen":  # from k = 2
+        rights = [((-1) ** (k + 1) * binomial(2 * n - 2 * k, n - k)
+                   * check.value, check.divisor)
+                  for k, check in enumerate(lemma22_row(n)[1:], 2)]
+    else:
+        w0 = lemma25_w(n, 0)
+        rights = [(w0.numerator, w0.denominator)] + lemma25_row(n)
+    failures = []
+    for k, (r_num, r_den) in zip(ratio_k_values(identity, n), rights):
+        e = 4 * k + _TWO_POWER_OFFSETS[identity]
+        if e >= 0:
+            r_num <<= e
+        else:
+            r_den <<= -e
+        g_num, g_den = eval_term_pair(pair.g.term, n, k)
+        l_num, l_den = g_num * scale, g_den * div
+        if l_num * r_den != r_num * l_den:
+            failures.append(RatioCheck(identity, n, k, Fraction(l_num, l_den),
+                                       Fraction(r_num, r_den)))
+    return failures

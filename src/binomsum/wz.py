@@ -5,33 +5,40 @@ grid check tests that equation pointwise over exact rationals; the symbolic
 check proves it for all (n, k) at once by cancelling the common
 hypergeometric part; the telescoping audit scales column sums of G to
 integers and divides them by the target divisor.
+
+The grid and telescope audits work on the unreduced integer pairs of
+hyperterm.eval_term_pair.  The grid compares its two differences by
+cross-multiplication, and the telescope audit decides each scaled value
+by one divmod and sums the integers; a passing audit builds no Fraction.
+Only a violation's sides and a non-integral value become Fractions, in
+lowest terms, so reports read as they would over Fractions throughout.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import NamedTuple
 
-from .hyperterm import HypergeometricTerm, TermEvalError, eval_term, \
+from .hyperterm import HypergeometricTerm, TermEvalError, eval_term_pair, \
     k0_prefix_sum, shift_quotient, term_quotient
 from .pairs import WZPairSpec
 from .polyalg import RationalFunction
 from .verify import DivisionCheck, divide, divisor
 
 GridPoint = tuple[int, int]
+Pair = tuple[int, int]  # (num, den), den > 0: an unreduced exact value
 
 
-def _eval_or_error(term: HypergeometricTerm, n: int,
-                   k: int) -> Fraction | TermEvalError:
+def _pair_or_error(term: HypergeometricTerm, n: int,
+                   k: int) -> Pair | TermEvalError:
     try:
-        return eval_term(term, n, k)
+        return eval_term_pair(term, n, k)
     except TermEvalError as exc:
         return exc
 
 
-def _value(result: Fraction | TermEvalError) -> Fraction:
-    if isinstance(result, TermEvalError):
-        raise result
-    return result
+def _difference(p: Pair, q: Pair) -> Pair:
+    """p - q of two unreduced pairs, unreduced."""
+    return p[0] * q[1] - q[0] * p[1], p[1] * q[1]
 
 
 GridRow = tuple[int, list[tuple[GridPoint, Fraction, Fraction]],
@@ -48,31 +55,36 @@ def wz_grid_rows(pair: WZPairSpec, rows: range) -> list[GridRow]:
     F(n,k) is evaluated once for k = 0..n and shared by neighbouring
     points; the row G(n+1,k) checked against row n is kept as G(n,k) for
     row n+1, so each term value is evaluated once per block of rows.
+    Values are unreduced integer pairs (eval_term_pair) and the two sides
+    are compared by cross-multiplication; only a violation reduces them,
+    to the lowest-terms Fractions it reports.
     """
     if rows.step != 1 or not rows or rows.start < 1:
         raise ValueError("rows must be a nonempty run of n >= 1")
     f, g = pair.f.term, pair.g.term
     # g_row[k - 1] holds G(n, k) for 1 <= k <= n; g_next likewise for n + 1.
-    g_row = [_eval_or_error(g, rows.start, k)
+    g_row = [_pair_or_error(g, rows.start, k)
              for k in range(1, rows.start + 1)]
     results: list[GridRow] = []
     for n in rows:
-        f_row = [_eval_or_error(f, n, k) for k in range(n + 1)]
-        g_next = [_eval_or_error(g, n + 1, k)
+        f_row = [_pair_or_error(f, n, k) for k in range(n + 1)]
+        g_next = [_pair_or_error(g, n + 1, k)
                   for k in range(1, n + 2 if n + 1 in rows else n + 1)]
         checked = 0
         violations: list[tuple[GridPoint, Fraction, Fraction]] = []
         skipped: list[tuple[GridPoint, str]] = []
         for k in range(1, n + 1):
-            try:
-                lhs = _value(f_row[k - 1]) - _value(f_row[k])
-                rhs = _value(g_next[k - 1]) - _value(g_row[k - 1])
-            except TermEvalError as exc:
-                skipped.append(((n, k), str(exc)))
+            values = f_row[k - 1], f_row[k], g_next[k - 1], g_row[k - 1]
+            error = next((v for v in values if isinstance(v, TermEvalError)),
+                         None)
+            if error is not None:
+                skipped.append(((n, k), str(error)))
                 continue
             checked += 1
-            if lhs != rhs:
-                violations.append(((n, k), lhs, rhs))
+            lhs = _difference(values[0], values[1])
+            rhs = _difference(values[2], values[3])
+            if lhs[0] * rhs[1] != rhs[0] * lhs[1]:
+                violations.append(((n, k), Fraction(*lhs), Fraction(*rhs)))
         results.append((checked, violations, skipped))
         g_row = g_next
     return results
@@ -146,18 +158,27 @@ def telescope_audit(pair: WZPairSpec, big_n: int, *,
         raise ValueError("telescoping audit needs N >= 2")
     kind = pair.divisor_kind if divisor_kind is None else divisor_kind
     exp = big_n - 1 if scale_exp is None else scale_exp
-    scale = Fraction(pair.scale_base) ** exp
+    # The scale B**exp as a pair (s_num, s_den) with s_den > 0.
+    power = pair.scale_base ** abs(exp)
+    s_num, s_den = ((power, 1) if exp >= 0
+                    else (1, power) if power > 0 else (-1, -power))
     div = divisor(kind, big_n)
     f, g = pair.f.term, pair.g.term
 
+    def scaled(value: Pair) -> int | Fraction:
+        """The scale times value: an int when integral, else a Fraction."""
+        num, den = s_num * value[0], s_den * value[1]
+        q, r = divmod(num, den)
+        return Fraction(num, den) if r else q
+
     g_terms = []
-    total = Fraction(0)
+    total = 0  # an int until a non-integral term makes it a Fraction
     for k in range(1, big_n):
-        value = scale * eval_term(g, big_n, k)
+        value = scaled(eval_term_pair(g, big_n, k))
         total += value
         g_terms.append((k, divide(value, div)))
     g_sum = divide(total, div)
-    corner = divide(scale * eval_term(f, big_n - 1, big_n - 1), div)
-    conclusion = divide(scale * k0_prefix_sum(f, big_n), div)
+    corner = divide(scaled(eval_term_pair(f, big_n - 1, big_n - 1)), div)
+    conclusion = divide(scaled(k0_prefix_sum(f, big_n)), div)
     return TelescopeAudit(pair.name, big_n, kind, div, exp,
                           tuple(g_terms), g_sum, corner, conclusion)

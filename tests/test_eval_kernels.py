@@ -1,14 +1,22 @@
 """Differential tests: the integer-accumulating evaluation kernels against
-the plain Fraction-chain evaluation they replace."""
+the plain Fraction-chain evaluation they replace, and the audits built on
+unreduced integer pairs against the same audits over Fractions."""
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import binomsum.verify as verify_module
 from binomsum.exact import binomial
 from binomsum.hyperterm import BaseFactor, BinomFactor, HypergeometricTerm, \
-    LinearForm, TermEvalError, eval_term
+    LinearForm, TermDocument, TermEvalError, eval_term, eval_term_pair
+from binomsum.pairs import builtin_pair
 from binomsum.polyalg import BivarPoly
+from binomsum.report import number_text
+from binomsum.verify import divide, divisor, ratio_identity, \
+    ratio_k_values, ratio_row_failures
+from binomsum.wz import TelescopeAudit, telescope_audit, wz_grid_rows
 
 
 # ---- reference kernels: every factor a normalised Fraction ----
@@ -110,6 +118,23 @@ def test_eval_term_matches_fraction_chain(t, n, k):
     got = outcome(eval_term, t, n, k)
     assert got == expected
     assert type(got) is type(expected)
+    pair = outcome(eval_term_pair, t, n, k)
+    if isinstance(got, tuple):  # the same TermEvalError message
+        assert pair == got
+    else:  # an unreduced pair of ints, den > 0, equal to it once reduced
+        num, den = pair
+        assert type(num) is int and type(den) is int and den > 0
+        assert Fraction(num, den) == got
+
+
+def test_eval_term_pair_is_zero_over_one_under_the_zero_convention():
+    # C(n, k) vanishes for k > n; C(n+k, k)^-2, 3^(k-n) and 1/(n+k+1) don't
+    vanishing = term(binoms=[BinomFactor(N, K, 1), BinomFactor(N + K, K, -2)],
+                     bases=[BaseFactor(-3, K - N)],
+                     denom=BivarPoly.linear(1, 1, 1))
+    assert eval_term_pair(vanishing, 2, 5) == (0, 1)
+    assert eval_term_pair(vanishing, 1, 3) == (0, 1)
+    assert eval_term_pair(vanishing, 5, 2) != (0, 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -133,3 +158,100 @@ def test_shifted_term_evaluates_at_the_shifted_point(t, n, k, dn, dk):
         assert isinstance(shifted, tuple) and shifted[0] == direct[0]
     else:
         assert shifted == direct
+
+
+# ---- audits on unreduced pairs against the same audits over Fractions ----
+
+def reference_grid(pair, n_max: int) -> list:
+    """(point, lhs, rhs) of each grid violation, over reduced Fractions."""
+    f, g = pair.f.term, pair.g.term
+    found = []
+    for n in range(1, n_max + 1):
+        for k in range(1, n + 1):
+            lhs = reference_eval_term(f, n, k - 1) - reference_eval_term(f, n, k)
+            rhs = reference_eval_term(g, n + 1, k) - reference_eval_term(g, n, k)
+            if lhs != rhs:
+                found.append(((n, k), lhs, rhs))
+    return found
+
+
+def with_g_poly(pair, poly: BivarPoly):
+    g_doc = TermDocument(pair.g.name, pair.g.term._replace(numer_poly=poly),
+                         pair.g.note)
+    return pair._replace(g=g_doc)
+
+
+@pytest.mark.parametrize("name, poly", [
+    ("guillera1", BivarPoly({(3, 0): 3})),                     # 2n^3 -> 3n^3
+    # 2n^3 + (n-3)(k-2): G is unchanged on the lines n = 3 and k = 2
+    ("guillera1", BivarPoly({(3, 0): 2, (1, 1): 1, (1, 0): -2,
+                             (0, 1): -3, (0, 0): 6})),
+    ("guillera2", BivarPoly({(2, 0): 1, (0, 0): Fraction(1, 3)})),
+])
+def test_perturbed_g_fails_the_grid_where_fractions_fail(name, poly):
+    bad = with_g_poly(builtin_pair(name), poly)
+    expected = reference_grid(bad, 10)
+    got = [v for _, violations, _ in wz_grid_rows(bad, range(1, 11))
+           for v in violations]
+    assert expected and got == expected
+    for _, lhs, rhs in got:  # lowest terms, as the report prints them
+        assert type(lhs) is Fraction and type(rhs) is Fraction
+
+
+@pytest.mark.parametrize("identity", ["g1_gen", "g2_gen"])
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_wrong_power_of_two_fails_rows_where_ratio_identity_fails(
+        monkeypatch, identity, shift):
+    offsets = verify_module._TWO_POWER_OFFSETS
+    monkeypatch.setitem(offsets, identity, offsets[identity] + shift)
+    for big_n in range(2, 12):
+        expected = [check for check in (
+            ratio_identity(identity, big_n, k)
+            for k in ratio_k_values(identity, big_n)) if not check.equal]
+        got = ratio_row_failures(identity, big_n)
+        assert expected and got == expected
+        for check in got:
+            assert type(check.lhs) is Fraction and type(check.rhs) is Fraction
+
+
+def reference_telescope_audit(pair, big_n: int, exp: int) -> TelescopeAudit:
+    """telescope_audit over Fractions: the scale is Fraction(B) ** exp."""
+    scale = Fraction(pair.scale_base) ** exp
+    div = divisor(pair.divisor_kind, big_n)
+    f, g = pair.f.term, pair.g.term
+    g_terms, total = [], Fraction(0)
+    for k in range(1, big_n):
+        value = scale * reference_eval_term(g, big_n, k)
+        total += value
+        g_terms.append((k, divide(value, div)))
+    corner = scale * reference_eval_term(f, big_n - 1, big_n - 1)
+    conclusion = scale * sum(reference_eval_term(f, n, 0)
+                             for n in range(big_n))
+    return TelescopeAudit(pair.name, big_n, pair.divisor_kind, div, exp,
+                          tuple(g_terms), divide(total, div),
+                          divide(corner, div), divide(conclusion, div))
+
+
+def audit_texts(audit: TelescopeAudit) -> list:
+    """Every number of the audit as the report renders it."""
+    checks = ([check for _, check in audit.g_terms]
+              + [audit.g_sum, audit.corner, audit.conclusion])
+    return [[number_text(x) for x in check if x is not None]
+            for check in checks]
+
+
+@pytest.mark.parametrize("name, scale_base", [
+    ("guillera1", None), ("guillera2", None), ("guillera2", -3),
+    ("guillera1", 5)])
+def test_negative_scale_exp_telescope_matches_fraction_audit(name,
+                                                             scale_base):
+    pair = builtin_pair(name)
+    if scale_base is not None:  # as a path pair with its own --scale-base
+        pair = pair._replace(scale_base=scale_base)
+    for big_n in range(2, 9):
+        for exp in (-3, -2, -1, 0, big_n - 1):
+            expected = reference_telescope_audit(pair, big_n, exp)
+            got = telescope_audit(pair, big_n, scale_exp=exp)
+            assert got == expected
+            assert got.ok == expected.ok
+            assert audit_texts(got) == audit_texts(expected)

@@ -13,7 +13,8 @@ from binomsum.verify import RATIO_IDENTITIES, SUM_SPECS, MarginRecord, \
     lemma22_point, lemma22_row, lemma23_point, lemma23_rows, \
     lemma24_scan, lemma25_row, lemma25_scan, lemma25_valuations, lemma25_w, \
     lemma26_floor_margin, lemma26_ineq_scan, lemma26_point, lemma26_rows, \
-    ratio_identity, ratio_k_values, sum_spec, valuation_failures
+    ratio_identity, ratio_k_values, ratio_row_failures, sum_spec, \
+    valuation_failures
 
 
 # ---------------------------------------------------------------------------
@@ -745,6 +746,17 @@ def test_telescoped_sum_ties_routes_together():
         assert check.rhs == eval_sum("guillera2", big_n)
 
 
+def test_ratio_rows_hold_and_validate_their_arguments():
+    for identity in ("g1_gen", "g2_gen"):
+        for big_n in range(2, 30):
+            assert ratio_row_failures(identity, big_n) == [], \
+                (identity, big_n)
+    with pytest.raises(ValueError):
+        ratio_row_failures("g1_col1", 3)   # not a row identity
+    with pytest.raises(ValueError):
+        ratio_row_failures("g2_gen", 1)
+
+
 def _doubled(division):
     return verify_module.divide(2 * division.value, division.divisor)
 
@@ -770,3 +782,22 @@ def test_lemma_faults_reach_the_ratio_identities(monkeypatch, identity):
     monkeypatch.setattr(verify_module, lemma,
                         lambda *args: doubled(real(*args)))
     assert not ratio_identity(identity, *point).equal
+
+
+# identity: (the stepped row its right side reads, that row doubled)
+DOUBLED_ROWS = {
+    "g1_gen": ("lemma22_row", lambda row: [_doubled(d) for d in row]),
+    "g2_gen": ("lemma25_row", lambda row: [(2 * p, d) for p, d in row]),
+}
+
+
+@pytest.mark.parametrize("identity", DOUBLED_ROWS)
+def test_row_faults_reach_the_ratio_rows(monkeypatch, identity):
+    # The row kernel reads the stepped lemma rows, so a wrong row fails
+    # every k it covers (g2_gen's k = 0 reads lemma25_w).
+    lemma, doubled = DOUBLED_ROWS[identity]
+    real = getattr(verify_module, lemma)
+    monkeypatch.setattr(verify_module, lemma,
+                        lambda n: doubled(real(n)))
+    failed = [check.k for check in ratio_row_failures(identity, 5)]
+    assert failed == list(range(2 if identity == "g1_gen" else 1, 6))

@@ -309,13 +309,34 @@ def test_grid_block_evaluates_each_term_once(monkeypatch):
     # n <= N + 1: N(N+1) + 2N values, each evaluated once.
     pair = builtin_pair("guillera1")
     calls = []
-    real = wz_module.eval_term
+    real = wz_module.eval_term_pair
 
     def counting(term, n, k):
         calls.append((term is pair.f.term, n, k))
         return real(term, n, k)
 
-    monkeypatch.setattr(wz_module, "eval_term", counting)
+    monkeypatch.setattr(wz_module, "eval_term_pair", counting)
     big_n = 45
     wz_grid_rows(pair, range(1, big_n + 1))
     assert len(calls) == len(set(calls)) == big_n * (big_n + 1) + 2 * big_n
+
+
+def test_passing_grid_and_telescope_build_no_fraction(monkeypatch):
+    # A passing audit prints no term value, so it reduces none: values
+    # stay unreduced integer pairs, and only a witness becomes a Fraction.
+    pair = builtin_pair("guillera1")  # parsed before counting
+    hyperterm_module._k0_prefix_table.cache_clear()
+    built = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    rows = wz_grid_rows(pair, range(1, 21))
+    audits = [telescope_audit(pair, big_n) for big_n in range(2, 21)]
+    monkeypatch.undo()
+    assert all(not violations for _, violations, _ in rows)
+    assert all(audit.ok for audit in audits)
+    assert built == []
