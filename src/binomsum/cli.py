@@ -443,8 +443,9 @@ def _cmd_lemma(args: argparse.Namespace) -> list[ReportRecord]:
                         audit.checked, failures)
 
     # 2.6: pointwise quotients plus the five-floor inequality scan.  The
-    # quotients step along n in this process: the 300 default points take
-    # about 12 ms, far below what a pool costs.
+    # quotients step along n in this process, as Decimals that the report
+    # prints by str: the 300 default points take about 13 ms and their
+    # text about 8 ms, far below what a pool costs.
     records = _lemma26_records(n_max)
     audit = _merged(_pmap_blocks(partial(lemma26_ineq_scan, m_max),
                                  range(2, m_max + 1), lambda m: m, args.jobs))

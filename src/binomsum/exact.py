@@ -5,11 +5,22 @@ fractions.Fraction; nothing here ever rounds, and int_text renders an int
 of any size in decimal. The factorial cache grows incrementally so
 repeated audits over a contiguous range stay amortized linear. It is per process: parallel audits run in worker processes,
 each of which fills its own copy.
+
+DECIMAL_CONTEXT is the one context for integer arithmetic in base 10, for
+numbers that are only ever printed: it keeps every digit and traps every
+rounding, so each operation under it is exact or raises.  This module is
+the only one that imports decimal (fractions has loaded it already).
 """
 from __future__ import annotations
 
 import math
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, \
+    DivisionByZero, Inexact, InvalidOperation, Overflow, Rounded
 from fractions import Fraction
+
+DECIMAL_CONTEXT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                          traps=[Inexact, Rounded, InvalidOperation,
+                                 DivisionByZero, Overflow])
 
 FACTORIAL_CACHE_LIMIT = 10_000
 
@@ -57,10 +68,11 @@ def int_text(value: int) -> str:
     Beyond it, |value| is split by divmod at about half its digits, and
     each half is rendered the same way, so every str() call stays under
     the limit, which itself stays in force.  For the 4,300 to 10,000
-    digits the audits produce (lemma 2.6 at its defaults, sumcheck near
-    n = 2000) and the coefficients a symbolic render may carry, this is
-    faster than a divide and conquer through exact
-    decimal values, which wins only above about 15,000 digits.
+    digits the int audits produce (sumcheck near n = 2000) and the
+    coefficients a symbolic render may carry, this is faster than a divide
+    and conquer through exact decimal values, which wins only above about
+    15,000 digits.  Numbers that are computed only to be printed (lemma
+    2.6's rows) are kept in base 10 from the start, under DECIMAL_CONTEXT.
     """
     try:
         return str(value)

@@ -1,12 +1,12 @@
 """Uniform audit report records and their serializers.
 
-Every value a record carries is exact: witnesses keep the ints and
-Fractions the audits computed, and the writers render each one in decimal
-through number_text, which is exact at any size.  A report is written to
-a text stream one record at a time; render returns the same bytes as one
-string.  All three output formats are deterministic functions of the
-record list, so report bytes are identical no matter how the records were
-computed.
+Every value a record carries is exact: witnesses keep the ints, Fractions
+and integral Decimals the audits computed, and the writers render each one
+in decimal through number_text, which is exact at any size.  A report is
+written to a text stream one record at a time; render returns the same
+bytes as one string.  All three output formats are deterministic
+functions of the record list, so report bytes are identical no matter
+how the records were computed.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import io
 from fractions import Fraction
 from typing import NamedTuple, TextIO
 
-from .exact import int_text
+from .exact import Decimal, int_text
 from .records import Validated
 
 FORMATS = ("json", "csv", "human")
@@ -28,7 +28,7 @@ class _RecordFields(NamedTuple):
     check: str
     params: tuple[tuple[str, int | str], ...]
     status: str
-    witness: tuple[tuple[str, int | Fraction | str], ...] = ()
+    witness: tuple[tuple[str, int | Fraction | Decimal | str], ...] = ()
 
 
 class ReportRecord(Validated, _RecordFields):
@@ -45,15 +45,23 @@ class ReportRecord(Validated, _RecordFields):
 # Exact decimal text of any size
 # ---------------------------------------------------------------------------
 
-def number_text(value: int | Fraction | str) -> str:
+_UNIT = Decimal(1)  # exponent 0: the only quantum number_text renders
+
+
+def number_text(value: int | Fraction | Decimal | str) -> str:
     """str(value), exact at any size: an int in decimal, a Fraction as
-    p/q (or p when q is 1), and any other value as str gives it."""
+    p/q (or p when q is 1), an integral Decimal of exponent 0 by str in
+    linear time, and any other value as str gives it.  Any other Decimal
+    (1E+3, 2.5, NaN) raises ValueError, so no report prints scientific
+    notation."""
     if isinstance(value, int):
         return int_text(value)
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int_text(value.numerator)
         return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
+    if isinstance(value, Decimal) and not value.same_quantum(_UNIT):
+        raise ValueError(f"{value!r} is not an integer of exponent 0")
     return str(value)
 
 

@@ -19,7 +19,8 @@ reference that builds every binomial or factorial afresh: lemma22_row
 (binomials along k) against lemma22_point, lemma23_rows (binomials along
 n) against lemma23_point, lemma25_row (binomials and the factorial form
 of W along k) against lemma25_w, and lemma26_rows (five factorials along
-n) against lemma26_point.  The floor forms of lemmas 2.4-2.6 are declared
+n, as exact Decimals, since its quotients are only ever printed) against
+lemma26_point.  The floor forms of lemmas 2.4-2.6 are declared
 once, as weighted affine forms in _EIGHT_FLOOR_FORMS and
 _FIVE_FLOOR_FORMS; the floor scans sum tables of them row by row
 (_margin_rows), and lemma 2.5's Legendre sums, step ratio and factorial
@@ -41,8 +42,9 @@ from math import gcd, prod
 from operator import add, itemgetter, mul
 from typing import NamedTuple
 
-from .exact import binomial, factorial, int_valuation, legendre_valuation, \
-    primes_upto, rat_valuation, smallest_prime_factors
+from .exact import DECIMAL_CONTEXT, Decimal, binomial, factorial, \
+    int_valuation, legendre_valuation, primes_upto, rat_valuation, \
+    smallest_prime_factors
 from .hyperterm import eval_term, eval_term_pair, k0_prefix_sum
 from .pairs import DIVISOR_KINDS, SUM_SPECS, SumSpec, WZPairSpec, \
     builtin_pair, sum_spec
@@ -174,12 +176,13 @@ def divisor(kind: str, n: int) -> int:
 
 class DivisionCheck(NamedTuple):
     """Exact division with remainder; quotient is set only on success, and
-    a non-integral value has neither quotient nor remainder."""
+    a non-integral value has neither quotient nor remainder.  The fields
+    are ints (or a Fraction value), or integral Decimals throughout."""
 
-    value: int | Fraction
-    divisor: int
-    quotient: int | None
-    remainder: int | None
+    value: int | Fraction | Decimal
+    divisor: int | Decimal
+    quotient: int | Decimal | None
+    remainder: int | Decimal | None
 
     @property
     def integral(self) -> bool:
@@ -192,7 +195,7 @@ class DivisionCheck(NamedTuple):
     @property
     def exact_quotient(self) -> Fraction:
         """value / divisor as a Fraction, whether or not it divides."""
-        return Fraction(self.value, self.divisor)
+        return Fraction(self.value) / Fraction(self.divisor)
 
 
 def divide(value: int | Fraction, div: int) -> DivisionCheck:
@@ -772,21 +775,26 @@ def lemma26_point(n: int) -> DivisionCheck:
 
 def lemma26_rows(n_max: int) -> list[DivisionCheck]:
     """lemma26_point(n) for n = 1..n_max, with the five factorials of
-    _FIVE_FLOOR_FORMS stepped along n instead of looked up.
+    _FIVE_FLOOR_FORMS stepped along n instead of looked up, in base 10.
 
     The products start at n = 1, where every factorial argument is 0 or 1,
     and a form c0 + c_n*n moves from n to n + 1 by the rising product of
     its c_n next integers, into the numerator or the denominator by the
     sign of its weight (_step_factors): small multiplications only, and no
-    factorial enters a cache."""
+    factorial enters a cache.  The products are integral Decimals under
+    exact.DECIMAL_CONTEXT, where nothing rounds, so every field of a check
+    is a Decimal that str renders in linear time; no large int is built or
+    converted."""
     moving = _moving_forms(_FIVE_FLOOR_FORMS)
-    num = den = 1
+    ctx = DECIMAL_CONTEXT
+    num = den = Decimal(1)
     checks = []
     for n in range(1, n_max + 1):
         if n > 1:  # from n - 1 to n
             up, down = _step_factors(moving, n - 1)
-            num, den = num * up, den * down
-        checks.append(divide(num, den))
+            num, den = ctx.multiply(num, up), ctx.multiply(den, down)
+        q, r = ctx.divmod(num, den)
+        checks.append(DivisionCheck(num, den, q if r == 0 else None, r))
     return checks
 
 

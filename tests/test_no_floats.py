@@ -1,12 +1,20 @@
-"""Static guard: the package computes with ints and Fractions only.
+"""Static guard: the package computes with ints, Fractions and exact
+Decimals only.
 
 Every module of binomsum is parsed, and a float literal, a call to float,
-or a math function outside the integer-valued ones fails the test.
+or a math function outside the integer-valued ones fails the test.  Only
+exact.py may import decimal, and the one context it builds there keeps
+every digit and traps every rounding, so a Decimal result is exact or an
+error.
 """
 import ast
+from decimal import MAX_PREC, Decimal, Inexact, Rounded, localcontext
 from pathlib import Path
 
+import pytest
+
 import binomsum
+from binomsum.exact import DECIMAL_CONTEXT
 
 INTEGER_MATH = {"isqrt", "gcd", "lcm", "prod"}
 
@@ -42,3 +50,45 @@ def test_guard_flags_each_kind_of_float_use():
     assert float_uses(source) == [
         "line 2: from math import log", "line 3: literal 0.5",
         "line 4: call to float", "line 5: math.sqrt"]
+
+
+def decimal_imports(source: str) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name in ("decimal", "_decimal", "_pydecimal")]
+    return found
+
+
+def test_only_exact_imports_decimal():
+    modules = sorted(Path(binomsum.__file__).parent.glob("*.py"))
+    assert {m.name for m in modules if decimal_imports(m.read_text())} \
+        == {"exact.py"}
+
+
+def test_decimal_guard_flags_each_kind_of_import():
+    source = ("import decimal\nfrom decimal import Decimal\n"
+              "import _pydecimal as d, math\nfrom .exact import Decimal\n")
+    assert decimal_imports(source) == [
+        "line 1: decimal", "line 2: decimal", "line 3: _pydecimal"]
+
+
+def test_decimal_context_is_exact_or_raises():
+    ctx = DECIMAL_CONTEXT
+    assert ctx.prec == MAX_PREC
+    assert ctx.traps[Inexact] and ctx.traps[Rounded]
+    big = ctx.power(10, 40)  # 28 digits would round the product to 1E+80
+    assert ctx.multiply(ctx.add(big, 1), ctx.subtract(big, 1)) == 10 ** 80 - 1
+    with pytest.raises(Inexact):
+        ctx.quantize(Decimal("2.5"), Decimal(1))
+    with localcontext(ctx):
+        # An inexact quotient needs all MAX_PREC digits; libmpdec reports
+        # the allocation it cannot make, or the inexact result, at once.
+        with pytest.raises((Inexact, MemoryError)):
+            Decimal(1) / 3

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -126,3 +127,24 @@ def test_witness_numbers_render_as_their_text_in_every_format():
                          (("value", "24"), ("ratio", "-1/3")))
     for fmt in FORMATS:
         assert render([numbers], fmt) == render([texts], fmt)
+
+
+def test_number_text_of_integral_decimals(int_str_limit):
+    big = 7 ** 12000  # over 10,000 digits
+    assert number_text(Decimal(int_str_limit(big))) == int_str_limit(big)
+    assert number_text(Decimal(-6006)) == "-6006"
+    assert number_text(Decimal(0)) == "0"
+    numbers = ReportRecord("lemma", (("n", 3),), "pass",
+                           (("value", Decimal(70)), ("remainder", Decimal(0))))
+    texts = ReportRecord("lemma", (("n", 3),), "pass",
+                         (("value", "70"), ("remainder", "0")))
+    for fmt in FORMATS:
+        assert render([numbers], fmt) == render([texts], fmt)
+
+
+@pytest.mark.parametrize("text", ["1E+3", "7E-2", "2.5", "70.0", "NaN",
+                                  "sNaN", "-Infinity"])
+def test_number_text_refuses_other_decimals(text):
+    # Each would print as scientific notation, a fraction or no number.
+    with pytest.raises(ValueError, match="exponent 0"):
+        number_text(Decimal(text))

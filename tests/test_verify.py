@@ -1,11 +1,15 @@
+import json
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 import binomsum.exact as exact_module
 import binomsum.verify as verify_module
-from binomsum.exact import binomial, factorial, int_valuation, \
+from binomsum.cli import main
+from binomsum.exact import binomial, factorial, int_text, int_valuation, \
     legendre_valuation, primes_upto, rat_valuation, smallest_prime_factors
 from binomsum.verify import RATIO_IDENTITIES, SUM_SPECS, MarginRecord, \
     check_divisibility, check_divisibility_valuations, divide, divisor, \
@@ -655,6 +659,59 @@ def test_lemma26_rows_catch_a_planted_one_off_step(lemma26_points,
     wrong = [n for n, (check, point) in enumerate(
         zip(lemma26_rows(300), lemma26_points), 1) if check != point]
     assert wrong == list(range(151, 301))
+
+
+DIVISION_FIELDS = ("value", "divisor", "quotient", "remainder")
+
+
+def test_lemma26_rows_are_decimals_that_print_as_the_quotients(
+        lemma26_points):
+    rows = lemma26_rows(300)
+    assert len(str(rows[-1].value)) > 4300  # past the int-to-str limit
+    for n, (row, point) in enumerate(zip(rows, lemma26_points), 1):
+        for field in DIVISION_FIELDS:
+            number = getattr(row, field)
+            assert isinstance(number, Decimal), (n, field)
+            assert str(number) == int_text(getattr(point, field)), (n, field)
+    assert rows[-1].exact_quotient == lemma26_points[-1].exact_quotient \
+        == int(rows[-1].quotient)
+
+
+def test_lemma26_row_1000_matches_math_factorial():
+    n, f = 1000, math.factorial
+    value = f(6 * n - 5) * f(n - 1)
+    div = f(2 * n - 1) * f(2 * n - 2) * f(3 * n - 3)
+    quotient, remainder = divmod(value, div)
+    assert remainder == 0
+    row = lemma26_rows(n)[-1]
+    assert [str(getattr(row, field)) for field in DIVISION_FIELDS] \
+        == [int_text(number) for number in (value, div, quotient, 0)]
+
+
+def test_lemma26_rows_fail_with_a_remainder_when_the_divisor_gains_a_factor(
+        capsys, monkeypatch):
+    # 10007 is prime and above 6n - 5 for n <= 20, so it divides no
+    # numerator: from n = 5 on, every point is non-integral.
+    step = verify_module._step_factors
+
+    def planted(moving, t):
+        up, down = step(moving, t)
+        return (up, down * 10007) if t == 4 else (up, down)
+
+    monkeypatch.setattr(verify_module, "_step_factors", planted)
+    rows = lemma26_rows(20)
+    assert [row.ok for row in rows] == [True] * 4 + [False] * 16
+    assert all(row.quotient is None and row.remainder > 0 for row in rows[4:])
+    assert rows[4].exact_quotient == Fraction(lemma26_point(5).quotient, 10007)
+    code = main(["lemma", "--id", "2.6", "--n-max", "20", "--m-max", "2",
+                 "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    fails = [record for record in map(json.loads, captured.out.splitlines())
+             if record["status"] == "fail"]
+    assert [record["params"]["n"] for record in fails] == list(range(5, 21))
+    assert [int(record["witness"]["remainder"]) for record in fails] \
+        == [int(row.remainder) for row in rows[4:]]
 
 
 def test_lemma26_floor_margin_spots():
