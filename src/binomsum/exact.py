@@ -2,9 +2,7 @@
 
 All functions operate on Python ints (arbitrary precision) and
 fractions.Fraction; nothing here ever rounds, and int_text renders an int
-of any size in decimal. The factorial cache grows incrementally so
-repeated audits over a contiguous range stay amortized linear. It is per process: parallel audits run in worker processes,
-each of which fills its own copy.
+of any size in decimal.
 
 DECIMAL_CONTEXT is the one context for integer arithmetic in base 10, for
 numbers that are only ever printed: it keeps every digit and traps every
@@ -22,43 +20,19 @@ DECIMAL_CONTEXT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                           traps=[Inexact, Rounded, InvalidOperation,
                                  DivisionByZero, Overflow])
 
-FACTORIAL_CACHE_LIMIT = 10_000
-
-_factorials: list[int] = [1, 1]
-
-
-def factorial(n: int) -> int:
-    """n! for n >= 0, memoized up to FACTORIAL_CACHE_LIMIT."""
-    if n < 0:
-        raise ValueError(f"factorial of negative argument {n}")
-    if n <= FACTORIAL_CACHE_LIMIT:
-        if n >= len(_factorials):
-            acc = _factorials[-1]
-            for m in range(len(_factorials), n + 1):
-                acc *= m
-                _factorials.append(acc)
-        return _factorials[n]
-    # beyond the cache limit: compute from the cached prefix without storing
-    base = min(len(_factorials) - 1, n)
-    acc = _factorials[base]
-    for m in range(base + 1, n + 1):
-        acc *= m
-    return acc
+factorial = math.factorial
 
 
 def binomial(a: int, b: int) -> int:
     """Binomial coefficient with the zero convention.
 
-    C(a, b) = 0 whenever b < 0, a < 0, or b > a; otherwise a!/(b!(a-b)!).
+    C(a, b) = 0 whenever b < 0, a < 0, or b > a; otherwise math.comb(a, b).
     The zero convention is what makes hypergeometric terms vanish outside
     their support, so audits rely on it rather than raising.
     """
     if b < 0 or a < 0 or b > a:
         return 0
-    facts = _factorials
-    if a < len(facts):  # all three cached: read them without three calls
-        return facts[a] // (facts[b] * facts[a - b])
-    return factorial(a) // (factorial(b) * factorial(a - b))
+    return math.comb(a, b)
 
 
 def int_text(value: int) -> str:

@@ -12,8 +12,8 @@ eval_sum steps along k: it keeps C(2k, k) and C(4k, 2k) current through
 their term ratios, builds t(k) from them, and grows a per-process table
 of prefix sums by S(k+1) = base*S(k) + t(k), so a point already reached
 is a lookup and a new one costs O(1) big-integer steps.  iter_sums runs
-the same recurrence but builds every summand afresh from factorial
-quotients (exact.binomial), so the two routes share no binomial.
+the same recurrence but builds every summand afresh from the standard
+library's math.comb (exact.binomial), so the two routes share no binomial.
 The lemma audits step along a row the same way, each against a per-point
 reference that builds every binomial or factorial afresh: lemma22_row
 (binomials along k) against lemma22_point, lemma23_rows (binomials along
@@ -679,14 +679,12 @@ def _lemma25_steps(n: int, exps: list[int], spf: list[int]):
     product of p**e over its positive entries.  Each step adds the
     valuations of the ratio's integers, read off the sieve spf, times their
     exponents; an entry moving from a to b multiplies or exactly divides r
-    by p**(max(b, 0) - max(a, 0)).  A form x of weight w moving by c along
-    k gives the integers x+1..x+c at exponent w, or x+c+1..x at -w.
+    by p**(max(b, 0) - max(a, 0)).
     """
-    steps = []
-    for (c0, c_n, c), w in _EIGHT_FLOOR_FORMS:
-        a = c0 + c_n * n
-        steps += ([(a + j, c, w) for j in range(1, c + 1)] if c > 0
-                  else [(a - j, c, -w) for j in range(-c)])
+    steps = [(b + j, c, power if rises else -power)
+             for b, c, width, power, rises
+             in _moving_forms(_EIGHT_FLOOR_FORMS, n)
+             for j in range(1, width + 1)]
     negatives = sum(1 for e in exps if e < 0)
     r = 1
     for p, e in enumerate(exps):
@@ -788,11 +786,10 @@ def lemma26_rows(n_max: int) -> list[DivisionCheck]:
     The products start at n = 1, where every factorial argument is 0 or 1,
     and a form c0 + c_n*n moves from n to n + 1 by the rising product of
     its c_n next integers, into the numerator or the denominator by the
-    sign of its weight (_step_factors): small multiplications only, and no
-    factorial enters a cache.  The products are integral Decimals under
-    exact.DECIMAL_CONTEXT, where nothing rounds, so every field of a check
-    is a Decimal that str renders in linear time; no large int is built or
-    converted."""
+    sign of its weight (_step_factors): small multiplications only.  The
+    products are integral Decimals under exact.DECIMAL_CONTEXT, where
+    nothing rounds, so every field of a check is a Decimal that str renders
+    in linear time; no large int is built or converted."""
     moving = _moving_forms(_FIVE_FLOOR_FORMS)
     ctx = DECIMAL_CONTEXT
     num = den = Decimal(1)

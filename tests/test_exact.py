@@ -29,6 +29,9 @@ def test_binomial_pascal_row():
 def test_binomial_zero_outside_range():
     assert binomial(5, -1) == 0
     assert binomial(5, 6) == 0
+    assert binomial(-1, 0) == 0
+    assert binomial(-2, 1) == 0
+    assert binomial(-3, -1) == 0
     assert binomial(0, 0) == 1
 
 
@@ -38,7 +41,7 @@ def test_binomial_central_values():
     assert binomial(200, 100) == math.comb(200, 100)
 
 
-@given(st.integers(0, 60), st.integers(-5, 65))
+@given(st.integers(-5, 60), st.integers(-5, 65))
 def test_binomial_agrees_with_math_comb(n, k):
     expected = math.comb(n, k) if 0 <= k <= n else 0
     assert binomial(n, k) == expected

@@ -16,7 +16,7 @@ import pytest
 import binomsum
 from binomsum.exact import DECIMAL_CONTEXT
 
-INTEGER_MATH = {"isqrt", "gcd", "lcm", "prod"}
+INTEGER_MATH = {"isqrt", "gcd", "lcm", "prod", "comb", "factorial"}
 
 
 def float_uses(source: str) -> list[str]:
@@ -46,10 +46,11 @@ def test_no_float_arithmetic_in_the_package():
 
 def test_guard_flags_each_kind_of_float_use():
     source = ("import math\nfrom math import log, gcd\n"
-              "x = 0.5\ny = float(3)\nz = math.sqrt(2)\nw = math.isqrt(9)\n")
+              "x = 0.5\ny = float(3)\nz = math.sqrt(2)\nw = math.isqrt(9)\n"
+              "c = math.comb(4, 2)\ng = math.lgamma(5)\n")
     assert float_uses(source) == [
         "line 2: from math import log", "line 3: literal 0.5",
-        "line 4: call to float", "line 5: math.sqrt"]
+        "line 4: call to float", "line 5: math.sqrt", "line 8: math.lgamma"]
 
 
 def decimal_imports(source: str) -> list[str]:

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-import binomsum.exact as exact_module
 import binomsum.verify as verify_module
 from binomsum.cli import main
 from binomsum.exact import binomial, factorial, int_text, int_valuation, \
@@ -113,9 +112,7 @@ def test_eval_sum_keeps_only_finished_summands(monkeypatch):
         assert eval_sum(spec, 10) == dict(iter_sums(spec, 10))[10], name
 
 
-def test_stepped_binomials_match_factorial_quotients(monkeypatch):
-    # a private factorial cache, so the 8000! this needs is freed afterwards
-    monkeypatch.setattr(exact_module, "_factorials", [1, 1])
+def test_stepped_binomials_match_factorial_quotients():
     central = quad = 1
     for k in range(2001):
         assert central == binomial(2 * k, k), k
@@ -655,10 +652,12 @@ def test_lemma26_rows_match_the_factorial_quotients(lemma26_texts, n_max):
     assert [division_text(row) for row in rows] == lemma26_texts[:n_max]
 
 
-def test_lemma26_rows_fill_no_factorial_cache(monkeypatch):
-    monkeypatch.setattr(exact_module, "_factorials", [1, 1])
+def test_lemma26_rows_look_up_no_factorial(monkeypatch):
+    def no_factorial(n):
+        raise AssertionError(f"factorial({n}) looked up")
+
+    monkeypatch.setattr(verify_module, "factorial", no_factorial)
     assert all(check.ok for check in lemma26_rows(300))
-    assert exact_module._factorials == [1, 1]
 
 
 def test_lemma26_rows_catch_a_planted_one_off_step(lemma26_texts,
