@@ -17,6 +17,10 @@ A mismatch between the two independent routes of one check (floor against
 fractional margin, binomial against factorial form) is an internal error,
 not a FAIL record: it means the program is wrong, not the mathematics.
 
+The sumcheck and lemma audits never touch the term language (dsl,
+hyperterm, polyalg) or the certificate audits (wz), so the handlers that
+do import them where they run, and a sum or lemma audit loads none.
+
 main() is the in-process API: it flushes the report, returns the exit code
 and never ends the process.  console_main, the entry point of the console
 script and of ``python -m binomsum.cli``, ends the process by os._exit as
@@ -33,16 +37,13 @@ from pathlib import Path
 from time import perf_counter_ns
 from typing import NoReturn
 
-from .dsl import DslError, parse_document, serialize_document
-from .hyperterm import NotProportionalError, TermEvalError, eval_term
 from .pairs import WZPairSpec, builtin_document, builtin_pair, builtin_pair_names
 from .report import FAIL, FORMATS, PASS, SKIPPED, ReportRecord, write
 from .verify import LEMMA24_REGIONS, RATIO_IDENTITIES, SUM_SPECS, \
-    LemmaAudit, check_divisibility, lemma22_row, lemma23_rows, \
-    lemma24_scan, lemma25_scan, lemma26_ineq_scan, lemma26_rows, \
-    check_divisibility_valuations, ratio_identity, ratio_k_values, \
+    LemmaAudit, check_divisibility_valuations, divide, divisors, eval_sum, \
+    lemma22_row, lemma23_rows, lemma24_scan, lemma25_scan, \
+    lemma26_ineq_scan, lemma26_rows, ratio_identity, ratio_k_values, \
     ratio_row_failures, sum_spec
-from .wz import telescope_audit, wz_certificate, wz_grid_rows, wz_symbolic_check
 
 JOBS_ENV = "BINOMSUM_JOBS"
 
@@ -92,6 +93,7 @@ def _load_pair(text: str, scale_base: int | None,
             f"pair directory {text!r} must contain exactly one .F and one .G "
             f"file (found {len(f_files)} and {len(g_files)})")
     f_path, g_path = f_files[0], g_files[0]
+    from .dsl import parse_document
     try:
         f_doc = parse_document(Path(f_path).read_text("utf-8"))
         g_doc = parse_document(Path(g_path).read_text("utf-8"))
@@ -219,14 +221,16 @@ def _summary(check: str, params: tuple, count_key: str, count: int,
 # ---------------------------------------------------------------------------
 
 def _sum_records(args: tuple) -> list[ReportRecord]:
-    """One record per n of one sum, in order.  A whole sum is one work
-    item because eval_sum grows one sum's prefix table per process."""
+    """One record per n of one sum, in order: S(n) from eval_sum divided by
+    the divisor that divisors steps along the range, in a chain of its own.
+    A whole sum is one work item because eval_sum grows one sum's prefix
+    table per process."""
     name, kind, n_range, valuation = args
     spec = sum_spec(name)
     used_kind = spec.divisor_kind if kind is None else kind
     records = []
-    for n in n_range:
-        division = check_divisibility(spec, kind, n)
+    for n, div in zip(n_range, divisors(used_kind, n_range)):
+        division = divide(eval_sum(spec, n), div)
         witness = _division_witness(division)
         agree = True
         if valuation:
@@ -256,6 +260,7 @@ def _cmd_sumcheck(args: argparse.Namespace) -> list[ReportRecord]:
 def _grid_block_records(pair: WZPairSpec, rows: range
                         ) -> list[tuple[int, list[ReportRecord]]]:
     """(points checked, FAIL and SKIPPED records) for each row of a block."""
+    from .wz import wz_grid_rows
     out = []
     for n, (checked, violations, skipped) in zip(rows,
                                                   wz_grid_rows(pair, rows)):
@@ -272,6 +277,7 @@ def _grid_block_records(pair: WZPairSpec, rows: range
 
 def _telescope_record(args: tuple) -> ReportRecord:
     pair, big_n, scale_exp, kind = args
+    from .wz import telescope_audit
     audit = telescope_audit(pair, big_n, scale_exp=scale_exp, divisor_kind=kind)
     params = (("pair", pair.name), ("mode", "telescope"), ("N", big_n),
               ("divisor_kind", audit.divisor_kind), ("scale_exp", audit.scale_exp))
@@ -331,6 +337,8 @@ def _cmd_wzcheck(args: argparse.Namespace) -> list[ReportRecord]:
             ("skipped", sum(rec.status == SKIPPED for rec in records)))
 
     if args.mode == "symbolic":
+        from .hyperterm import NotProportionalError
+        from .wz import wz_certificate, wz_symbolic_check
         params = (("pair", pair.name), ("mode", "symbolic"))
         try:
             ok, residual = wz_symbolic_check(pair)
@@ -503,6 +511,7 @@ def _cmd_ratio(args: argparse.Namespace) -> list[ReportRecord]:
 # ---------------------------------------------------------------------------
 
 def _load_document(source: str):
+    from .dsl import DslError, parse_document
     if source.startswith("builtin:"):
         name = source[len("builtin:"):]
         try:
@@ -523,6 +532,7 @@ def _cmd_term(args: argparse.Namespace) -> list[ReportRecord] | str:
         _reject_ignored(f"term {args.action}", {"--n": args.n, "--k": args.k})
     doc = _load_document(args.source)
     if args.action == "serialize":
+        from .dsl import serialize_document
         return serialize_document(doc)
     if args.action == "parse":
         term = doc.term
@@ -535,6 +545,7 @@ def _cmd_term(args: argparse.Namespace) -> list[ReportRecord] | str:
         raise ConfigError("term eval needs --n and --k")
     params = (("action", "eval"), ("name", doc.name), ("n", args.n),
               ("k", args.k))
+    from .hyperterm import TermEvalError, eval_term
     try:
         value = eval_term(doc.term, args.n, args.k)
     except TermEvalError as exc:

@@ -2,16 +2,19 @@
 
 A builtin pair is named after the sum its telescoping concludes with and
 takes that sum's base and divisor family; F and G are shipped documents.
+They are read and parsed where a builtin document is first loaded, which
+alone imports importlib.resources, dsl and hyperterm: the sum and lemma
+audits import none of them.
 """
 from __future__ import annotations
 
 from functools import cache
-from importlib import resources
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .dsl import parse_document
-from .hyperterm import TermDocument
 from .records import Validated
+
+if TYPE_CHECKING:
+    from .hyperterm import TermDocument
 
 DIVISOR_KINDS = ("weak", "strong")
 
@@ -102,11 +105,13 @@ def builtin_document_text(name: str) -> str:
     """Raw shipped source of a builtin document, e.g. 'guillera1.F'."""
     if name not in builtin_document_names():
         raise ValueError(f"unknown builtin document {name!r}")
+    from importlib import resources
     return (resources.files(__package__) / "terms" / name).read_text("utf-8")
 
 
 @cache
 def builtin_document(name: str) -> TermDocument:
+    from .dsl import parse_document
     return parse_document(builtin_document_text(name))
 
 

@@ -8,12 +8,18 @@ fractional parts, binomial products vs. factorial quotients), both routes
 are implemented separately and compared rather than merged.
 
 There are two routes to a partial sum S(n) = sum t(k)*base**(n-1-k).
-eval_sum steps along k: it keeps C(2k, k) and C(4k, 2k) current through
-their term ratios, builds t(k) from them, and grows a per-process table
-of prefix sums by S(k+1) = base*S(k) + t(k), so a point already reached
-is a lookup and a new one costs O(1) big-integer steps.  iter_sums runs
-the same recurrence but builds every summand afresh from the standard
-library's math.comb (exact.binomial), so the two routes share no binomial.
+eval_sum steps along k: it keeps C(2k, k)**p (p the sum's central power)
+and C(4k, 2k) current through their term ratios, builds t(k) from them,
+and grows a per-process table of prefix sums by S(k+1) = base*S(k) + t(k),
+so a point already reached is a lookup and a new one costs O(1)
+big-integer steps.  iter_sums runs the same recurrence but builds every
+summand afresh from the standard library's math.comb (exact.binomial), so
+the two routes share no binomial.  divisors steps C(2n, n) along a range
+of n in a chain of its own, never read from eval_sum's table; the tests
+hold it to the per-point divisor at every n.  The valuation route
+(valuation_failures) takes every v_p of a divisor from Legendre's formula
+and decides all primes at once by one remainder modulo their product,
+naming the failing primes only when it is not zero.
 The lemma audits step along a row the same way, each against a per-point
 reference that builds every binomial or factorial afresh: lemma22_row
 (binomials along k) against lemma22_point, lemma23_rows (binomials along
@@ -45,7 +51,6 @@ from typing import NamedTuple
 from .exact import DECIMAL_CONTEXT, Decimal, binomial, factorial, \
     int_valuation, legendre_valuation, primes_upto, rat_valuation, \
     smallest_prime_factors
-from .hyperterm import eval_term, eval_term_pair, k0_prefix_sum
 from .pairs import DIVISOR_KINDS, SUM_SPECS, SumSpec, WZPairSpec, \
     builtin_pair, sum_spec
 
@@ -63,9 +68,9 @@ def _summand(spec: SumSpec, k: int) -> int:
 
 
 class _PrefixSums:
-    """S(0), S(1), ... of one sum as far as computed, with C(2k, k) and
-    C(4k, 2k) at the next summand's index k = len(sums) - 1 (the latter
-    stays 1 for sums without that factor)."""
+    """S(0), S(1), ... of one sum as far as computed, with C(2k, k)**p
+    (p = central_power) and C(4k, 2k) at the next summand's index
+    k = len(sums) - 1 (the latter stays 1 for sums without that factor)."""
 
     __slots__ = ("sums", "central", "quad")
 
@@ -93,6 +98,12 @@ def _central_step(k: int, central: int) -> int:
     return _exact_step(central * (2 * (2 * k + 1)), k + 1)
 
 
+def _central_power_step(k: int, power: int, value: int) -> int:
+    """C(2k+2, k+1)**power from value = C(2k, k)**power, by the ratio
+    (2(2k+1))**power / (k+1)**power."""
+    return _exact_step(value * (2 * (2 * k + 1)) ** power, (k + 1) ** power)
+
+
 def _middle_step(n: int, k: int, mid: int) -> int:
     """C(n+k+1, 2k+2) from mid = C(n+k, 2k)."""
     return _exact_step(mid * (n + k + 1) * (n - k), (2 * k + 1) * (2 * k + 2))
@@ -105,40 +116,35 @@ def _quad_step(k: int, quad: int) -> int:
                        ((2 * k + 1) * (2 * k + 2)) ** 2)
 
 
-def _extend(spec: SumSpec, table: _PrefixSums) -> None:
-    """Append S(k+1) = base*S(k) + t(k) and step the binomials to k + 1.
-
-    Everything is computed before the table changes, so a step that
-    raises leaves the table as it was.
-    """
-    k = len(table.sums) - 1
-    c2, c1, c0 = spec.coeff
-    t = (c2 * k * k + c1 * k + c0) * table.central ** spec.central_power
-    central, quad = _central_step(k, table.central), table.quad
-    if spec.include_quad_central:
-        t *= quad
-        quad = _quad_step(k, quad)
-    table.sums.append(spec.base * table.sums[k] + t)
-    table.central, table.quad = central, quad
-
-
 def eval_sum(spec: SumSpec | str, n: int) -> int:
     """S(n) = sum t(k)*base**(n-1-k), read from a table of prefix sums.
 
-    The table grows to the largest n asked for, one O(1) step per new n
-    (see _extend); only the most recent sum's table is held, so callers
-    that go sum by sum rebuild it once per sum.  It costs O(n_max^2)
-    bits: 4.3 MB of ints for guillera2 at n = 2000.  A step that raises
-    leaves the table with the sums finished before it.
+    The table grows to the largest n asked for by S(k+1) = base*S(k) + t(k),
+    one O(1) step per new n.  t(k) multiplies C(2k, k)**p, which the table
+    holds and steps by its own exact ratio (_central_power_step), so no
+    step raises a binomial to a power.  Each step is computed before the
+    table changes, so a step that raises leaves the table with the sums
+    finished before it.  Only the most recent sum's table is held, so
+    callers that go sum by sum rebuild it once per sum.  It costs
+    O(n_max^2) bits: 4.3 MB of ints for guillera2 at n = 2000.
     """
     if isinstance(spec, str):
         spec = sum_spec(spec)
     if n < 1:
         raise ValueError("eval_sum needs n >= 1")
     table = _prefix_sums(spec)
-    while len(table.sums) <= n:
-        _extend(spec, table)
-    return table.sums[n]
+    sums = table.sums
+    c2, c1, c0 = spec.coeff
+    for k in range(len(sums) - 1, n):  # S(k+1), binomials from k to k + 1
+        central, quad = table.central, table.quad
+        t = (c2 * k * k + c1 * k + c0) * central
+        central = _central_power_step(k, spec.central_power, central)
+        if spec.include_quad_central:
+            t *= quad
+            quad = _quad_step(k, quad)
+        sums.append(spec.base * sums[k] + t)
+        table.central, table.quad = central, quad
+    return sums[n]
 
 
 def iter_sums(spec: SumSpec | str, n_max: int):
@@ -172,6 +178,28 @@ def divisor(kind: str, n: int) -> int:
     if kind == "weak":
         return 2 * n * central
     return 2 * n * n * central * central
+
+
+def divisors(kind: str, ns: range):
+    """Yield divisor(kind, n) for each n of ns, a range of step 1.
+
+    C(2n, n) is built once, by exact.binomial at ns.start, and then
+    stepped along n by _central_step: a chain of its own, which reads
+    nothing of eval_sum's table, so that no fault in one chain reaches
+    both a sum and its divisor.  divisor stays the per-point reference.
+    """
+    if kind not in DIVISOR_KINDS:
+        raise ValueError(f"divisor kind must be one of {DIVISOR_KINDS}")
+    if ns.step != 1:
+        raise ValueError("divisors needs a range of step 1")
+    if ns and ns.start < 1:
+        raise ValueError("divisors needs n >= 1")
+    central = binomial(2 * ns.start, ns.start)
+    for n in ns:
+        if n > ns.start:  # from n - 1 to n
+            central = _central_step(n - 1, central)
+        yield (2 * n * central if kind == "weak"
+               else 2 * n * n * central * central)
 
 
 class DivisionCheck(NamedTuple):
@@ -246,24 +274,29 @@ def valuation_failures(value: int, kind: str,
     (p, v_p(divisor), v_p(value)); v_p(divisor) comes from Legendre's
     formula, never from the divisor integer.  Empty when value is 0.
 
-    v_p(value) is counted only at a prime that fails: a prime with
-    v_p(divisor) = 0 is skipped, and for the others one remainder of value
-    modulo p**v_p(divisor) decides."""
+    The powers p**v_p(divisor) multiply into one modulus, and one
+    remainder of value modulo it decides whether any prime fails.  Only a
+    non-zero remainder looks at the primes one by one, by one remainder
+    modulo p**v_p(divisor) each, and counts v_p(value) at a prime that
+    fails."""
     if kind not in DIVISOR_KINDS:
         raise ValueError(f"divisor kind must be one of {DIVISOR_KINDS}")
     if value == 0:
         return ()
     e = 1 if kind == "weak" else 2
-    failures = []
+    powers = []
     for p in primes_upto(2 * n):
         v_div = e * (int_valuation(p, n)
                      + legendre_valuation(p, 2 * n)
                      - 2 * legendre_valuation(p, n))
         if p == 2:
             v_div += 1
-        if v_div and value % p ** v_div:
-            failures.append((p, v_div, int_valuation(p, value)))
-    return tuple(failures)
+        if v_div:
+            powers.append((p, v_div))
+    if value % prod(p ** v_div for p, v_div in powers) == 0:
+        return ()
+    return tuple((p, v_div, int_valuation(p, value)) for p, v_div in powers
+                 if value % p ** v_div)
 
 
 # ---------------------------------------------------------------------------
@@ -904,6 +937,7 @@ def ratio_identity(identity: str, big_n: int, k: int | None = None) -> RatioChec
             raise ValueError(f"{identity} needs k in {k_range}")
         if k not in k_range:
             raise ValueError(f"{identity} needs k in {k_range}, got {k}")
+    from .hyperterm import eval_term, k0_prefix_sum
     n = big_n
     alt: Fraction | None = None
     pair1, pair2 = builtin_pair("guillera1"), builtin_pair("guillera2")
@@ -966,6 +1000,7 @@ def ratio_row_failures(identity: str, big_n: int) -> list[RatioCheck]:
                          f"{sorted(_TWO_POWER_OFFSETS)}, not {identity!r}")
     if big_n < 2:
         raise ValueError("ratio identities need N >= 2")
+    from .hyperterm import eval_term_pair
     n = big_n
     pair = builtin_pair("guillera1" if identity == "g1_gen" else "guillera2")
     scale = pair.scale_base ** (n - 1)

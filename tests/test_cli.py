@@ -650,6 +650,37 @@ def test_import_loads_neither_dataclasses_nor_the_report_formats():
     assert len(report) == 1 and report[0].startswith("PASS  term")
 
 
+def test_sum_and_lemma_audits_load_neither_terms_nor_certificates():
+    # The term language (dsl, hyperterm, polyalg) and wz are imported only
+    # by the handlers that use them; the package re-exports every name of
+    # __all__ on first access, and dir() lists each of them.
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import io, sys, contextlib, binomsum.cli\n"
+         "def loaded(): return sorted(m for m in sys.modules if m in "
+         "('binomsum.dsl', 'binomsum.hyperterm', 'binomsum.polyalg', "
+         "'binomsum.wz'))\n"
+         "print(loaded())\n"
+         "with contextlib.redirect_stdout(io.StringIO()):\n"
+         "    codes = [binomsum.cli.main(argv.split()) for argv in (\n"
+         "        'sumcheck --n-max 6 --valuation-check', 'lemma --id 2.3')]\n"
+         "print(codes, loaded())\n"
+         "import binomsum\n"
+         "names = {}\n"
+         "exec('from binomsum import *', names)\n"
+         "exported = set(binomsum.__all__)\n"
+         "print(sorted(exported - set(names)),\n"
+         "      sorted(exported - set(dir(binomsum))), loaded())"],
+        capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "[]", "[0, 0] []",
+        "[] [] ['binomsum.dsl', 'binomsum.hyperterm', 'binomsum.polyalg', "
+        "'binomsum.wz']"]
+
+
 @pytest.mark.parametrize("n_max", [1, 2, 3, 7, 45, 60])
 @pytest.mark.parametrize("blocks", [1, 2, 8])
 def test_row_blocks_cover_the_rows_in_order(n_max, blocks):

@@ -12,7 +12,7 @@ from binomsum.exact import binomial, factorial, int_text, int_valuation, \
     legendre_valuation, primes_upto, rat_valuation, smallest_prime_factors
 from binomsum.verify import RATIO_IDENTITIES, SUM_SPECS, MarginRecord, \
     check_divisibility, check_divisibility_valuations, divide, divisor, \
-    eval_sum, floor_margin, floor_margin_fractional, iter_sums, \
+    divisors, eval_sum, floor_margin, floor_margin_fractional, iter_sums, \
     lemma22_point, lemma22_row, lemma23_point, lemma23_rows, \
     lemma24_scan, lemma25_row, lemma25_scan, lemma25_valuations, lemma25_w, \
     lemma26_floor_margin, lemma26_ineq_scan, lemma26_point, lemma26_rows, \
@@ -96,14 +96,15 @@ def test_eval_sum_matches_recurrence_in_any_call_order():
 
 
 def test_eval_sum_keeps_only_finished_summands(monkeypatch):
-    for name, step in (("sun_b", "_central_step"), ("guillera2", "_quad_step")):
+    for name, step in (("sun_b", "_central_power_step"),
+                       ("guillera2", "_quad_step")):
         spec = sum_spec(name)._replace(name=name + "_copy")
         original = getattr(verify_module, step)
 
-        def fails_at_five(k, value, original=original):
+        def fails_at_five(k, *values, original=original):
             if k == 5:
                 raise ArithmeticError("step 5")
-            return original(k, value)
+            return original(k, *values)
 
         monkeypatch.setattr(verify_module, step, fails_at_five)
         with pytest.raises(ArithmeticError):
@@ -114,16 +115,23 @@ def test_eval_sum_keeps_only_finished_summands(monkeypatch):
 
 def test_stepped_binomials_match_factorial_quotients():
     central = quad = 1
+    powers = {p: 1 for p in (1, 3, 4, 5)}
     for k in range(2001):
         assert central == binomial(2 * k, k), k
         assert quad == binomial(4 * k, 2 * k), k
         central = verify_module._central_step(k, central)
         quad = verify_module._quad_step(k, quad)
+        if k <= 300:
+            assert powers == {p: binomial(2 * k, k) ** p for p in powers}, k
+            powers = {p: verify_module._central_power_step(k, p, value)
+                      for p, value in powers.items()}
 
 
 def test_inexact_binomial_step_raises():
     with pytest.raises(ArithmeticError, match="inexact binomial step"):
         verify_module._central_step(3, binomial(6, 3) + 1)
+    with pytest.raises(ArithmeticError, match="inexact binomial step"):
+        verify_module._central_power_step(3, 3, binomial(6, 3) ** 3 + 1)
     with pytest.raises(ArithmeticError, match="inexact binomial step"):
         verify_module._quad_step(3, binomial(12, 6) + 1)
 
@@ -136,6 +144,41 @@ def test_divisor_values():
     assert divisor("strong", 4) == 2 * 16 * binomial(8, 4) ** 2
     with pytest.raises(ValueError):
         divisor("medium", 2)
+
+
+@pytest.mark.parametrize("kind", ["weak", "strong"])
+@pytest.mark.parametrize("ns", [range(1, 40), range(2, 3), range(2, 30),
+                                range(340, 370), range(5, 5)])
+def test_divisors_step_the_per_point_divisor(kind, ns):
+    assert list(divisors(kind, ns)) \
+        == [divisor(kind, n) for n in ns]
+
+
+@pytest.mark.parametrize("kind,ns", [("medium", range(2, 5)),
+                                     ("weak", range(2, 9, 2)),
+                                     ("strong", range(0, 5))])
+def test_divisors_reject_bad_input(kind, ns):
+    with pytest.raises(ValueError):
+        list(divisors(kind, ns))
+
+
+def test_sumcheck_divisor_chain_shares_nothing_with_eval_sum(monkeypatch,
+                                                            capsys):
+    # A divisor chain that steps to C(2n, n) + 1 fails every record past
+    # its anchor at --n-min, while S(n) keeps its value.
+    monkeypatch.setattr(verify_module, "_central_step",
+                        lambda k, central: binomial(2 * k + 2, k + 1) + 1)
+    code = main(["sumcheck", "--n-min", "5", "--n-max", "14",
+                 "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    records = [json.loads(line) for line in captured.out.splitlines()]
+    assert len(records) == 10 * len(SUM_SPECS)
+    for record in records:
+        name, n = record["params"]["sum"], record["params"]["n"]
+        assert record["status"] == ("pass" if n == 5 else "fail"), (name, n)
+        assert int(record["witness"]["value"]) \
+            == dict(iter_sums(name, n))[n] == eval_sum(name, n)
 
 
 def test_check_divisibility_known_quotients():
@@ -181,6 +224,25 @@ def test_valuation_route_agrees_with_division():
             val_ok, failures = check_divisibility_valuations(name, None, n)
             assert division.ok == val_ok
             assert failures == ()
+
+
+def test_planted_legendre_valuation_makes_the_routes_disagree(monkeypatch,
+                                                              capsys):
+    # One more 3 in (2n)! raises v_3 of the divisor by the sum's exponent,
+    # which the sum does not carry; division still passes.
+    original = verify_module.legendre_valuation
+    monkeypatch.setattr(verify_module, "legendre_valuation",
+                        lambda p, m: original(p, m) + ((p, m) == (3, 8)))
+    code = main(["sumcheck", "--sum", "sun_a", "--n-min", "3", "--n-max",
+                 "5", "--valuation-check", "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    records = [json.loads(line) for line in captured.out.splitlines()]
+    assert [(r["params"]["n"], r["status"], r["witness"]["valuation"])
+            for r in records] == [(3, "pass", "agree"),
+                                  (4, "fail", "disagree"),
+                                  (5, "pass", "agree")]
+    assert all("quotient" in r["witness"] for r in records)
 
 
 def test_valuation_route_reports_failing_prime():
