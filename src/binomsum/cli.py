@@ -13,9 +13,14 @@ Exit codes:
   3  internal error: the program itself went wrong.  No report is written
      and stderr carries one line, ``binomsum: internal error: <Type>: <msg>``.
 
-A mismatch between the two independent routes of one check (floor against
-fractional margin, binomial against factorial form) is an internal error,
-not a FAIL record: it means the program is wrong, not the mathematics.
+A mismatch between the two routes of a floor margin (floor division against
+fractional parts) is an internal error, not a FAIL record: it means the
+program is wrong, not the mathematics.  Lemma 2.5's two routes to W(n, k),
+its stepped binomials and the Legendre exponents of its floor forms, are
+what it audits: where they disagree the result is a FAIL record
+(non-integral, negative-valuation or valuation-mismatch), so exit 1.  Two
+cases there stay internal errors: a binomial step that leaves a remainder,
+and a stepped valuation certificate that is wrong where every prime agrees.
 
 The sumcheck and lemma audits never touch the term language (dsl,
 hyperterm, polyalg) or the certificate audits (wz), so the handlers that

@@ -13,9 +13,8 @@ Polynomials use +, -, *, ^ over integer literals and the symbols n and
 k; whitespace inside a line is insignificant and '#' starts a comment.
 Serialization is canonical (decreasing lex term order, n before k), so
 serialize(parse(serialize(parse(text)))) == serialize(parse(text)) and
-files written by the serializer round-trip byte for byte, unless an
-integer in them is longer than the int-from-str digit limit (see
-serialize_document).
+files written by the serializer round-trip byte for byte, unless a base in
+them is longer than the int-from-str digit limit (see serialize_document).
 """
 from __future__ import annotations
 
@@ -317,13 +316,38 @@ def parse_document(text: str) -> TermDocument:
     return TermDocument(name=name, term=term, note="\n".join(note_lines))
 
 
+def _digit_parts(digits: str, e: int = 0) -> list[tuple[int, int]]:
+    """(d, e) pairs, the d * 10**e summing to the decimal digits, each d
+    within the int-from-str digit limit: the digits halved as
+    exact.int_text halves them, with zero parts left out."""
+    if len(digits) <= (sys.get_int_max_str_digits() or len(digits)):
+        return [(int(digits), e)] if digits.strip("0") else []
+    half = len(digits) // 2
+    return _digit_parts(digits[:-half], e + half) + _digit_parts(
+        digits[-half:], e)
+
+
+def _poly_text(poly: BivarPoly) -> str:
+    """poly.render(), but an integer coefficient longer than the
+    int-from-str digit limit is written as like monomials d*m*10^e, one
+    per part of its digits (_digit_parts), which the parser adds up."""
+    terms = []
+    for m, c in sorted(poly.items(), reverse=True):
+        parts = ([(c, 0)] if c.denominator != 1 else
+                 _digit_parts(int_text(abs(c.numerator))))
+        terms += [BivarPoly({m: d if c > 0 else -d}).render()
+                  + (f"*10^{e}" if e else "") for d, e in parts]
+    return "+".join(terms).replace("+-", "-") or "0"
+
+
 def serialize_document(doc: TermDocument) -> str:
     """Canonical text form; parse(serialize(d)) reproduces d exactly.
 
-    Every integer is written exactly at any size (exact.int_text), but
-    parse rejects a literal longer than the int-from-str digit limit, so
-    a coefficient past it (10^5000*n, say) serializes without parsing
-    back."""
+    Every integer is written exactly at any size.  A coefficient longer
+    than the int-from-str digit limit, which parse would reject as one
+    literal, is written as like monomials (_poly_text), so it round-trips
+    too.  A base is one literal, and one past the limit (exact.int_text)
+    does not parse back."""
     lines: list[str] = []
     if doc.note:
         for note_line in doc.note.split("\n"):
@@ -331,15 +355,17 @@ def serialize_document(doc: TermDocument) -> str:
     lines.append(f"term {doc.name}")
     t = doc.term
     if t.sign_exponent != ZERO_FORM:
-        lines.append(f"sign (-1)^({t.sign_exponent.render()})")
+        lines.append(f"sign (-1)^({_poly_text(t.sign_exponent.as_poly())})")
     for bf in t.base_factors:
-        lines.append(f"base {int_text(bf.base)}^({bf.exponent.render()})")
+        lines.append(f"base {int_text(bf.base)}"
+                     f"^({_poly_text(bf.exponent.as_poly())})")
     for fb in t.binom_factors:
         suffix = "" if fb.power == 1 else f"^{fb.power}"
-        lines.append(f"factor binom({fb.top.render()},{fb.bottom.render()}){suffix}")
-    lines.append(f"poly {t.numer_poly.render()}")
+        lines.append(f"factor binom({_poly_text(fb.top.as_poly())},"
+                     f"{_poly_text(fb.bottom.as_poly())}){suffix}")
+    lines.append(f"poly {_poly_text(t.numer_poly)}")
     if t.denom_poly != BivarPoly.const(1):
-        lines.append(f"denompoly {t.denom_poly.render()}")
+        lines.append(f"denompoly {_poly_text(t.denom_poly)}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 

@@ -4,46 +4,42 @@ Everything here is exact: sums and divisors are big integers, ratios are
 `fractions.Fraction`, and every floor inequality is evaluated with true
 floor division.  Where a fact can be established along two independent
 routes (division with remainder vs. prime valuations, floor terms vs.
-fractional parts, binomial products vs. factorial quotients), both routes
+fractional parts, binomial products vs. Legendre exponents), both routes
 are implemented separately and compared rather than merged.
 
-There are two routes to a partial sum S(n) = sum t(k)*base**(n-1-k).
-eval_sum steps along k: it keeps C(2k, k)**p (p the sum's central power)
-and C(4k, 2k) current through their term ratios, builds t(k) from them,
-and grows a per-process table of prefix sums by S(k+1) = base*S(k) + t(k),
-so a point already reached is a lookup and a new one costs O(1)
-big-integer steps.  iter_sums runs the same recurrence but builds every
-summand afresh from the standard library's math.comb (exact.binomial), so
-the two routes share no binomial.  divisors steps C(2n, n) along a range
-of n in a chain of its own, never read from eval_sum's table; the tests
-hold it to the per-point divisor at every n.  The valuation route
-(valuation_failures) takes every v_p of a divisor from Legendre's formula
-and decides all primes at once by one remainder modulo their product,
-naming the failing primes only when it is not zero.
-The lemma audits step along a row the same way, each against a per-point
-reference that builds every binomial or factorial afresh: lemma22_row
-(binomials along k) against lemma22_point, lemma23_rows (binomials along
-n) against lemma23_point, lemma25_row (binomials and the factorial form
-of W along k) against lemma25_w, and lemma26_rows (five factorials along
-n, as exact Decimals, since its quotients are only ever printed) against
-lemma26_point.  The floor forms of lemmas 2.4-2.6 are declared
-once, as weighted affine forms in _EIGHT_FLOOR_FORMS and
-_FIVE_FLOOR_FORMS; the floor scans sum tables of them row by row
-(_margin_rows), and lemma 2.5's Legendre sums, step ratio and factorial
-form, and lemma26_rows, read them.
+The binomials of the seven sums, of their divisors and of lemmas 2.2,
+2.3 and 2.5 are declared once, as tables of binomials linear in (n, k)
+(_summand_table, _DIVISOR_TABLES, _LEMMA22_TABLE, ...), and one stepper,
+_binomial_rows, steps any of them along a row by exact term ratios.
+eval_sum keeps a row open per sum and grows a per-process table of prefix
+sums by S(k+1) = base*S(k) + t(k), so a point already reached is a lookup
+and a new one costs one step; iter_sums builds every summand afresh by
+math.comb (exact.binomial).  divisors steps C(2n, n) in a row of its own.
+The valuation route (valuation_failures) takes every v_p of a divisor
+from Legendre's formula and decides all primes at once by one remainder
+modulo their product.  lemma22_row, lemma23_rows and lemma25_row read the
+stepper too.  Each stepped kernel is tested against a per-point reference
+that builds every binomial afresh: iter_sums, divisor, lemma22_point,
+lemma23_point and lemma25_w.  The factorial forms of lemmas 2.4-2.6 are
+declared once, as weighted affine forms in _EIGHT_FLOOR_FORMS and
+_FIVE_FLOOR_FORMS: the floor scans sum tables of them row by row
+(_margin_rows), and lemma 2.5's Legendre route and lemma26_rows (five
+factorials along n, as exact Decimals, since its quotients are only ever
+printed) read them.
 Each ratio identity scales a stored pair term by its sum's base and
 divisor (pairs.SUM_SPECS) and compares it with a lemma function's quantity.
 ratio_identity evaluates one point over Fractions; ratio_row_failures runs
 the whole k row of g1_gen or g2_gen at once, on unreduced integer pairs
-against the stepped lemma22_row and lemma25_row's binomials, and stays
-tested against ratio_identity.
+against the stepped lemma22_row and lemma25_row, and stays tested against
+ratio_identity.
 """
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, groupby, repeat
+from functools import lru_cache, partial, reduce
+from itertools import chain, count, groupby, islice, repeat
 from math import gcd, prod
 from operator import add, itemgetter, mul
 from typing import NamedTuple
@@ -53,6 +49,113 @@ from .exact import DECIMAL_CONTEXT, Decimal, binomial, factorial, \
     smallest_prime_factors
 from .pairs import DIVISOR_KINDS, SUM_SPECS, SumSpec, WZPairSpec, \
     builtin_pair, sum_spec
+
+
+# ---------------------------------------------------------------------------
+# Declared products: binomial tables, floor forms and the binomial stepper
+# ---------------------------------------------------------------------------
+
+# Each entry ((a0, *a), (b0, *b), p) of a binomial table stands for
+# C(a0 + a.v, b0 + b.v)**p, v being a head of fixed variables and then the
+# variable t that _binomial_rows steps.  lemma22_point, lemma23_point,
+# lemma25_w, _summand and divisor state the same products independently;
+# the tests tie the tables to them.
+
+# C(2n, n)**e along n, the weak (e = 1) and strong (e = 2) divisor over 2n**e
+_DIVISOR_TABLES = {"weak": (((0, 2), (0, 1), 1),),
+                   "strong": (((0, 2), (0, 1), 2),)}
+
+# Lemma 2.2 along k, head (n,): C(2n,n) C(2n+2k,n+k) C(n+k,2k) / C(2k,k)
+_LEMMA22_TABLE = (((0, 2, 0), (0, 1, 0), 1), ((0, 2, 2), (0, 1, 1), 1),
+                  ((0, 1, 1), (0, 0, 2), 1), ((0, 0, 2), (0, 0, 1), -1))
+
+# Lemma 2.3 along n: the value's C(2n-2,n-1) C(2n,n) C(2n+2,n+1) over the
+# closed form's C(2n-3,n-1)**3
+_LEMMA23_TABLE = (((-2, 2), (-1, 1), 1), ((0, 2), (0, 1), 1),
+                  ((2, 2), (1, 1), 1), ((-3, 2), (-1, 1), -3))
+
+# W(n,k) along k, head (n,):
+# C(2n,n) C(n,k) C(k+n,2k) C(k+2n-1,n-1) C(2k+4n-2,k+2n-1) / C(2k,k)**2
+_LEMMA25_TABLE = (((0, 2, 0), (0, 1, 0), 1), ((0, 1, 0), (0, 0, 1), 1),
+                  ((0, 1, 1), (0, 0, 2), 1), ((-1, 2, 1), (-1, 1, 0), 1),
+                  ((-2, 4, 2), (-1, 2, 1), 1), ((0, 0, 2), (0, 0, 1), -2))
+
+
+def _summand_table(spec: SumSpec) -> tuple:
+    """t(k)'s binomials along k: C(2k, k)**central_power, times C(4k, 2k)
+    for a sum with include_quad_central."""
+    return ((((0, 2), (0, 1), spec.central_power),)
+            + (((0, 4), (0, 2), 1),) * spec.include_quad_central)
+
+
+# Each entry ((c0, c_n[, c_k]), w) stands for w factorials of the argument
+# c0 + c_n*n + c_k*k, in the denominator when w < 0.  By Landau's
+# criterion the ratio is an integer iff sum(w * floor(x/m)) >= 0 for all
+# m >= 2.  The weighted forms sum to zero.  lemma25_w and lemma26_point
+# state the same ratios independently; the tests tie the tables to them.
+
+# W(n,k) = k!^3 (2n)! (2k+4n-2)! / ((2k)!^3 n! (n-1)! (n-k)!^2 (k+2n-1)!)
+_EIGHT_FLOOR_FORMS = (((-2, 4, 2), 1), ((0, 0, 1), 3), ((0, 2, 0), 1),
+                      ((0, 0, 2), -3), ((0, 1, 0), -1), ((-1, 1, 0), -1),
+                      ((0, 1, -1), -2), ((-1, 2, 1), -1))
+
+# (6n-5)! (n-1)! / ((2n-1)! (2n-2)! (3n-3)!)
+_FIVE_FLOOR_FORMS = (((-5, 6), 1), ((-1, 1), 1), ((-1, 2), -1),
+                     ((-2, 2), -1), ((-3, 3), -1))
+
+
+def _stepped(value: int, runs: Counter):
+    """value, then value times one ratio per step: the product over runs
+    of (s + m*i)**e at step i, e > 0 above the line and e < 0 below.  A
+    step that leaves a remainder raises."""
+    rows = ([], [])
+    for (s, m), e in runs.items():
+        if e and (s, m) != (1, 0):
+            rows[e < 0].append(map(pow, count(s, m), repeat(abs(e)))
+                               if abs(e) > 1 else count(s, m))
+    yield value
+    for up, down in zip(*(reduce(partial(map, mul), row) if row
+                          else repeat(1) for row in rows)):
+        value, r = divmod(value * up, down)
+        if r:
+            raise ArithmeticError(f"inexact binomial step: remainder {r} "
+                                  f"modulo {down}")
+        yield value
+
+
+def _binomial_rows(table, head: tuple[int, ...], ts: range):
+    """(num, den) at each t of ts, a range of step 1, as an iterator: the
+    table's binomials at v = head + (t,), those with p > 0 multiplied into
+    num and those with p < 0, to the power -p, into den.
+
+    Each side is built by exact.binomial at ts.start and then stepped
+    (_stepped): the factorials of a, b and a - b in each a!/(b!(a-b)!)
+    gain or lose their next integers, each a run s + m*i along the row.
+    A run is divided by gcd(s, m), which joins the side as the constant
+    run (g, 0), so equal runs of a side merge into one exponent and what
+    cancels between its binomials is never multiplied.  A factor that
+    leaves 0 <= b <= a on the row is a ValueError.  Nothing here reads the
+    floor forms, so lemma 2.5's two routes stay apart."""
+    if ts.step != 1:
+        raise ValueError("_binomial_rows needs a range of step 1")
+    t0 = ts.start
+    values, runs = [1, 1], [Counter(), Counter()]  # (s, m): exponent
+    for (a0, *a), (b0, *b), p in table:
+        x, c = a0 + sum(map(mul, a, head)), a[-1]
+        y, d = b0 + sum(map(mul, b, head)), b[-1]
+        if not all(0 <= y + d * t <= x + c * t for t in (*ts[:1], *ts[-1:])):
+            raise ValueError(f"C({x}{c:+}t, {y}{d:+}t) leaves 0 <= b <= a "
+                             f"for t in {ts}")
+        side, power = p < 0, abs(p)
+        values[side] *= binomial(x + c * t0, y + d * t0) ** power
+        for arg, move, w in ((x, c, power), (y, d, -power),
+                             (x - y, c - d, -power)):
+            start = arg + move * t0 + min(move, 0)
+            for s in range(start + 1, start + abs(move) + 1):
+                g = gcd(s, move)
+                runs[side][s // g, move // g] += w if move > 0 else -w
+                runs[side][g, 0] += w if move > 0 else -w
+    return islice(zip(*map(_stepped, values, runs)), len(ts))
 
 
 # ---------------------------------------------------------------------------
@@ -68,16 +171,15 @@ def _summand(spec: SumSpec, k: int) -> int:
 
 
 class _PrefixSums:
-    """S(0), S(1), ... of one sum as far as computed, with C(2k, k)**p
-    (p = central_power) and C(4k, 2k) at the next summand's index
-    k = len(sums) - 1 (the latter stays 1 for sums without that factor)."""
+    """S(0), S(1), ... of one sum as far as computed, and the open row of
+    its summand's binomials, next at k = len(sums) - 1 (None until first
+    needed, and after a step that raised)."""
 
-    __slots__ = ("sums", "central", "quad")
+    __slots__ = ("sums", "rows")
 
     def __init__(self) -> None:
         self.sums = [0]
-        self.central = 1
-        self.quad = 1
+        self.rows = None
 
 
 @lru_cache(maxsize=1)
@@ -85,47 +187,14 @@ def _prefix_sums(spec: SumSpec) -> _PrefixSums:
     return _PrefixSums()
 
 
-def _exact_step(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError(f"inexact binomial step: remainder {r} "
-                              f"modulo {den}")
-    return q
-
-
-def _central_step(k: int, central: int) -> int:
-    """C(2k+2, k+1) from central = C(2k, k)."""
-    return _exact_step(central * (2 * (2 * k + 1)), k + 1)
-
-
-def _central_power_step(k: int, power: int, value: int) -> int:
-    """C(2k+2, k+1)**power from value = C(2k, k)**power, by the ratio
-    (2(2k+1))**power / (k+1)**power."""
-    return _exact_step(value * (2 * (2 * k + 1)) ** power, (k + 1) ** power)
-
-
-def _middle_step(n: int, k: int, mid: int) -> int:
-    """C(n+k+1, 2k+2) from mid = C(n+k, 2k)."""
-    return _exact_step(mid * (n + k + 1) * (n - k), (2 * k + 1) * (2 * k + 2))
-
-
-def _quad_step(k: int, quad: int) -> int:
-    """C(4k+4, 2k+2) from quad = C(4k, 2k)."""
-    a = 4 * k
-    return _exact_step(quad * ((a + 1) * (a + 2) * (a + 3) * (a + 4)),
-                       ((2 * k + 1) * (2 * k + 2)) ** 2)
-
-
 def eval_sum(spec: SumSpec | str, n: int) -> int:
     """S(n) = sum t(k)*base**(n-1-k), read from a table of prefix sums.
 
     The table grows to the largest n asked for by S(k+1) = base*S(k) + t(k),
-    one O(1) step per new n.  t(k) multiplies C(2k, k)**p, which the table
-    holds and steps by its own exact ratio (_central_power_step), so no
-    step raises a binomial to a power.  Each step is computed before the
-    table changes, so a step that raises leaves the table with the sums
-    finished before it.  Only the most recent sum's table is held, so
-    callers that go sum by sum rebuild it once per sum.  It costs
+    one step of its open binomial row per new n, which builds no binomial.
+    A step that raises leaves the sums finished before it, and the row is
+    built again when next needed.  Only the most recent sum's table is
+    held, so callers that go sum by sum rebuild it once per sum.  It costs
     O(n_max^2) bits: 4.3 MB of ints for guillera2 at n = 2000.
     """
     if isinstance(spec, str):
@@ -134,16 +203,15 @@ def eval_sum(spec: SumSpec | str, n: int) -> int:
         raise ValueError("eval_sum needs n >= 1")
     table = _prefix_sums(spec)
     sums = table.sums
-    c2, c1, c0 = spec.coeff
-    for k in range(len(sums) - 1, n):  # S(k+1), binomials from k to k + 1
-        central, quad = table.central, table.quad
-        t = (c2 * k * k + c1 * k + c0) * central
-        central = _central_power_step(k, spec.central_power, central)
-        if spec.include_quad_central:
-            t *= quad
-            quad = _quad_step(k, quad)
-        sums.append(spec.base * sums[k] + t)
-        table.central, table.quad = central, quad
+    if n >= len(sums):
+        rows = table.rows or _binomial_rows(
+            _summand_table(spec), (), range(len(sums) - 1, sys.maxsize))
+        table.rows = None  # until every step below has been taken
+        c2, c1, c0 = spec.coeff
+        for k in range(len(sums) - 1, n):  # S(k+1)
+            num, _ = next(rows)
+            sums.append(spec.base * sums[k] + (c2 * k * k + c1 * k + c0) * num)
+        table.rows = rows
     return sums[n]
 
 
@@ -183,10 +251,11 @@ def divisor(kind: str, n: int) -> int:
 def divisors(kind: str, ns: range):
     """Yield divisor(kind, n) for each n of ns, a range of step 1.
 
-    C(2n, n) is built once, by exact.binomial at ns.start, and then
-    stepped along n by _central_step: a chain of its own, which reads
-    nothing of eval_sum's table, so that no fault in one chain reaches
-    both a sum and its divisor.  divisor stays the per-point reference.
+    C(2n, n)**e (e = 1 weak, 2 strong) is a row of _binomial_rows over
+    _DIVISOR_TABLES, built by exact.binomial at ns.start and stepped along
+    n: a chain of its own, which reads nothing of eval_sum's table, so that
+    no fault in one chain reaches both a sum and its divisor.  divisor
+    stays the per-point reference.
     """
     if kind not in DIVISOR_KINDS:
         raise ValueError(f"divisor kind must be one of {DIVISOR_KINDS}")
@@ -194,12 +263,10 @@ def divisors(kind: str, ns: range):
         raise ValueError("divisors needs a range of step 1")
     if ns and ns.start < 1:
         raise ValueError("divisors needs n >= 1")
-    central = binomial(2 * ns.start, ns.start)
-    for n in ns:
-        if n > ns.start:  # from n - 1 to n
-            central = _central_step(n - 1, central)
-        yield (2 * n * central if kind == "weak"
-               else 2 * n * n * central * central)
+    e = 1 if kind == "weak" else 2
+    for n, (central, _) in zip(ns, _binomial_rows(_DIVISOR_TABLES[kind], (),
+                                                  ns)):
+        yield 2 * n ** e * central
 
 
 class DivisionCheck(NamedTuple):
@@ -344,17 +411,13 @@ def lemma22_point(n: int, k: int) -> DivisionCheck:
 
 
 def lemma22_row(n: int) -> list[DivisionCheck]:
-    """lemma22_point(n, k) for k = 1..n, with C(2n+2k, n+k), C(n+k, 2k)
-    and C(2k, k) stepped along k by their exact term ratios."""
+    """lemma22_point(n, k) for k = 1..n, with the binomials of
+    _LEMMA22_TABLE stepped along k (_binomial_rows)."""
     if n < 1:
         raise ValueError("lemma22_row needs n >= 1")
-    big = binomial(2 * n, n)
-    head, mid, central, checks = n * big, 1, 1, []
-    for k in range(n):  # from k to k + 1
-        big, central = _central_step(n + k, big), _central_step(k, central)
-        mid = _middle_step(n, k, mid)
-        checks.append(divide(head * big * mid, (2 * n + 2 * k + 1) * central))
-    return checks
+    return [divide(n * num, (2 * n + 2 * k - 1) * den) for k, (num, den)
+            in enumerate(_binomial_rows(_LEMMA22_TABLE, (n,),
+                                        range(1, n + 1)), 1)]
 
 
 class QuotientIdentity(NamedTuple):
@@ -381,44 +444,21 @@ def lemma23_point(n: int) -> QuotientIdentity:
 
 
 def lemma23_rows(n_max: int) -> list[QuotientIdentity]:
-    """lemma23_point(n) for n = 2..n_max, with the consecutive central
-    binomials C(2n-2, n-1), C(2n, n), C(2n+2, n+1) kept current by one
-    _central_step per n, and the closed form's C(2n-3, n-1) stepped by
-    its own ratio 2(2n-1)/n."""
+    """lemma23_point(n) for n = 2..n_max, with the value's three central
+    binomials and the closed form's C(2n-3, n-1)**3 stepped along n as the
+    two sides of _LEMMA23_TABLE (_binomial_rows)."""
     if n_max < 2:
         raise ValueError("lemma23_rows needs n_max >= 2")
-    low, mid, high = binomial(2, 1), binomial(4, 2), binomial(6, 3)
-    odd = binomial(1, 1)
-    points = []
-    for n in range(2, n_max + 1):
-        if n > 2:  # from n - 1 to n
-            low, mid, high = mid, high, _central_step(n, high)
-            odd = _exact_step(odd * (2 * (2 * n - 3)), n - 1)
-        division = divide(n * n * (n + 1) * mid * low * high,
-                          64 * (2 * n + 1))
-        points.append(QuotientIdentity(division, (2 * n - 1) ** 2 * odd ** 3))
-    return points
+    ns = range(2, n_max + 1)
+    return [QuotientIdentity(divide(n * n * (n + 1) * num, 64 * (2 * n + 1)),
+                             (2 * n - 1) ** 2 * den)
+            for n, (num, den) in zip(ns, _binomial_rows(_LEMMA23_TABLE, (),
+                                                        ns))]
 
 
 # ---------------------------------------------------------------------------
-# Floor forms of lemmas 2.4/2.5 (eight floors) and 2.6 (five floors)
+# Floor margins of lemmas 2.4/2.5 (eight floors) and 2.6 (five floors)
 # ---------------------------------------------------------------------------
-
-# Each entry ((c0, c_n[, c_k]), w) stands for w factorials of the argument
-# c0 + c_n*n + c_k*k, in the denominator when w < 0.  By Landau's
-# criterion the ratio is an integer iff sum(w * floor(x/m)) >= 0 for all
-# m >= 2.  The weighted forms sum to zero.  lemma25_w and lemma26_point
-# state the same ratios independently; the tests tie the tables to them.
-
-# W(n,k) = k!^3 (2n)! (2k+4n-2)! / ((2k)!^3 n! (n-1)! (n-k)!^2 (k+2n-1)!)
-_EIGHT_FLOOR_FORMS = (((-2, 4, 2), 1), ((0, 0, 1), 3), ((0, 2, 0), 1),
-                      ((0, 0, 2), -3), ((0, 1, 0), -1), ((-1, 1, 0), -1),
-                      ((0, 1, -1), -2), ((-1, 2, 1), -1))
-
-# (6n-5)! (n-1)! / ((2n-1)! (2n-2)! (3n-3)!)
-_FIVE_FLOOR_FORMS = (((-5, 6), 1), ((-1, 1), 1), ((-1, 2), -1),
-                     ((-2, 2), -1), ((-3, 3), -1))
-
 
 def _form_values(forms, *point: int) -> list[tuple[int, int]]:
     """(argument, weight) of each form at the point (n[, k])."""
@@ -616,60 +656,15 @@ def lemma25_w(n: int, k: int) -> Fraction:
     return value
 
 
-def _lemma25_binomials(n: int):
-    """Yield (P, D) for k = 1..n, with W(n,k) = P/D as in lemma25_row.
-
-    The five binomials of P and C(2k,k) are built once at k = 1 and stepped
-    along k by their exact term ratios, so a remainder raises."""
-    head, choose, mid = binomial(2 * n, n), binomial(n, 1), binomial(n + 1, 2)
-    low, big = binomial(2 * n, n - 1), binomial(4 * n, 2 * n)
-    central = binomial(2, 1)
-    for k in range(1, n + 1):
-        if k > 1:  # from j = k - 1 to k
-            j = k - 1
-            choose = _exact_step(choose * (n - j), k)
-            mid = _middle_step(n, j, mid)
-            low = _exact_step(low * (j + 2 * n), j + n + 1)
-            big = _central_step(j + 2 * n - 1, big)
-            central = _central_step(j, central)
-        yield head * choose * mid * low * big, central * central
-
-
 def lemma25_row(n: int) -> list[tuple[int, int]]:
     """W(n,k) for k = 1..n as pairs (P, D) with W = P/D: P the product
     C(2n,n) C(n,k) C(k+n,2k) C(k+2n-1,n-1) C(2k+4n-2,k+2n-1) and
-    D = C(2k,k)**2, as in lemma25_w.
-
-    The pairs come from _lemma25_binomials, stepped along k.  The factorial
-    form of _EIGHT_FLOOR_FORMS steps beside them, by _step_factors, as two
-    integers: built from factorials at k = 1 and kept small by two cheap
-    reductions, by their gcd once at k = 1 and each step's factors by
-    theirs.  At every point P times its denominator must equal D times its
-    numerator, the cross-multiplication of lemma25_w, or ArithmeticError
-    names the point.
-    """
+    D = C(2k,k)**2, as in lemma25_w, stepped along k as the two sides of
+    _LEMMA25_TABLE (_binomial_rows).  lemma25_scan holds them against
+    the Legendre route at every point."""
     if n < 1:
         raise ValueError("lemma25_row needs n >= 1")
-    fact_num = fact_den = 1
-    for x, w in _form_values(_EIGHT_FLOOR_FORMS, n, 1):
-        if w > 0:
-            fact_num *= factorial(x) ** w
-        else:
-            fact_den *= factorial(x) ** -w
-    g = gcd(fact_num, fact_den)
-    fact_num, fact_den = fact_num // g, fact_den // g
-    moving = _moving_forms(_EIGHT_FLOOR_FORMS, n)
-    row = []
-    for k, (num, den) in enumerate(_lemma25_binomials(n), 1):
-        if k > 1:
-            up, down = _step_factors(moving, k - 1)
-            g = gcd(up, down)
-            fact_num, fact_den = fact_num * (up // g), fact_den * (down // g)
-        if num * fact_den != den * fact_num:
-            raise ArithmeticError(
-                f"binomial and factorial forms of W disagree at {(n, k)}")
-        row.append((num, den))
-    return row
+    return list(_binomial_rows(_LEMMA25_TABLE, (n,), range(1, n + 1)))
 
 
 def _legendre_sums(n: int, k: int) -> list[tuple[int, int]]:
@@ -758,7 +753,8 @@ def lemma25_scan(n_max: int, n_range: range | None = None) -> LemmaAudit:
     vector of every W(n,k) at O(log n) small operations per point, with a
     count of negative exponents and the integer R they reconstruct kept
     current.  The binomial route to W(n,k) = P/D is lemma25_row, stepped
-    along k too.  A point passes when no exponent is negative and
+    along k too, from _LEMMA25_TABLE and never from the floor forms.  A
+    point passes when no exponent is negative and
     R*D == P.  Otherwise W becomes a Fraction: a negative exponent is a
     violation, and R differing from W names, through lemma25_valuations
     of that W, each prime where the Legendre sum and the direct valuation
@@ -991,8 +987,7 @@ def ratio_row_failures(identity: str, big_n: int) -> list[RatioCheck]:
     The left side is the pair's G(N, k) as an unreduced pair
     (eval_term_pair) times B^(N-1) over P(N).  The right side reads the
     stepped rows: lemma22_row(N) for g1_gen, and for g2_gen lemma25_w(N, 0)
-    at k = 0, then _lemma25_binomials(N), the binomials of lemma25_row
-    without its factorial cross-check.  The sides are compared by
+    at k = 0, then lemma25_row(N).  The sides are compared by
     cross-multiplication, and only a failing k builds its Fractions.
     """
     if identity not in _TWO_POWER_OFFSETS:
@@ -1011,7 +1006,7 @@ def ratio_row_failures(identity: str, big_n: int) -> list[RatioCheck]:
                   for k, check in enumerate(lemma22_row(n)[1:], 2)]
     else:
         w0 = lemma25_w(n, 0)
-        rights = chain([(w0.numerator, w0.denominator)], _lemma25_binomials(n))
+        rights = chain([(w0.numerator, w0.denominator)], lemma25_row(n))
     failures = []
     for k, (r_num, r_den) in zip(ratio_k_values(identity, n), rights):
         e = 4 * k + _TWO_POWER_OFFSETS[identity]

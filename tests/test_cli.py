@@ -11,6 +11,7 @@ import pytest
 import binomsum.cli as cli_module
 import binomsum.verify as verify_module
 from binomsum.cli import LEMMA_IDS, _blocks, _merged, _worker_count, main
+from binomsum.exact import legendre_valuation
 from binomsum.hyperterm import eval_term
 from binomsum.pairs import builtin_document, builtin_document_text
 from binomsum.verify import check_divisibility, lemma24_scan, lemma25_scan, \
@@ -366,23 +367,23 @@ def test_overlong_literal_exits_two_naming_its_position(tmp_path, capsys):
     assert err.startswith("binomsum: error: cannot load pair") and where in err
 
 
-@pytest.mark.parametrize("body,line,col", [
-    ("poly 10^5000*n+1", "poly {big}*n+1", 6),
-    ("factor binom(10^5000*n,k)\npoly 1", "factor binom({big}*n,k)", 14),
+@pytest.mark.parametrize("body,line", [
+    ("poly 10^5000*n+1", "poly {big}*n*10^2500+1"),
+    ("factor binom(10^5000*n,k)\npoly 1", "factor binom({big}*n*10^2500,k)"),
 ], ids=["poly", "factor"])
 def test_term_serialize_coefficients_beyond_the_digit_limit(
-        tmp_path, capsys, int_str_limit, body, line, col):
+        tmp_path, capsys, int_str_limit, body, line):
+    # A 5001-digit coefficient is written as 10^2500 times 10^2500, in
+    # literals within the limit, so the output parses back to itself.
     doc = tmp_path / "big.F"
     doc.write_text(f"term big\n{body}\nend\n", "utf-8")
     code, out, err = run_cli(capsys, "term", "serialize", str(doc))
     assert (code, err) == (0, "")
-    assert line.format(big=int_str_limit(10 ** 5000)) in out.splitlines()
-    # The text is exact, but its 5001-digit literal does not parse back.
+    assert line.format(big=10 ** 2500) in out.splitlines()
     again = tmp_path / "again.F"
     again.write_text(out, "utf-8")
-    code, out, err = run_cli(capsys, "term", "serialize", str(again))
-    assert (code, out) == (2, "")
-    assert f"again.F: line 2, col {col}: integer literal of 5001 digits" in err
+    code, out_again, err = run_cli(capsys, "term", "serialize", str(again))
+    assert (code, out_again, err) == (0, out, "")
 
 
 def test_term_eval_pole_is_audit_failure(tmp_path, capsys):
@@ -550,17 +551,23 @@ def _mismatched_route(m, w, values):
     return [1234] * len(values)
 
 
-def _inexact_step(k, central):
-    # C(2k+2, k+1) without the factor 2 of 2(2k+1)/(k+1) leaves a remainder.
-    return verify_module._exact_step(central * (2 * k + 1), k + 1)
+_STEPPED = verify_module._stepped
+
+
+def _inexact_stepped(value, runs):
+    # Every step's ratio gains the prime 10007 below the line, which no
+    # small binomial product has, so the first step leaves a remainder.
+    runs = runs.copy()
+    runs[10007, 0] -= 1
+    return _STEPPED(value, runs)
 
 
 @pytest.mark.parametrize("target,replacement,argv,kind", [
     ("binomsum.verify._fractional_route", _mismatched_route,
      ["lemma", "--id", "2.4", "--m-max", "3"], "ArithmeticError"),
-    ("binomsum.verify._central_step", _inexact_step,
+    ("binomsum.verify._stepped", _inexact_stepped,
      ["lemma", "--id", "2.3", "--n-max", "5"], "ArithmeticError"),
-    ("binomsum.verify._central_step", _inexact_step,
+    ("binomsum.verify._stepped", _inexact_stepped,
      ["lemma", "--id", "2.2", "--n-max", "5"], "ArithmeticError"),
 ])
 def test_internal_error_exits_three(monkeypatch, capsys, target, replacement,
@@ -570,6 +577,29 @@ def test_internal_error_exits_three(monkeypatch, capsys, target, replacement,
     assert (code, out) == (3, "")
     assert err.startswith(f"binomsum: internal error: {kind}: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_lemma25_routes_that_disagree_are_fail_records(monkeypatch, capsys):
+    # k!^2 in place of k!^3 in the floor forms: the Legendre route loses
+    # v_p(k!) at every prime, while the binomial route keeps the true W.
+    # Their disagreement is an audit failure (exit 1), not an internal
+    # error.
+    monkeypatch.setattr(verify_module, "_EIGHT_FLOOR_FORMS", tuple(
+        (form, 2 if form == (0, 0, 1) else w)
+        for form, w in verify_module._EIGHT_FLOOR_FORMS))
+    code, out, err = run_cli(capsys, "lemma", "--id", "2.5", "--n-max", "6",
+                             "--format", "json")
+    assert (code, err) == (1, "")
+    summary, *records = json_lines(out)
+    assert summary["status"] == "fail"
+    assert all(record["status"] == "fail" for record in records)
+    mismatches = [record for record in records
+                  if record["witness"]["reason"] == "valuation-mismatch"]
+    assert mismatches
+    for record in mismatches:
+        witness, k = record["witness"], record["params"]["k"]
+        assert int(witness["direct"]) - int(witness["margin_sum"]) \
+            == legendre_valuation(int(witness["p"]), k), record
 
 
 def test_serial_import_does_not_load_the_process_pool():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from binomsum.dsl import DslError, ParseError, SemanticError, parse_document, \
     serialize_document
 from binomsum.hyperterm import TermDocument, eval_term
 from binomsum.pairs import builtin_document_names, builtin_document_text
+from binomsum.polyalg import BivarPoly
 
 SIMPLE = """\
 term demo
@@ -128,6 +130,27 @@ def test_serialize_writes_a_base_beyond_the_digit_limit(int_str_limit):
     term = t._replace(base_factors=(t.base_factors[0]._replace(base=big),))
     text = serialize_document(TermDocument(name="big", term=term))
     assert f"base {int_str_limit(big)}^(-2*n+1)" in text.splitlines()
+
+
+def test_coefficients_beyond_the_digit_limit_round_trip(int_str_limit):
+    # 10^5000 renders as a 5001-digit literal, which parse rejects; the
+    # serializer writes it as like monomials within the limit instead.
+    text = builtin_document_text("guillera1.G").replace(
+        "poly 2*n^3", "poly 10^5000*n^3+7")
+    doc = parse_document(text)
+    assert len(doc.term.numer_poly.render()) == 5001 + len("*n^3+7")
+    serialized = serialize_document(doc)
+    assert max(map(len, re.findall(r"\d+", serialized))) <= 4300
+    again = parse_document(serialized)
+    assert again == doc
+    assert serialize_document(again) == serialized
+    # A coefficient with several parts, each part a like monomial.
+    coeff = -(3 * 10 ** 9000 + 12345 * 10 ** 4000 + 6)
+    poly = doc.term.numer_poly + BivarPoly({(1, 1): coeff})
+    big = TermDocument(name="big", term=doc.term._replace(numer_poly=poly))
+    serialized = serialize_document(big)
+    assert parse_document(serialized) == big
+    assert serialize_document(parse_document(serialized)) == serialized
 
 
 # A literal one digit longer than the default int-from-str limit of 4300.

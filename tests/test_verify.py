@@ -96,44 +96,117 @@ def test_eval_sum_matches_recurrence_in_any_call_order():
 
 
 def test_eval_sum_keeps_only_finished_summands(monkeypatch):
-    for name, step in (("sun_b", "_central_power_step"),
-                       ("guillera2", "_quad_step")):
-        spec = sum_spec(name)._replace(name=name + "_copy")
-        original = getattr(verify_module, step)
+    # The step to k = 5 raises, in a sum without C(4k, 2k) and in one with
+    # it: S(0..5) stay, and the sum's row is built again at k = 5.
+    real = verify_module._binomial_rows
 
-        def fails_at_five(k, *values, original=original):
-            if k == 5:
+    def fails_at_five(table, head, ts):
+        for t, row in zip(ts, real(table, head, ts)):
+            if t == 5:
                 raise ArithmeticError("step 5")
-            return original(k, *values)
+            yield row
 
-        monkeypatch.setattr(verify_module, step, fails_at_five)
+    for name in ("sun_b", "guillera2"):
+        spec = sum_spec(name)._replace(name=name + "_copy")
+        monkeypatch.setattr(verify_module, "_binomial_rows", fails_at_five)
         with pytest.raises(ArithmeticError):
             eval_sum(spec, 10)
-        monkeypatch.setattr(verify_module, step, original)
+        assert verify_module._prefix_sums(spec).sums \
+            == [0] + [s for _, s in iter_sums(spec, 5)], name
+        monkeypatch.setattr(verify_module, "_binomial_rows", real)
         assert eval_sum(spec, 10) == dict(iter_sums(spec, 10))[10], name
 
 
+def _row_values(table, ts, head=()):
+    return [num for num, den in verify_module._binomial_rows(table, head, ts)]
+
+
 def test_stepped_binomials_match_factorial_quotients():
-    central = quad = 1
-    powers = {p: 1 for p in (1, 3, 4, 5)}
-    for k in range(2001):
-        assert central == binomial(2 * k, k), k
-        assert quad == binomial(4 * k, 2 * k), k
-        central = verify_module._central_step(k, central)
-        quad = verify_module._quad_step(k, quad)
-        if k <= 300:
-            assert powers == {p: binomial(2 * k, k) ** p for p in powers}, k
-            powers = {p: verify_module._central_power_step(k, p, value)
-                      for p, value in powers.items()}
+    central, quad = (((0, 2), (0, 1), 1),), (((0, 4), (0, 2), 1),)
+    ks = range(2001)
+    assert _row_values(central, ks) == [binomial(2 * k, k) for k in ks]
+    assert _row_values(quad, ks) == [binomial(4 * k, 2 * k) for k in ks]
+    for p in (1, 3, 4, 5):
+        assert _row_values((((0, 2), (0, 1), p),), ks[:301]) \
+            == [binomial(2 * k, k) ** p for k in ks[:301]], p
 
 
-def test_inexact_binomial_step_raises():
-    with pytest.raises(ArithmeticError, match="inexact binomial step"):
-        verify_module._central_step(3, binomial(6, 3) + 1)
-    with pytest.raises(ArithmeticError, match="inexact binomial step"):
-        verify_module._central_power_step(3, 3, binomial(6, 3) ** 3 + 1)
-    with pytest.raises(ArithmeticError, match="inexact binomial step"):
-        verify_module._quad_step(3, binomial(12, 6) + 1)
+def test_inexact_binomial_step_raises(monkeypatch):
+    # Each row is anchored at k = 3 one above its binomial, and its first
+    # step leaves a remainder.
+    monkeypatch.setattr(verify_module, "binomial",
+                        lambda a, b: binomial(a, b) + 1)
+    for table in ((((0, 2), (0, 1), 1),), (((0, 2), (0, 1), 3),),
+                  (((0, 4), (0, 2), 1),), (((0, 2), (0, 1), -1),)):
+        with pytest.raises(ArithmeticError, match="inexact binomial step"):
+            _row_values(table, range(3, 5))
+
+
+WINDOW = 8
+
+
+def _table_rows(table, ts, head=()):
+    return zip(ts, verify_module._binomial_rows(table, head, ts))
+
+
+@pytest.mark.parametrize("start", [1, 2, 340])
+def test_tables_match_their_per_point_references(start):
+    ts = range(start, start + WINDOW)
+    n = start + 2 * WINDOW  # a lemma 2.2 or 2.5 row that holds the window
+    rows = _table_rows(verify_module._LEMMA22_TABLE, ts, (n,))
+    assert [divide(n * num, (2 * n + 2 * k - 1) * den)
+            for k, (num, den) in rows] == [lemma22_point(n, k) for k in ts]
+    rows = _table_rows(verify_module._LEMMA25_TABLE, ts, (n,))
+    assert [(Fraction(num, den), den) for k, (num, den) in rows] \
+        == [(lemma25_w(n, k), binomial(2 * k, k) ** 2) for k in ts]
+    if start > 1:  # C(2n-3, n-1) starts at n = 2
+        rows = _table_rows(verify_module._LEMMA23_TABLE, ts)
+        assert [(divide(n * n * (n + 1) * num, 64 * (2 * n + 1)),
+                 (2 * n - 1) ** 2 * den) for n, (num, den) in rows] \
+            == [tuple(lemma23_point(n)) for n in ts]
+    for kind, table in verify_module._DIVISOR_TABLES.items():
+        e = 1 if kind == "weak" else 2
+        assert [(2 * n ** e * num, den) for n, (num, den)
+                in _table_rows(table, ts)] \
+            == [(divisor(kind, n), 1) for n in ts], kind
+    for spec in SUM_SPECS.values():
+        c2, c1, c0 = spec.coeff
+        rows = _table_rows(verify_module._summand_table(spec), ts)
+        assert [((c2 * k * k + c1 * k + c0) * num, den)
+                for k, (num, den) in rows] \
+            == [(verify_module._summand(spec, k), 1) for k in ts], spec.name
+
+
+def test_eval_sum_resumes_its_row_without_a_binomial(monkeypatch):
+    for name in SUM_SPECS:
+        spec = sum_spec(name)._replace(name=name + "_resumed")
+        expected = dict(iter_sums(spec, 340 + WINDOW))
+        assert eval_sum(spec, 340) == expected[340]
+        with monkeypatch.context() as patch:
+            patch.setattr(verify_module, "binomial", None)
+            assert [eval_sum(spec, n) for n in range(341, 341 + WINDOW)] \
+                == [expected[n] for n in range(341, 341 + WINDOW)], name
+
+
+def test_lemma25_table_cancels_to_the_eight_floor_forms():
+    # Each C(a, b)**p as a!**p / (b!**p (a-b)!**p), over affine forms.
+    weights = {}
+    for top, bottom, p in verify_module._LEMMA25_TABLE:
+        rest = tuple(x - y for x, y in zip(top, bottom))
+        for form, w in ((top, p), (bottom, -p), (rest, -p)):
+            weights[form] = weights.get(form, 0) + w
+    assert {form: w for form, w in weights.items() if w} \
+        == dict(verify_module._EIGHT_FLOOR_FORMS)
+
+
+@pytest.mark.parametrize("table,head,ts", [
+    ("_LEMMA23_TABLE", (), range(1, 5)),      # C(-1, 0) at n = 1
+    ("_LEMMA22_TABLE", (6,), range(1, 8)),    # C(13, 14) at k = 7
+    ("_LEMMA25_TABLE", (6,), range(-1, 3)),   # C(6, -1) at k = -1
+])
+def test_binomial_rows_reject_a_row_that_leaves_a_support(table, head, ts):
+    with pytest.raises(ValueError, match="leaves 0 <= b <= a"):
+        verify_module._binomial_rows(getattr(verify_module, table), head, ts)
 
 
 def test_divisor_values():
@@ -164,10 +237,17 @@ def test_divisors_reject_bad_input(kind, ns):
 
 def test_sumcheck_divisor_chain_shares_nothing_with_eval_sum(monkeypatch,
                                                             capsys):
-    # A divisor chain that steps to C(2n, n) + 1 fails every record past
+    # A divisor chain that steps to C(2n, n)**e + 1 fails every record past
     # its anchor at --n-min, while S(n) keeps its value.
-    monkeypatch.setattr(verify_module, "_central_step",
-                        lambda k, central: binomial(2 * k + 2, k + 1) + 1)
+    real = verify_module._binomial_rows
+
+    def planted(table, head, ts):
+        rows = real(table, head, ts)
+        if table not in verify_module._DIVISOR_TABLES.values():
+            return rows
+        return ((num + (t > ts.start), den) for t, (num, den) in zip(ts, rows))
+
+    monkeypatch.setattr(verify_module, "_binomial_rows", planted)
     code = main(["sumcheck", "--n-min", "5", "--n-max", "14",
                  "--format", "json"])
     captured = capsys.readouterr()
@@ -646,34 +726,39 @@ def test_lemma25_row_matches_the_points():
         lemma25_row(0)
 
 
+LEMMA25_FAILS = ("non-integral", "negative-valuation", "valuation-mismatch")
+
+
+def _failed_points(audit):
+    assert {v[0] for v in audit.violations} <= set(LEMMA25_FAILS)
+    return sorted({tuple(v[1:3]) for v in audit.violations})
+
+
 def test_lemma25_planted_binomial_step_fails_where_it_differs(monkeypatch):
-    # C(k+n, 2k) stepped as if it were C(k+n, 2k-1): the anchor C(n+1, 2)
-    # is still built right, and k = 2 is the first point that differs.
-    def planted(n, k, mid):
-        return verify_module._exact_step(mid * (n + k + 1) * (n - k + 1),
-                                         (2 * k) * (2 * k + 1))
-
-    monkeypatch.setattr(verify_module, "_middle_step", planted)
-    assert lemma25_scan(1).ok  # no step is taken
-    for n in range(2, 13):
-        with pytest.raises(ArithmeticError) as info:
-            lemma25_row(n)
-        message = str(info.value)
-        assert f"disagree at {(n, 2)}" in message \
-            or message.startswith("inexact binomial step"), (n, message)
-    with pytest.raises(ArithmeticError, match=r"disagree at \(2, 2\)"):
-        lemma25_scan(3)
+    # The table's C(k+n, 2k) written as C(k+n, 2k-1): the Legendre route
+    # fails exactly the points where the two binomials differ.
+    monkeypatch.setattr(verify_module, "_LEMMA25_TABLE", tuple(
+        (a, (-1, 0, 2), p) if b == (0, 0, 2) and p > 0 else (a, b, p)
+        for a, b, p in verify_module._LEMMA25_TABLE))
+    assert _failed_points(lemma25_scan(12)) == [
+        (n, k) for n in range(1, 13) for k in range(1, n + 1)
+        if binomial(k + n, 2 * k - 1) != binomial(k + n, 2 * k)]
+    assert (2, 1) not in _failed_points(lemma25_scan(3))  # C(3, 1) = C(3, 2)
 
 
-def test_lemma25_planted_factorial_step_fault_raises(monkeypatch):
+def test_lemma25_planted_floor_form_fault_is_a_fail_record(monkeypatch):
     # (n-1)! in place of (n-k)!: the same factorial at k = 1, but one that
-    # no longer moves along k.
+    # no longer moves along k.  The binomial route does not read the floor
+    # forms, so the Legendre route fails every point where the two
+    # factorials differ, as FAIL records and not as an error.
+    row = lemma25_row(6)
     monkeypatch.setattr(verify_module, "_EIGHT_FLOOR_FORMS", tuple(
         ((-1, 1, 0) if form == (0, 1, -1) else form, w)
         for form, w in verify_module._EIGHT_FLOOR_FORMS))
-    with pytest.raises(ArithmeticError, match=r"binomial and factorial forms "
-                                              r"of W disagree at \(5, 2\)"):
-        lemma25_row(5)
+    assert lemma25_row(6) == row
+    assert _failed_points(lemma25_scan(6)) == [
+        (n, k) for n in range(1, 7) for k in range(1, n + 1)
+        if factorial(n - 1) != factorial(n - k)]
 
 
 # ---------------------------------------------------------------------------
@@ -895,18 +980,6 @@ def _doubled(division):
     return verify_module.divide(2 * division.value, division.divisor)
 
 
-def test_g2_gen_rows_read_the_binomials_without_the_factorial_form(
-        monkeypatch):
-    def no_factorial_form(moving, t):
-        raise AssertionError("the factorial form stepped")
-
-    assert list(verify_module._lemma25_binomials(9)) == lemma25_row(9)
-    monkeypatch.setattr(verify_module, "_step_factors", no_factorial_form)
-    assert ratio_row_failures("g2_gen", 9) == []
-    with pytest.raises(AssertionError, match="factorial form"):
-        lemma25_row(9)
-
-
 # identity: (the lemma function its right side reads, that function's
 # quantity doubled, a point of the identity)
 DOUBLED_LEMMAS = {
@@ -933,7 +1006,7 @@ def test_lemma_faults_reach_the_ratio_identities(monkeypatch, identity):
 # identity: (the stepped row its right side reads, that row doubled)
 DOUBLED_ROWS = {
     "g1_gen": ("lemma22_row", lambda row: [_doubled(d) for d in row]),
-    "g2_gen": ("_lemma25_binomials",
+    "g2_gen": ("lemma25_row",
                lambda row: [(2 * p, d) for p, d in row]),
 }
 
