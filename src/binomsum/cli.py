@@ -2,9 +2,18 @@
 
 Scans parallelize over their outer parameter with an ordered merge, so
 report bytes are identical for every --jobs value.  --jobs is an upper
-bound: work items run in this process until the work left pays for a pool.
-Every record is computed before the first byte of the report is written;
-report.write then streams the records one at a time.
+bound: work items run in this process until the work left pays for a pool,
+which then keeps a bounded window of chunks in flight.
+
+Records stream.  Each handler yields them as they are computed, and main()
+counts each status as it passes and hands the record to report.spill,
+which writes it into one spill file: a file without a name, in $TMPDIR or
+else /tmp, made before the first record (exit 2 if it cannot be).  A group
+whose summary comes first (a lemma 2.2 row, the 2.4, 2.5 and
+2.6-inequality summaries, the grid summary, a ratio row) is held until its
+summary is known; it holds only FAIL and SKIPPED records.  The spill is
+copied to stdout, or to the --output file, only after the last record, so
+a run that stops early writes nothing.
 
 Exit codes:
   0  no record failed;
@@ -18,9 +27,10 @@ fractional parts) is an internal error, not a FAIL record: it means the
 program is wrong, not the mathematics.  Lemma 2.5's two routes to W(n, k),
 its stepped binomials and the Legendre exponents of its floor forms, are
 what it audits: where they disagree the result is a FAIL record
-(non-integral, negative-valuation or valuation-mismatch), so exit 1.  Two
-cases there stay internal errors: a binomial step that leaves a remainder,
-and a stepped valuation certificate that is wrong where every prime agrees.
+(non-integral, negative-valuation, zero-value or valuation-mismatch), so
+exit 1.  Two cases there stay internal errors: a binomial step that leaves
+a remainder, and a stepped valuation certificate that is wrong where every
+prime agrees.
 
 The sumcheck and lemma audits never touch the term language (dsl,
 hyperterm, polyalg) or the certificate audits (wz), so the handlers that
@@ -37,13 +47,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import deque
 from functools import partial
 from pathlib import Path
 from time import perf_counter_ns
 from typing import NoReturn
 
 from .pairs import WZPairSpec, builtin_document, builtin_pair, builtin_pair_names
-from .report import FAIL, FORMATS, PASS, SKIPPED, ReportRecord, write
+from .report import FAIL, FORMATS, PASS, SKIPPED, ReportRecord, spill
 from .verify import LEMMA24_REGIONS, RATIO_IDENTITIES, SUM_SPECS, \
     LemmaAudit, check_divisibility_valuations, divide, divisors, eval_sum, \
     lemma22_row, lemma23_rows, lemma24_scan, lemma25_scan, \
@@ -114,8 +125,10 @@ def _load_pair(text: str, scale_base: int | None,
 # Parallel map with deterministic ordered merge, and shared record shapes
 # ---------------------------------------------------------------------------
 
-# A parallel map hands each worker about this many chunks of its items.
+# A parallel map hands each worker about this many chunks of its items,
+# and keeps at most _WINDOW_PER_WORKER of them per worker in flight.
 _CHUNKS_PER_WORKER = 4
+_WINDOW_PER_WORKER = 2
 
 # What a process pool adds to a run, in nanoseconds: importing
 # concurrent.futures.process and starting and stopping the workers.
@@ -131,30 +144,47 @@ def _worker_count(jobs: int, n_items: int) -> int:
     return max(1, min(jobs, n_items, os.cpu_count() or 1))
 
 
-def _pmap(worker, items: list, jobs: int) -> list:
-    """[worker(item) for item in items], with --jobs as an upper bound.
+def _run_chunk(worker, chunk: list) -> list:
+    return [worker(item) for item in chunk]
 
-    Items run here, in order, until the pace so far predicts that the
-    items left need more than twice the pool's cost; the pool then takes
-    the rest and its results follow in order.  With w workers a pool pays
-    when the remaining work exceeds _POOL_COST_NS * w / (w - 1), and
-    w / (w - 1) <= 2: the rent-or-buy rule of ski rental.
+
+def _pmap(worker, items: list, jobs: int):
+    """worker(item) for item in items, yielded in order, with --jobs as an
+    upper bound.
+
+    Items run here until the pace so far predicts that the items left need
+    more than twice the pool's cost; the pool then takes the rest and its
+    results follow in order.  The pace counts the time spent in worker
+    only, not the time the consumer takes between items.  With w workers a
+    pool pays when the remaining work exceeds _POOL_COST_NS * w / (w - 1),
+    and w / (w - 1) <= 2: the rent-or-buy rule of ski rental.  The pool is
+    handed the next chunk only when one of the _WINDOW_PER_WORKER * w in
+    flight has been yielded, so results never pile up ahead of the
+    consumer; it is shut down and joined before the generator ends,
+    raises or is closed.
     """
-    results = []
-    start = perf_counter_ns()
+    busy = 0
     for i, item in enumerate(items):
         left = len(items) - i
-        if (jobs > 1 and i
-                and (perf_counter_ns() - start) * left > 2 * _POOL_COST_NS * i
+        if (jobs > 1 and i and busy * left > 2 * _POOL_COST_NS * i
                 and (workers := _worker_count(jobs, left)) > 1):
             # Imported here so that a serial run never loads multiprocessing.
             from concurrent.futures import ProcessPoolExecutor
-            chunk = max(1, left // (workers * _CHUNKS_PER_WORKER))
+            size = max(1, left // (workers * _CHUNKS_PER_WORKER))
+            in_flight = deque()
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results.extend(pool.map(worker, items[i:], chunksize=chunk))
-            return results
-        results.append(worker(item))
-    return results
+                for j in range(i, len(items), size):
+                    if len(in_flight) == workers * _WINDOW_PER_WORKER:
+                        yield from in_flight.popleft().result()
+                    in_flight.append(
+                        pool.submit(_run_chunk, worker, items[j:j + size]))
+                while in_flight:
+                    yield from in_flight.popleft().result()
+            return
+        start = perf_counter_ns()
+        result = worker(item)
+        busy += perf_counter_ns() - start
+        yield result
 
 
 def _blocks(values: range, weight, blocks: int) -> list[range]:
@@ -172,16 +202,17 @@ def _blocks(values: range, weight, blocks: int) -> list[range]:
     return runs
 
 
-def _pmap_blocks(worker, values: range, weight, jobs: int) -> list:
-    """worker over runs of values: the whole range as one item when
-    serial, else about _CHUNKS_PER_WORKER runs per worker."""
+def _pmap_blocks(worker, values: range, weight, jobs: int):
+    """_pmap of worker over runs of values: the whole range as one item
+    when serial, else about _CHUNKS_PER_WORKER runs per worker."""
     workers = _worker_count(jobs, len(values))
     blocks = 1 if workers == 1 else workers * _CHUNKS_PER_WORKER
     return _pmap(worker, _blocks(values, weight, blocks), jobs)
 
 
-def _merged(audits: list[LemmaAudit]) -> LemmaAudit:
+def _merged(audits) -> LemmaAudit:
     """The audit of a whole scan from the audits of its consecutive parts."""
+    audits = list(audits)
     return audits[0]._replace(
         checked=sum(audit.checked for audit in audits),
         violations=tuple(v for audit in audits for v in audit.violations))
@@ -249,13 +280,13 @@ def _sum_records(args: tuple) -> list[ReportRecord]:
     return records
 
 
-def _cmd_sumcheck(args: argparse.Namespace) -> list[ReportRecord]:
+def _cmd_sumcheck(args: argparse.Namespace):
     names = list(SUM_SPECS) if args.sum == "all" else [args.sum]
     kind = None if args.divisor == "default" else args.divisor
     n_range = _n_range(args, "sumcheck needs")
     items = [(name, kind, n_range, args.valuation_check) for name in names]
-    return [rec for group in _pmap(_sum_records, items, args.jobs)
-            for rec in group]
+    for group in _pmap(_sum_records, items, args.jobs):
+        yield from group
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +352,7 @@ def _wz_options(args: argparse.Namespace) -> None:
         args.n_max = WZ_N_MAX
 
 
-def _cmd_wzcheck(args: argparse.Namespace) -> list[ReportRecord]:
+def _cmd_wzcheck(args: argparse.Namespace):
     pair = _load_pair(args.pair, args.scale_base,
                       "strong" if args.divisor is None else args.divisor)
     _wz_options(args)
@@ -335,11 +366,12 @@ def _cmd_wzcheck(args: argparse.Namespace) -> list[ReportRecord]:
                     range(1, args.n_max + 1), lambda n: n, args.jobs)
                 for row in block]
         records = [rec for _, recs in rows for rec in recs]
-        return _summary(
+        yield from _summary(
             "wzcheck",
             (("pair", pair.name), ("mode", "grid"), ("n_max", args.n_max)),
             "points", sum(c for c, _ in rows), records,
             ("skipped", sum(rec.status == SKIPPED for rec in records)))
+        return
 
     if args.mode == "symbolic":
         from .hyperterm import NotProportionalError
@@ -349,17 +381,19 @@ def _cmd_wzcheck(args: argparse.Namespace) -> list[ReportRecord]:
             ok, residual = wz_symbolic_check(pair)
             certificate = wz_certificate(pair)
         except NotProportionalError as exc:
-            return [ReportRecord("wzcheck", params, FAIL,
-                                 (("reason", str(exc)),))]
+            yield ReportRecord("wzcheck", params, FAIL,
+                               (("reason", str(exc)),))
+            return
         witness = (("residual", residual.render()),
                    ("certificate", certificate.render()))
-        return [ReportRecord("wzcheck", params, PASS if ok else FAIL, witness)]
+        yield ReportRecord("wzcheck", params, PASS if ok else FAIL, witness)
+        return
 
     big_ns = _n_range(args, "telescope audits need")
     if not args.pair.startswith("builtin:") and args.scale_base is None:
         raise ConfigError("telescope mode on a path pair needs --scale-base")
     items = [(pair, big_n, args.scale_exp, args.divisor) for big_n in big_ns]
-    return _pmap(_telescope_record, items, args.jobs)
+    yield from _pmap(_telescope_record, items, args.jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -375,19 +409,19 @@ def _lemma22_row(n: int) -> list[ReportRecord]:
                     failures)
 
 
-def _lemma23_records(n_max: int) -> list[ReportRecord]:
-    return [ReportRecord("lemma", (("id", "2.3"), ("n", n)),
-                         PASS if point.ok else FAIL,
-                         _division_witness(point.division)
-                         + (("closed_form", point.closed_form),))
-            for n, point in enumerate(lemma23_rows(n_max), 2)]
+def _lemma23_records(n_max: int):
+    for n, point in enumerate(lemma23_rows(n_max), 2):
+        yield ReportRecord("lemma", (("id", "2.3"), ("n", n)),
+                           PASS if point.ok else FAIL,
+                           _division_witness(point.division)
+                           + (("closed_form", point.closed_form),))
 
 
-def _lemma26_records(n_max: int) -> list[ReportRecord]:
-    return [ReportRecord("lemma", (("id", "2.6"), ("n", n)),
-                         PASS if division.ok else FAIL,
-                         _division_witness(division))
-            for n, division in enumerate(lemma26_rows(n_max), 1)]
+def _lemma26_records(n_max: int):
+    for n, division in enumerate(lemma26_rows(n_max), 1):
+        yield ReportRecord("lemma", (("id", "2.6"), ("n", n)),
+                           PASS if division.ok else FAIL,
+                           _division_witness(division))
 
 
 def _lemma25_violation_record(violation: tuple) -> ReportRecord:
@@ -398,6 +432,8 @@ def _lemma25_violation_record(violation: tuple) -> ReportRecord:
     elif kind == "negative-valuation":
         detail = " ".join(f"p{p}:{s}" for p, s in violation[3])
         witness = (("reason", kind), ("valuations", detail))
+    elif kind == "zero-value":
+        witness = (("reason", kind), ("legendre_value", violation[3]))
     else:  # valuation-mismatch
         _, _, _, p, margin_sum, direct = violation
         witness = (("reason", kind), ("p", p), ("margin_sum", margin_sum),
@@ -429,15 +465,17 @@ def _lemma_bounds(args: argparse.Namespace) -> tuple[int | None, int | None]:
     return n_max, m_max
 
 
-def _cmd_lemma(args: argparse.Namespace) -> list[ReportRecord]:
+def _cmd_lemma(args: argparse.Namespace):
     n_max, m_max = _lemma_bounds(args)
 
     if args.id == "2.2":
-        rows = _pmap(_lemma22_row, list(range(1, n_max + 1)), args.jobs)
-        return [rec for row in rows for rec in row]
+        for row in _pmap(_lemma22_row, list(range(1, n_max + 1)), args.jobs):
+            yield from row
+        return
 
-    if args.id == "2.3":  # stepped in process: 500 points take about 5 ms
-        return _lemma23_records(n_max)
+    if args.id == "2.3":  # stepped in process: 500 points take about 2 ms
+        yield from _lemma23_records(n_max)
+        return
 
     if args.id == "2.4":
         def visited(m: int) -> int:  # points the scan visits at m
@@ -451,30 +489,34 @@ def _cmd_lemma(args: argparse.Namespace) -> list[ReportRecord]:
         failures = [ReportRecord(
             "lemma", (("id", "2.4"), ("m", rec.m), ("n", rec.n), ("k", rec.k)),
             FAIL, (("margin", rec.margin),)) for rec in audit.violations]
-        return _summary("lemma", (("id", "2.4"),) + audit.params, "checked",
-                        audit.checked, failures)
+        yield from _summary("lemma", (("id", "2.4"),) + audit.params,
+                            "checked", audit.checked, failures)
+        return
 
     if args.id == "2.5":
         audit = _merged(_pmap_blocks(partial(lemma25_scan, n_max),
                                      range(1, n_max + 1), lambda n: n,
                                      args.jobs))
         failures = [_lemma25_violation_record(v) for v in audit.violations]
-        return _summary("lemma", (("id", "2.5"),) + audit.params, "checked",
-                        audit.checked, failures)
+        yield from _summary("lemma", (("id", "2.5"),) + audit.params,
+                            "checked", audit.checked, failures)
+        return
 
     # 2.6: pointwise quotients plus the five-floor inequality scan.  The
     # quotients step along n in this process, as Decimals that the report
     # prints by str: the 300 default points take about 13 ms and their
-    # text about 8 ms, far below what a pool costs.
-    records = _lemma26_records(n_max)
+    # text about 8 ms, far below what a pool costs.  Each quotient record
+    # is spilled before the next is stepped, so only the current products
+    # are held, not every row's.
+    yield from _lemma26_records(n_max)
     audit = _merged(_pmap_blocks(partial(lemma26_ineq_scan, m_max),
                                  range(2, m_max + 1), lambda m: m, args.jobs))
     params = (("id", "2.6"), ("inequality", "five-floor"))
     failures = [ReportRecord(
         "lemma", params + (("m", rec.m), ("n", rec.n)),
         FAIL, (("margin", rec.margin),)) for rec in audit.violations]
-    return records + _summary("lemma", params + audit.params, "checked",
-                              audit.checked, failures)
+    yield from _summary("lemma", params + audit.params, "checked",
+                        audit.checked, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +541,7 @@ def _ratio_records(args: tuple) -> list[ReportRecord]:
                     len(k_range), failures)
 
 
-def _cmd_ratio(args: argparse.Namespace) -> list[ReportRecord]:
+def _cmd_ratio(args: argparse.Namespace):
     identities = list(RATIO_IDENTITIES) if args.id == "all" else [args.id]
     # Parsed here, so that _pmap's pace does not count this one-time set-up
     # against its first item.
@@ -507,8 +549,8 @@ def _cmd_ratio(args: argparse.Namespace) -> list[ReportRecord]:
         builtin_pair(name)
     items = [(identity, big_n) for identity in identities
              for big_n in _n_range(args, "ratio identities need")]
-    return [rec for group in _pmap(_ratio_records, items, args.jobs)
-            for rec in group]
+    for group in _pmap(_ratio_records, items, args.jobs):
+        yield from group
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +707,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _spill_file():
+    """An empty file for the report, open for reading and writing, in
+    $TMPDIR or else /tmp.  Its name is removed as soon as it is open, so
+    the file goes when it is closed, or when the process ends however it
+    ends."""
+    directory = os.environ.get("TMPDIR") or "/tmp"
+    path = os.path.join(directory, f".binomsum-{os.urandom(8).hex()}.spill")
+    try:
+        fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600)
+        os.unlink(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot create a spill file for the report: {exc}")
+    return open(fd, "w+", encoding="utf-8", newline="")
+
+
+def _tally(records, statuses: set):
+    """records as they pass, with the status of each added to statuses."""
+    for rec in records:
+        statuses.add(rec.status)
+        yield rec
+
+
 def _emit(writer, output: str | None) -> None:
     """writer(stream) on stdout, flushed here, or on the file --output
     names, which is opened only now and closed here."""
@@ -684,12 +748,15 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.jobs = _jobs(args.jobs)
-        result = args.run(args)  # every record, before the first byte
+        result = args.run(args)  # records as they are computed
         if isinstance(result, str):  # term serialize: the text itself
             _emit(lambda out: out.write(result), args.output)
             return 0
-        _emit(partial(write, result, args.format), args.output)
-        return 1 if any(rec.status == FAIL for rec in result) else 0
+        statuses = set()
+        with _spill_file() as into:
+            copy = spill(_tally(result, statuses), args.format, into)
+            _emit(copy, args.output)  # after the last record only
+        return 1 if FAIL in statuses else 0
     except ConfigError as exc:
         print(f"binomsum: error: {exc}", file=sys.stderr)
         return 2

@@ -2,17 +2,26 @@
 
 Every value a record carries is exact: witnesses keep the ints, Fractions
 and integral Decimals the audits computed, and the writers render each one
-in decimal through number_text, which is exact at any size.  A report is
-written to a text stream one record at a time; render returns the same
-bytes as one string.  All three output formats are deterministic
-functions of the record list, so report bytes are identical no matter
-how the records were computed.
+in decimal through number_text, which is exact at any size.  Records are
+taken one at a time from any iterable, and no writer holds more than the
+record in hand.  spill writes a report into a seekable text stream and
+returns the function that copies it out, in chunks of _CHUNK characters
+through out.write; the command line spills into a file, so that a run
+that stops early writes nothing.  JSON and CSV lines go whole into the
+spill.  The human table needs its column widths before its first line, so
+it keeps only each record's short heads (status, check and params), spills
+the witness text, and pads the heads as it copies.  write puts a report on
+a stream directly (the human table through a spill in memory), and render
+returns the same bytes as one string.  All three output formats are
+deterministic functions of the record sequence, so report bytes are
+identical no matter how the records were computed.
 """
 from __future__ import annotations
 
 import io
 from fractions import Fraction
-from typing import NamedTuple, TextIO
+from functools import partial
+from typing import Callable, NamedTuple, TextIO
 
 from .exact import Decimal, int_text
 from .records import Validated
@@ -103,34 +112,84 @@ def _pairs_text(pairs: tuple[tuple[str, object], ...]) -> str:
     return " ".join(f"{key}={number_text(value)}" for key, value in pairs)
 
 
+# Characters per read from a spill and per write of its copy.
+_CHUNK = 1 << 13
+
+
+def _copy(spill: TextIO, out: TextIO, size: int | None = None) -> None:
+    """The next size characters of spill, or all that are left, to out."""
+    while size is None or size > 0:
+        chunk = spill.read(_CHUNK if size is None else min(size, _CHUNK))
+        if not chunk:
+            return
+        out.write(chunk)
+        if size is not None:
+            size -= len(chunk)
+
+
+def _copy_all(spill: TextIO, out: TextIO) -> None:
+    spill.seek(0)
+    _copy(spill, out)
+
+
+def _spill_human(records, into: TextIO):
+    """An aligned table: STATUS CHECK PARAMS | WITNESS.  The heads and
+    the widths of their columns stay here; each witness's text goes into
+    the spill, and the copy pads each head to the widths and appends its
+    witness."""
+    heads = []  # (status, check, params text, witness characters)
+    widths = [0, 0, 0]
+    for rec in records:
+        head = (rec.status, rec.check, _pairs_text(rec.params))
+        widths = [max(w, len(text)) for w, text in zip(widths, head)]
+        size = into.write(_pairs_text(rec.witness).rstrip()) \
+            if rec.witness else 0
+        heads.append((*head, size))
+
+    def copy(out: TextIO) -> None:
+        status_w, check_w, params_w = widths
+        into.seek(0)
+        for status, check, params, size in heads:
+            line = (f"{status.upper():<{status_w}}  {check:<{check_w}}  "
+                    f"{params:<{params_w}}")
+            if not size:
+                out.write(line.rstrip() + "\n")
+                continue
+            out.write(line + "  | ")
+            _copy(into, out, size)
+            out.write("\n")
+
+    return copy
+
+
 def _write_human(records, out: TextIO) -> None:
-    """An aligned table: STATUS CHECK PARAMS | WITNESS.  The widths come
-    from the short columns first; each witness is rendered with its line."""
-    heads = [(rec.status.upper(), rec.check, _pairs_text(rec.params))
-             for rec in records]
-    if not heads:
-        return
-    status_w, check_w, params_w = (max(map(len, column))
-                                   for column in zip(*heads))
-    for rec, (status, check, params) in zip(records, heads):
-        line = f"{status:<{status_w}}  {check:<{check_w}}  {params:<{params_w}}"
-        if rec.witness:
-            line += f"  | {_pairs_text(rec.witness)}"
-        out.write(line.rstrip() + "\n")
+    _spill_human(records, io.StringIO())(out)
 
 
 _WRITERS = {"json": _write_json, "csv": _write_csv, "human": _write_human}
 
 
-def write(records: list[ReportRecord], fmt: str, out: TextIO) -> None:
+def write(records, fmt: str, out: TextIO) -> None:
     """Write the report of records in format fmt to the text stream out,
-    one record at a time."""
+    one record at a time: JSON and CSV lines straight to out, the human
+    table through a spill in memory."""
     if fmt not in _WRITERS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     _WRITERS[fmt](records, out)
 
 
-def render(records: list[ReportRecord], fmt: str) -> str:
+def spill(records, fmt: str, into: TextIO) -> Callable[[TextIO], None]:
+    """Write the report of records, an iterable taken one record at a
+    time, in format fmt into `into`, an empty text stream open for reading
+    and writing; return copy(out), which writes the report to the text
+    stream out from there."""
+    if fmt == "human":
+        return _spill_human(records, into)
+    write(records, fmt, into)
+    return partial(_copy_all, into)
+
+
+def render(records, fmt: str) -> str:
     """The report as one string: the bytes write puts on a stream."""
     buf = io.StringIO()
     write(records, fmt, buf)

@@ -42,7 +42,7 @@ from functools import lru_cache, partial, reduce
 from itertools import chain, count, groupby, islice, repeat
 from math import gcd, prod
 from operator import add, itemgetter, mul
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .exact import DECIMAL_CONTEXT, Decimal, binomial, factorial, \
     int_valuation, legendre_valuation, primes_upto, rat_valuation, \
@@ -443,17 +443,18 @@ def lemma23_point(n: int) -> QuotientIdentity:
     return QuotientIdentity(division, closed)
 
 
-def lemma23_rows(n_max: int) -> list[QuotientIdentity]:
-    """lemma23_point(n) for n = 2..n_max, with the value's three central
-    binomials and the closed form's C(2n-3, n-1)**3 stepped along n as the
-    two sides of _LEMMA23_TABLE (_binomial_rows)."""
+def lemma23_rows(n_max: int) -> Iterator[QuotientIdentity]:
+    """lemma23_point(n) for n = 2..n_max, one at a time, with the value's
+    three central binomials and the closed form's C(2n-3, n-1)**3 stepped
+    along n as the two sides of _LEMMA23_TABLE (_binomial_rows).  A bad
+    n_max raises here, not at the first row."""
     if n_max < 2:
         raise ValueError("lemma23_rows needs n_max >= 2")
     ns = range(2, n_max + 1)
-    return [QuotientIdentity(divide(n * n * (n + 1) * num, 64 * (2 * n + 1)),
+    return (QuotientIdentity(divide(n * n * (n + 1) * num, 64 * (2 * n + 1)),
                              (2 * n - 1) ** 2 * den)
             for n, (num, den) in zip(ns, _binomial_rows(_LEMMA23_TABLE, (),
-                                                        ns))]
+                                                        ns)))
 
 
 # ---------------------------------------------------------------------------
@@ -756,10 +757,11 @@ def lemma25_scan(n_max: int, n_range: range | None = None) -> LemmaAudit:
     along k too, from _LEMMA25_TABLE and never from the floor forms.  A
     point passes when no exponent is negative and
     R*D == P.  Otherwise W becomes a Fraction: a negative exponent is a
-    violation, and R differing from W names, through lemma25_valuations
-    of that W, each prime where the Legendre sum and the direct valuation
-    disagree.  R differing from W where every prime agrees means the
-    stepping itself is wrong, which raises.
+    violation, a W of 0 is one too, with R as its witness (R is never 0,
+    and 0 has no valuation), and R differing from W names, through
+    lemma25_valuations of that W, each prime where the Legendre sum and
+    the direct valuation disagree.  R differing from W where every prime
+    agrees means the stepping itself is wrong, which raises.
     """
     if n_max < 1:
         raise ValueError("lemma25_scan needs n_max >= 1")
@@ -780,6 +782,8 @@ def lemma25_scan(n_max: int, n_range: range | None = None) -> LemmaAudit:
             elif negatives:
                 violations.append(("negative-valuation", n, k, tuple(
                     (p, e) for p, e in enumerate(exps) if e < 0)))
+            elif not w:  # no valuation of 0: the routes disagree outright
+                violations.append(("zero-value", n, k, reconstructed))
             elif reconstructed != w.numerator:
                 mismatches = [("valuation-mismatch", n, k, p, margin_sum,
                                direct)
@@ -808,9 +812,10 @@ def lemma26_point(n: int) -> DivisionCheck:
     return divide(value, div)
 
 
-def lemma26_rows(n_max: int) -> list[DivisionCheck]:
-    """lemma26_point(n) for n = 1..n_max, with the five factorials of
-    _FIVE_FLOOR_FORMS stepped along n instead of looked up, in base 10.
+def lemma26_rows(n_max: int) -> Iterator[DivisionCheck]:
+    """lemma26_point(n) for n = 1..n_max, one at a time, with the five
+    factorials of _FIVE_FLOOR_FORMS stepped along n instead of looked up,
+    in base 10.
 
     The products start at n = 1, where every factorial argument is 0 or 1,
     and a form c0 + c_n*n moves from n to n + 1 by the rising product of
@@ -822,14 +827,12 @@ def lemma26_rows(n_max: int) -> list[DivisionCheck]:
     moving = _moving_forms(_FIVE_FLOOR_FORMS)
     ctx = DECIMAL_CONTEXT
     num = den = Decimal(1)
-    checks = []
     for n in range(1, n_max + 1):
         if n > 1:  # from n - 1 to n
             up, down = _step_factors(moving, n - 1)
             num, den = ctx.multiply(num, up), ctx.multiply(den, down)
         q, r = ctx.divmod(num, den)
-        checks.append(DivisionCheck(num, den, q if r == 0 else None, r))
-    return checks
+        yield DivisionCheck(num, den, q if r == 0 else None, r)
 
 
 def lemma26_floor_margin(m: int, n: int) -> int:

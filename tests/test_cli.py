@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -602,6 +603,113 @@ def test_lemma25_routes_that_disagree_are_fail_records(monkeypatch, capsys):
             == legendre_valuation(int(witness["p"]), k), record
 
 
+def test_lemma25_zero_binomial_route_is_a_fail_record(monkeypatch, capsys):
+    # The binomial route gives P = 0 at (n, k) = (5, 3): W = 0 has no
+    # valuation to compare, so the disagreement is one FAIL record that
+    # names the Legendre route's W, not an internal error.
+    row = verify_module.lemma25_row
+
+    def planted(n):
+        return [(0, d) if (n, k) == (5, 3) else (p, d)
+                for k, (p, d) in enumerate(row(n), 1)]
+
+    monkeypatch.setattr(verify_module, "lemma25_row", planted)
+    code, out, err = run_cli(capsys, "lemma", "--id", "2.5", "--n-max", "6",
+                             "--format", "json")
+    assert (code, err) == (1, "")
+    summary, *records = json_lines(out)
+    assert (summary["status"], summary["witness"]["violations"]) \
+        == ("fail", "1")
+    assert records == [{
+        "check": "lemma", "params": {"id": "2.5", "n": 5, "k": 3},
+        "status": "fail",
+        "witness": {"reason": "zero-value",
+                    "legendre_value": str(verify_module.lemma25_w(5, 3))}}]
+
+
+def _planted_in_lemma26_rows(monkeypatch):
+    step = verify_module._step_factors
+
+    def planted(moving, t):
+        if t + 1 == 150:
+            raise ArithmeticError("planted at n = 150")
+        return step(moving, t)
+
+    monkeypatch.setattr(verify_module, "_step_factors", planted)
+
+
+def _planted_in_the_third_sum(monkeypatch):
+    third = list(verify_module.SUM_SPECS)[2]
+    eval_sum = cli_module.eval_sum
+
+    def planted(spec, n):
+        if spec.name == third:
+            raise ArithmeticError(f"planted in {third}")
+        return eval_sum(spec, n)
+
+    monkeypatch.setattr(cli_module, "eval_sum", planted)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("plant,argv", [
+    (_planted_in_lemma26_rows, ["lemma", "--id", "2.6", "--n-max", "300"]),
+    (_planted_in_the_third_sum, ["sumcheck", "--n-max", "30"]),
+], ids=["lemma26-rows", "third-sum"])
+def test_an_error_mid_stream_writes_nothing(monkeypatch, capsys, tmp_path,
+                                            plant, argv, jobs):
+    # Records before the error are already spilled; none of them may reach
+    # stdout or the --output file.  At --jobs 2 every pool starts, so the
+    # third sum fails in a worker.
+    plant(monkeypatch)
+    if jobs == "2":
+        monkeypatch.setattr(cli_module, "_POOL_COST_NS", 0)
+        monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 2)
+    target = tmp_path / "report.json"
+    for extra in ([], ["--output", str(target)]):
+        code, out, err = run_cli(capsys, *argv, "--format", "json",
+                                 "--jobs", jobs, *extra)
+        assert (code, out) == (3, "")
+        assert err.startswith("binomsum: internal error: ArithmeticError: "
+                              "planted ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+    assert not target.exists()
+
+
+def test_a_spill_that_cannot_be_created_exits_two(monkeypatch, capsys,
+                                                  tmp_path):
+    monkeypatch.setenv("TMPDIR", str(tmp_path / "missing"))
+    target = tmp_path / "report.txt"
+    code, out, err = run_cli(capsys, "lemma", "--id", "2.3", "--output",
+                             str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("binomsum: error: cannot create a spill file ")
+    assert str(tmp_path / "missing") in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["json", "human"])
+@pytest.mark.parametrize("lemma,n_max", [
+    ("2.6", 300), ("2.6", 600), ("2.3", 500), ("2.3", 2000)])
+def test_streamed_lemma_reports_hold_no_whole_report(tmp_path, fmt, lemma,
+                                                      n_max):
+    # Every row is spilled before the next is stepped: the Python heap
+    # stays under 1 MB while the reports grow to 0.7-11 MB.  A first small
+    # run loads what the format loads, so the traced run allocates only
+    # what the audit holds.
+    target = tmp_path / "report"
+    argv = ["lemma", "--id", lemma, "--format", fmt, "--output", str(target)]
+    assert main(argv + ["--n-max", "3"]) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--n-max", str(n_max)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert target.stat().st_size > 700_000
+    assert peak < 1_000_000, peak
+
+
 def test_serial_import_does_not_load_the_process_pool():
     src = str(Path(cli_module.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -647,16 +755,39 @@ def test_pmap_runs_a_prefix_here_and_the_rest_in_a_pool(monkeypatch, switch,
                         lambda: 0 if len(_HERE) < switch else 10 ** 12)
     monkeypatch.setattr(cli_module, "_POOL_COST_NS", 1)
     monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 2)
-    results = cli_module._pmap(_pid_item, items, 2)
+    results = list(cli_module._pmap(_pid_item, items, 2))
     assert [item for item, _ in results] == items
     here = switch if pooled else len(items)
     assert [pid == os.getpid() for _, pid in results] == (
         [True] * here + [False] * (len(items) - here))
 
 
+def test_pmap_submits_a_bounded_window_of_chunks(monkeypatch):
+    # The pool takes over at the second item: 199 items left for two
+    # workers make 9 chunks of 24 or fewer.  Only a window of 4 is
+    # submitted before the first pooled result is taken; the rest follow
+    # as results are taken, in order.
+    from concurrent.futures import ProcessPoolExecutor
+    monkeypatch.setattr(cli_module, "_POOL_COST_NS", 0)
+    monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 2)
+    submitted = []
+    submit = ProcessPoolExecutor.submit
+
+    def counted(self, fn, *args):
+        submitted.append(len(args[1]))
+        return submit(self, fn, *args)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", counted)
+    results = cli_module._pmap(_pid_item, list(range(200)), 2)
+    assert next(results) == (0, os.getpid())
+    assert next(results)[0] == 1 and submitted == [24] * 4
+    assert [item for item, _ in results] == list(range(2, 200))
+    assert submitted == [24] * 8 + [7]
+
+
 def test_pmap_stays_serial_at_one_job(monkeypatch):
     monkeypatch.setattr(cli_module, "_POOL_COST_NS", 0)
-    results = cli_module._pmap(_pid_item, list(range(4)), 1)
+    results = list(cli_module._pmap(_pid_item, list(range(4)), 1))
     assert results == [(item, os.getpid()) for item in range(4)]
 
 

@@ -8,6 +8,7 @@ children run ``python -m binomsum.cli`` in an environment without PYTHON*
 or BINOMSUM_* variables, with stdout buffered unless a test says not.
 """
 import ast
+import inspect
 import multiprocessing
 import os
 import signal
@@ -32,6 +33,14 @@ USAGE = "usage: binomsum [-h] {sumcheck,wzcheck,lemma,ratio,term} ...\n"
 
 SMALL = ["sumcheck", "--sum", "sun_a", "--n-max", "3"]
 LARGE = ["sumcheck", "--n-max", "400", "--format", "json"]
+
+# Audits with their golden human reports: lemma 2.5, whose records are held
+# until its summary is known, and the two whose rows stream from a stepper.
+STREAMED = [
+    (["lemma", "--id", "2.5", "--n-max", "40"], "lemma25_wide.txt"),
+    (["lemma", "--id", "2.6", "--n-max", "40", "--m-max", "30"], "lemma26.txt"),
+    (["lemma", "--id", "2.3", "--n-max", "20"], "lemma23.txt"),
+]
 
 
 def child_env(jobs: str, buffered: bool = True) -> dict[str, str]:
@@ -86,9 +95,10 @@ def test_a_closed_stdout_exits_three(jobs):
 
 @JOBS
 def test_stdout_report_is_complete(jobs):
-    proc = console(["lemma", "--id", "2.5", "--n-max", "40"], jobs)
-    assert (proc.returncode, proc.stderr) == (0, b"")
-    assert proc.stdout == (GOLDEN / "lemma25_wide.txt").read_bytes()
+    for argv, name in STREAMED:
+        proc = console(argv, jobs)
+        assert (proc.returncode, proc.stderr) == (0, b""), argv
+        assert proc.stdout == (GOLDEN / name).read_bytes(), argv
 
 
 @JOBS
@@ -100,6 +110,11 @@ def test_output_file_is_complete(tmp_path, jobs):
     assert main(LARGE + ["--output", str(reference)]) == 0
     assert path.read_bytes() == reference.read_bytes()
     assert len(reference.read_bytes()) > 3_000_000
+    for argv, name in STREAMED:
+        path = tmp_path / name
+        proc = console(argv + ["--output", str(path)], jobs)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+        assert path.read_bytes() == (GOLDEN / name).read_bytes(), argv
 
 
 @JOBS
@@ -141,8 +156,20 @@ def announced(self, *args, **kwargs):
     print("pool", file=sys.stderr)
     start(self, *args, **kwargs)
 concurrent.futures.ProcessPoolExecutor.__init__ = announced
+{plant}
 sys.argv[1:] = {argv!r}
 cli.console_main()
+"""
+
+# Makes the third sum of sumcheck raise, in whichever process runs it.
+THIRD_SUM_RAISES = """
+third = list(cli.SUM_SPECS)[2]
+eval_sum = cli.eval_sum
+def planted(spec, n):
+    if spec.name == third:
+        raise ArithmeticError("planted in " + third)
+    return eval_sum(spec, n)
+cli.eval_sum = planted
 """
 
 
@@ -170,13 +197,38 @@ def session_members(sid: int) -> list[str]:
                      "grid", "--n-max", "8", "--format", "csv"]),
 ])
 def test_forced_pool_leaves_no_process_in_its_session(tmp_path, name, argv):
+    code, out, err, left = forced_pool(tmp_path, argv)
+    assert (code, err) == (0, b"pool\n")
+    assert out == (GOLDEN / name).read_bytes()
+    assert left == []
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="needs /proc")
+def test_a_worker_error_mid_stream_leaves_no_process_in_its_session(
+        tmp_path):
+    # The first sum runs here and is spilled; the pool then takes the rest
+    # and the third sum raises in a worker.  Nothing is written, and the
+    # pool is joined before the process ends.
+    code, out, err, left = forced_pool(
+        tmp_path, ["sumcheck", "--n-max", "30", "--format", "json"],
+        THIRD_SUM_RAISES)
+    assert (code, out) == (3, b"")
+    assert err == (b"pool\nbinomsum: internal error: ArithmeticError: "
+                   b"planted in sun_c\n")
+    assert left == []
+
+
+def forced_pool(tmp_path, argv, plant=""):
+    """(exit code, stdout, stderr, processes left in its session) of argv
+    at --jobs 2 under FORCED_POOL, after the lines of plant."""
     # Files, not pipes: a worker left running would hold a pipe open, and
     # reading it would wait for that worker.
     out, err = tmp_path / "out", tmp_path / "err"
     with out.open("wb") as stdout, err.open("wb") as stderr:
         proc = subprocess.Popen(
             [sys.executable, "-c",
-             FORCED_POOL.format(argv=argv + ["--jobs", "2"])],
+             FORCED_POOL.format(argv=argv + ["--jobs", "2"], plant=plant)],
             env=child_env("1"), stdout=stdout, stderr=stderr,
             start_new_session=True)
     try:
@@ -187,9 +239,7 @@ def test_forced_pool_leaves_no_process_in_its_session(tmp_path, name, argv):
             os.killpg(proc.pid, signal.SIGKILL)
         except ProcessLookupError:
             pass
-    assert (code, err.read_bytes()) == (0, b"pool\n")
-    assert out.read_bytes() == (GOLDEN / name).read_bytes()
-    assert left == []
+    return code, out.read_bytes(), err.read_bytes(), left
 
 
 def _pid(item):
@@ -200,7 +250,7 @@ def test_pmap_joins_its_pool_before_it_returns(monkeypatch):
     monkeypatch.setattr(cli_module, "_POOL_COST_NS", 0)
     monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 2)
     threads = set(threading.enumerate())
-    results = cli_module._pmap(_pid, list(range(8)), 2)
+    results = list(cli_module._pmap(_pid, list(range(8)), 2))
     assert [item for item, _ in results] == list(range(8))
     assert any(pid != os.getpid() for _, pid in results)
     assert set(threading.enumerate()) == threads
@@ -273,3 +323,50 @@ def test_exit_guard_flags_each_spelling():
               "os.exit = 1\n")
     assert process_exits(source) == [
         ("<module>", 2), ("f", 4), ("g", 6), ("h", 8)]
+
+
+# ---------------------------------------------------------------------------
+# Static guard: the handlers and _pmap stream their records
+# ---------------------------------------------------------------------------
+
+def _yields(node: ast.AST) -> bool:
+    """node yields in its own scope: nested functions, lambdas and classes
+    are scopes of their own."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.Lambda, ast.ClassDef)):
+            continue
+        if isinstance(child, (ast.Yield, ast.YieldFrom)) or _yields(child):
+            return True
+    return False
+
+
+def generator_functions(source: str) -> dict[str, bool]:
+    """{name: whether it is a generator function} for each top-level
+    function of source."""
+    return {top.name: _yields(top) for top in ast.parse(source).body
+            if isinstance(top, ast.FunctionDef)}
+
+
+def test_handlers_and_pmap_are_generator_functions():
+    # A handler that returned a list would hold its whole report again;
+    # _cmd_term returns one record or the serialized text.
+    package = Path(binomsum.__file__).parent
+    found = generator_functions((package / "cli.py").read_text())
+    handlers = sorted(name for name in found if name.startswith("_cmd_"))
+    assert handlers == ["_cmd_lemma", "_cmd_ratio", "_cmd_sumcheck",
+                        "_cmd_term", "_cmd_wzcheck"]
+    streaming = {name: found[name] for name in handlers + ["_pmap"]}
+    assert streaming == {name: name != "_cmd_term" for name in streaming}
+    assert streaming == {name: inspect.isgeneratorfunction(
+        getattr(cli_module, name)) for name in streaming}
+
+
+def test_generator_guard_sees_only_a_function_s_own_yields():
+    source = ("def f():\n    yield 1\n"
+              "def g():\n    return [x for x in range(3)]\n"
+              "def h():\n    def inner():\n        yield 1\n"
+              "    return inner()\n"
+              "def i():\n    if True:\n        yield from g()\n")
+    assert generator_functions(source) == {
+        "f": True, "g": False, "h": False, "i": True}

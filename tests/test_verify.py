@@ -417,8 +417,8 @@ def test_lemma23_points_and_closed_form():
 
 def test_lemma23_rows_match_the_points():
     for n_max in (2, 3, 500):
-        assert lemma23_rows(n_max) == [lemma23_point(n)
-                                       for n in range(2, n_max + 1)], n_max
+        assert list(lemma23_rows(n_max)) == [
+            lemma23_point(n) for n in range(2, n_max + 1)], n_max
     with pytest.raises(ValueError):
         lemma23_rows(1)
 
@@ -794,7 +794,7 @@ def lemma26_texts(lemma26_points):
 
 @pytest.mark.parametrize("n_max", [0, 1, 2, 300])
 def test_lemma26_rows_match_the_factorial_quotients(lemma26_texts, n_max):
-    rows = lemma26_rows(n_max)
+    rows = list(lemma26_rows(n_max))
     assert len(rows) == n_max
     assert [division_text(row) for row in rows] == lemma26_texts[:n_max]
 
@@ -829,7 +829,7 @@ DIVISION_FIELDS = ("value", "divisor", "quotient", "remainder")
 
 def test_lemma26_rows_are_decimals_that_print_as_the_quotients(
         lemma26_points, lemma26_texts):
-    rows = lemma26_rows(300)
+    rows = list(lemma26_rows(300))
     assert len(str(rows[-1].value)) > 4300  # past the int-to-str limit
     for n, (row, text) in enumerate(zip(rows, lemma26_texts), 1):
         for field, number, expected in zip(DIVISION_FIELDS, row, text):
@@ -845,7 +845,7 @@ def test_lemma26_row_1000_matches_math_factorial():
     div = f(2 * n - 1) * f(2 * n - 2) * f(3 * n - 3)
     quotient, remainder = divmod(value, div)
     assert remainder == 0
-    row = lemma26_rows(n)[-1]
+    row = list(lemma26_rows(n))[-1]
     assert [str(getattr(row, field)) for field in DIVISION_FIELDS] \
         == [int_text(number) for number in (value, div, quotient, 0)]
 
@@ -861,7 +861,7 @@ def test_lemma26_rows_fail_with_a_remainder_when_the_divisor_gains_a_factor(
         return (up, down * 10007) if t == 4 else (up, down)
 
     monkeypatch.setattr(verify_module, "_step_factors", planted)
-    rows = lemma26_rows(20)
+    rows = list(lemma26_rows(20))
     assert [row.ok for row in rows] == [True] * 4 + [False] * 16
     assert all(row.quotient is None and row.remainder > 0 for row in rows[4:])
     assert rows[4].exact_quotient == Fraction(lemma26_point(5).quotient, 10007)
