@@ -37,7 +37,7 @@ _EXPORTS = {
                "lemma25_valuations", "lemma25_w", "lemma26_floor_margin",
                "lemma26_ineq_scan", "lemma26_point", "lemma26_rows",
                "ratio_identity", "ratio_k_values", "ratio_row_failures",
-               "sum_spec"),
+               "sum_spec", "sums"),
     "wz": ("TelescopeAudit", "telescope_audit", "wz_certificate",
            "wz_grid_row", "wz_grid_rows", "wz_symbolic_check"),
 }

@@ -56,10 +56,9 @@ from typing import NoReturn
 from .pairs import WZPairSpec, builtin_document, builtin_pair, builtin_pair_names
 from .report import FAIL, FORMATS, PASS, SKIPPED, ReportRecord, spill
 from .verify import LEMMA24_REGIONS, RATIO_IDENTITIES, SUM_SPECS, \
-    LemmaAudit, check_divisibility_valuations, divide, divisors, eval_sum, \
-    lemma22_row, lemma23_rows, lemma24_scan, lemma25_scan, \
-    lemma26_ineq_scan, lemma26_rows, ratio_identity, ratio_k_values, \
-    ratio_row_failures, sum_spec
+    LemmaAudit, divide, divisors, lemma22_row, lemma23_rows, lemma24_scan, \
+    lemma25_scan, lemma26_ineq_scan, lemma26_rows, ratio_identity, \
+    ratio_k_values, ratio_row_failures, sum_spec, sums, valuation_failures
 
 JOBS_ENV = "BINOMSUM_JOBS"
 
@@ -257,20 +256,20 @@ def _summary(check: str, params: tuple, count_key: str, count: int,
 # ---------------------------------------------------------------------------
 
 def _sum_records(args: tuple) -> list[ReportRecord]:
-    """One record per n of one sum, in order: S(n) from eval_sum divided by
-    the divisor that divisors steps along the range, in a chain of its own.
-    A whole sum is one work item because eval_sum grows one sum's prefix
-    table per process."""
+    """One record per n of one sum, in order: S(n) from sums divided by the
+    divisor that divisors steps along the range, in a chain of its own.
+    A whole sum is one work item because sums steps it from k = 0."""
     name, kind, n_range, valuation = args
     spec = sum_spec(name)
     used_kind = spec.divisor_kind if kind is None else kind
     records = []
-    for n, div in zip(n_range, divisors(used_kind, n_range)):
-        division = divide(eval_sum(spec, n), div)
+    for n, value, div in zip(n_range, sums(spec, n_range),
+                             divisors(used_kind, n_range)):
+        division = divide(value, div)
         witness = _division_witness(division)
         agree = True
         if valuation:
-            val_ok, _ = check_divisibility_valuations(spec, kind, n)
+            val_ok = not valuation_failures(value, used_kind, n)
             agree = val_ok == division.ok
             witness += (("valuation", "agree" if agree else "disagree"),)
         params = (("sum", name), ("divisor", used_kind), ("n", n))

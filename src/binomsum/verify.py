@@ -11,10 +11,10 @@ The binomials of the seven sums, of their divisors and of lemmas 2.2,
 2.3 and 2.5 are declared once, as tables of binomials linear in (n, k)
 (_summand_table, _DIVISOR_TABLES, _LEMMA22_TABLE, ...), and one stepper,
 _binomial_rows, steps any of them along a row by exact term ratios.
-eval_sum keeps a row open per sum and grows a per-process table of prefix
-sums by S(k+1) = base*S(k) + t(k), so a point already reached is a lookup
-and a new one costs one step; iter_sums builds every summand afresh by
-math.comb (exact.binomial).  divisors steps C(2n, n) in a row of its own.
+sums steps S(k+1) = base*S(k) + t(k) from k = 0 along one row of its
+summand's binomials and holds no prefix; eval_sum is its value at one n,
+and iter_sums builds every summand afresh by math.comb (exact.binomial).
+divisors steps C(2n, n) in a row of its own.
 The valuation route (valuation_failures) takes every v_p of a divisor
 from Legendre's formula and decides all primes at once by one remainder
 modulo their product.  lemma22_row, lemma23_rows and lemma25_row read the
@@ -35,10 +35,9 @@ ratio_identity.
 """
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import partial, reduce
 from itertools import chain, count, groupby, islice, repeat
 from math import gcd, prod
 from operator import add, itemgetter, mul
@@ -170,55 +169,45 @@ def _summand(spec: SumSpec, k: int) -> int:
     return t
 
 
-class _PrefixSums:
-    """S(0), S(1), ... of one sum as far as computed, and the open row of
-    its summand's binomials, next at k = len(sums) - 1 (None until first
-    needed, and after a step that raised)."""
+def sums(spec: SumSpec | str, ns: range):
+    """Yield S(n) = sum t(k)*base**(n-1-k) for each n of ns, a range of
+    step 1, and keep nothing once the last is yielded.
 
-    __slots__ = ("sums", "rows")
-
-    def __init__(self) -> None:
-        self.sums = [0]
-        self.rows = None
-
-
-@lru_cache(maxsize=1)
-def _prefix_sums(spec: SumSpec) -> _PrefixSums:
-    return _PrefixSums()
-
-
-def eval_sum(spec: SumSpec | str, n: int) -> int:
-    """S(n) = sum t(k)*base**(n-1-k), read from a table of prefix sums.
-
-    The table grows to the largest n asked for by S(k+1) = base*S(k) + t(k),
-    one step of its open binomial row per new n, which builds no binomial.
-    A step that raises leaves the sums finished before it, and the row is
-    built again when next needed.  Only the most recent sum's table is
-    held, so callers that go sum by sum rebuild it once per sum.  It costs
-    O(n_max^2) bits: 4.3 MB of ints for guillera2 at n = 2000.
+    S(0) = 0 and S(k+1) = base*S(k) + t(k), with t(k)'s binomials one row
+    of _binomial_rows over _summand_table, built at its anchor k = 0 and
+    stepped from there, so the row is never built again and no prefix is
+    held.  A range that starts late still steps every k below it.
+    iter_sums stays the per-point reference.
     """
     if isinstance(spec, str):
         spec = sum_spec(spec)
+    if ns.step != 1:
+        raise ValueError("sums needs a range of step 1")
+    if not ns:
+        return
+    if ns.start < 1:
+        raise ValueError("sums needs n >= 1")
+    c2, c1, c0 = spec.coeff
+    total = 0
+    for k, (num, _) in enumerate(_binomial_rows(
+            _summand_table(spec), (), range(ns.stop - 1))):  # S(k+1)
+        total = spec.base * total + (c2 * k * k + c1 * k + c0) * num
+        if k >= ns.start - 1:
+            yield total
+
+
+def eval_sum(spec: SumSpec | str, n: int) -> int:
+    """S(n) = sum t(k)*base**(n-1-k): the one value of sums over n alone,
+    stepped from k = 0 by each call."""
     if n < 1:
         raise ValueError("eval_sum needs n >= 1")
-    table = _prefix_sums(spec)
-    sums = table.sums
-    if n >= len(sums):
-        rows = table.rows or _binomial_rows(
-            _summand_table(spec), (), range(len(sums) - 1, sys.maxsize))
-        table.rows = None  # until every step below has been taken
-        c2, c1, c0 = spec.coeff
-        for k in range(len(sums) - 1, n):  # S(k+1)
-            num, _ = next(rows)
-            sums.append(spec.base * sums[k] + (c2 * k * k + c1 * k + c0) * num)
-        table.rows = rows
-    return sums[n]
+    return next(sums(spec, range(n, n + 1)))
 
 
 def iter_sums(spec: SumSpec | str, n_max: int):
     """Yield (n, S(n)) for n = 1..n_max via S(n+1) = base*S(n) + t(n).
 
-    The second route to the values of eval_sum: every summand is built
+    The second route to the values of sums: every summand is built
     afresh by _summand from factorial quotients, never stepped, and the
     two routes are compared in the test suite rather than shared.
     """
@@ -253,9 +242,9 @@ def divisors(kind: str, ns: range):
 
     C(2n, n)**e (e = 1 weak, 2 strong) is a row of _binomial_rows over
     _DIVISOR_TABLES, built by exact.binomial at ns.start and stepped along
-    n: a chain of its own, which reads nothing of eval_sum's table, so that
-    no fault in one chain reaches both a sum and its divisor.  divisor
-    stays the per-point reference.
+    n: a chain of its own, apart from the row that sums steps, so that no
+    fault in one chain reaches both a sum and its divisor.  divisor stays
+    the per-point reference.
     """
     if kind not in DIVISOR_KINDS:
         raise ValueError(f"divisor kind must be one of {DIVISOR_KINDS}")

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tomllib
 import tracemalloc
 from functools import partial
 from pathlib import Path
@@ -465,11 +466,19 @@ def test_csv_and_human_formats(capsys):
 
 
 def test_console_script_installed():
-    exe = shutil.which("binomsum")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run([exe, "lemma", "--id", "2.4", "--m-max", "2"],
-                          capture_output=True, text=True)
+    # Without an installed script, run the target that pyproject.toml
+    # declares for it.
+    src = Path(cli_module.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    command = [shutil.which("binomsum")]
+    if command[0] is None:
+        project = tomllib.loads((src.parent / "pyproject.toml").read_text())
+        module, _, function = \
+            project["project"]["scripts"]["binomsum"].partition(":")
+        command = [sys.executable, "-c",
+                   f"from {module} import {function}; {function}()"]
+    proc = subprocess.run(command + ["lemma", "--id", "2.4", "--m-max", "2"],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 1
     assert "m=2" in proc.stdout
 
@@ -640,14 +649,14 @@ def _planted_in_lemma26_rows(monkeypatch):
 
 def _planted_in_the_third_sum(monkeypatch):
     third = list(verify_module.SUM_SPECS)[2]
-    eval_sum = cli_module.eval_sum
+    sums = cli_module.sums
 
-    def planted(spec, n):
+    def planted(spec, ns):
         if spec.name == third:
             raise ArithmeticError(f"planted in {third}")
-        return eval_sum(spec, n)
+        return sums(spec, ns)
 
-    monkeypatch.setattr(cli_module, "eval_sum", planted)
+    monkeypatch.setattr(cli_module, "sums", planted)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

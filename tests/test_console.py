@@ -164,12 +164,12 @@ cli.console_main()
 # Makes the third sum of sumcheck raise, in whichever process runs it.
 THIRD_SUM_RAISES = """
 third = list(cli.SUM_SPECS)[2]
-eval_sum = cli.eval_sum
-def planted(spec, n):
+sums = cli.sums
+def planted(spec, ns):
     if spec.name == third:
         raise ArithmeticError("planted in " + third)
-    return eval_sum(spec, n)
-cli.eval_sum = planted
+    return sums(spec, ns)
+cli.sums = planted
 """
 
 

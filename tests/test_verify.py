@@ -1,6 +1,6 @@
 import json
 import math
-import random
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -16,7 +16,7 @@ from binomsum.verify import RATIO_IDENTITIES, SUM_SPECS, MarginRecord, \
     lemma22_point, lemma22_row, lemma23_point, lemma23_rows, \
     lemma24_scan, lemma25_row, lemma25_scan, lemma25_valuations, lemma25_w, \
     lemma26_floor_margin, lemma26_ineq_scan, lemma26_point, lemma26_rows, \
-    ratio_identity, ratio_k_values, ratio_row_failures, sum_spec, \
+    ratio_identity, ratio_k_values, ratio_row_failures, sum_spec, sums, \
     valuation_failures
 
 
@@ -71,50 +71,25 @@ def test_eval_sum_matches_recurrence_in_any_call_order():
     # eval_sum's stepped binomials against iter_sums' factorial quotients
     # and the term-by-term sum
     n_max = 80
-    expected = {name: dict(iter_sums(name, n_max)) for name in SUM_SPECS}
-    for name in SUM_SPECS:
-        spec = sum_spec(name)
-        assert all(expected[name][n] == _direct_sum(spec, n)
-                   for n in range(1, n_max + 1)), name
-    rng = random.Random(4)
-    for name in SUM_SPECS:
-        ns = list(range(1, n_max + 1))
-        rng.shuffle(ns)
-        assert [eval_sum(name, n) for n in ns] == [expected[name][n]
-                                                    for n in ns]
-    calls = [(name, n) for name in SUM_SPECS for n in range(1, n_max + 1)]
-    rng.shuffle(calls)
-    for name, n in calls:
-        assert eval_sum(name, n) == expected[name][n], (name, n)
-    fresh = sum_spec("guillera2")._replace()
-    assert fresh == sum_spec("guillera2") and fresh is not sum_spec("guillera2")
-    for n in (60, 1, 37, 59, 2):
-        assert eval_sum(fresh, n) == expected["guillera2"][n]
-    fresh = sum_spec("guillera2")._replace(name="guillera2_copy")
-    assert eval_sum(fresh, 400) == _direct_sum(fresh, 400) \
-        == dict(iter_sums(fresh, 400))[400]
+    for name, spec in SUM_SPECS.items():
+        expected = dict(iter_sums(name, n_max))
+        ns = range(1, n_max + 1)
+        assert [expected[n] for n in ns] == [_direct_sum(spec, n) for n in ns] \
+            == [eval_sum(name, n) for n in ns], name
+    spec = sum_spec("guillera2")
+    assert eval_sum(spec, 400) == _direct_sum(spec, 400) \
+        == dict(iter_sums(spec, 400))[400]
 
 
-def test_eval_sum_keeps_only_finished_summands(monkeypatch):
-    # The step to k = 5 raises, in a sum without C(4k, 2k) and in one with
-    # it: S(0..5) stay, and the sum's row is built again at k = 5.
-    real = verify_module._binomial_rows
-
-    def fails_at_five(table, head, ts):
-        for t, row in zip(ts, real(table, head, ts)):
-            if t == 5:
-                raise ArithmeticError("step 5")
-            yield row
-
-    for name in ("sun_b", "guillera2"):
-        spec = sum_spec(name)._replace(name=name + "_copy")
-        monkeypatch.setattr(verify_module, "_binomial_rows", fails_at_five)
-        with pytest.raises(ArithmeticError):
-            eval_sum(spec, 10)
-        assert verify_module._prefix_sums(spec).sums \
-            == [0] + [s for _, s in iter_sums(spec, 5)], name
-        monkeypatch.setattr(verify_module, "_binomial_rows", real)
-        assert eval_sum(spec, 10) == dict(iter_sums(spec, 10))[10], name
+def test_eval_sum_holds_nothing_once_it_returns():
+    # A table of every prefix S(k), k <= 2000, held 4.15 MB here.
+    tracemalloc.start()
+    try:
+        eval_sum("guillera2", 2000)
+        current, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current < 500_000
 
 
 def _row_values(table, ts, head=()):
@@ -178,14 +153,18 @@ def test_tables_match_their_per_point_references(start):
 
 
 def test_eval_sum_resumes_its_row_without_a_binomial(monkeypatch):
-    for name in SUM_SPECS:
-        spec = sum_spec(name)._replace(name=name + "_resumed")
-        expected = dict(iter_sums(spec, 340 + WINDOW))
-        assert eval_sum(spec, 340) == expected[340]
+    # However late its range starts, sums builds its row's binomials at the
+    # anchor k = 0 alone and steps every later one.
+    ns = range(340, 340 + WINDOW)
+    for name, spec in SUM_SPECS.items():
+        expected = dict(iter_sums(spec, ns[-1]))
+        built = []
         with monkeypatch.context() as patch:
-            patch.setattr(verify_module, "binomial", None)
-            assert [eval_sum(spec, n) for n in range(341, 341 + WINDOW)] \
-                == [expected[n] for n in range(341, 341 + WINDOW)], name
+            patch.setattr(verify_module, "binomial",
+                          lambda a, b: built.append((a, b)) or binomial(a, b))
+            assert list(sums(spec, ns)) == [expected[n] for n in ns], name
+        assert built == [(0, 0)] * len(verify_module._summand_table(spec)), \
+            name
 
 
 def test_lemma25_table_cancels_to_the_eight_floor_forms():
@@ -225,6 +204,11 @@ def test_divisor_values():
 def test_divisors_step_the_per_point_divisor(kind, ns):
     assert list(divisors(kind, ns)) \
         == [divisor(kind, n) for n in ns]
+    # sums steps the sums stated with this kind over the same window
+    for name, spec in SUM_SPECS.items():
+        if spec.divisor_kind == kind:
+            expected = dict(iter_sums(spec, ns.stop - 1))
+            assert list(sums(spec, ns)) == [expected[n] for n in ns], name
 
 
 @pytest.mark.parametrize("kind,ns", [("medium", range(2, 5)),
@@ -233,6 +217,9 @@ def test_divisors_step_the_per_point_divisor(kind, ns):
 def test_divisors_reject_bad_input(kind, ns):
     with pytest.raises(ValueError):
         list(divisors(kind, ns))
+    # sums rejects the same ranges, and a name that is no sum
+    with pytest.raises(ValueError):
+        list(sums(kind if kind == "medium" else "guillera2", ns))
 
 
 def test_sumcheck_divisor_chain_shares_nothing_with_eval_sum(monkeypatch,
