@@ -22,36 +22,42 @@ DIVISOR_KINDS = ("weak", "strong")
 class _SumFields(NamedTuple):
     name: str
     coeff: tuple[int, int, int]
-    central_power: int
+    binomials: tuple
     base: int
-    include_quad_central: bool = False
     divisor_kind: str = "weak"
 
 
 class SumSpec(Validated, _SumFields):
-    """One sum of the shape sum((c2*k^2+c1*k+c0) * C(2k,k)**central_power
-    * [C(4k,2k)] * base**(n-k-1) for k in range(n))."""
+    """One sum of the shape sum((c2*k^2+c1*k+c0) * t * base**(n-k-1) for k
+    in range(n)), t the product of C(a0+a*k, b0+b*k)**p over the entries
+    ((a0, a), (b0, b), p) of binomials, a table along k for _binomial_rows."""
 
     __slots__ = ()
 
     def _validate(self) -> None:
         if self.base == 0:
             raise ValueError("base must be nonzero")
-        if self.central_power < 1:
-            raise ValueError("central_power must be at least 1")
+        if not self.binomials:
+            raise ValueError("binomials must not be empty")
+        for (a0, a), (b0, b), p in self.binomials:
+            if p < 1 or not (0 <= b0 <= a0 and 0 <= b <= a):
+                raise ValueError(f"C({a0}{a:+}k, {b0}{b:+}k)**{p} needs p >= 1 "
+                                 "and 0 <= b <= a for all k >= 0")
         if self.divisor_kind not in DIVISOR_KINDS:
             raise ValueError(f"divisor kind must be one of {DIVISOR_KINDS}")
 
 
 SUM_SPECS: dict[str, SumSpec] = {s.name: s for s in (
-    SumSpec("sun_a", (0, 3, 1), 3, -8),
-    SumSpec("sun_b", (0, 3, 1), 3, 16),
-    SumSpec("sun_c", (0, 6, 1), 3, 256),
-    SumSpec("sun_d", (0, 6, 1), 3, -512),
-    SumSpec("sun_e", (0, 42, 5), 3, 4096),
-    SumSpec("guillera1", (20, 8, 1), 5, -4096, divisor_kind="strong"),
-    SumSpec("guillera2", (120, 34, 3), 4, 65536,
-            include_quad_central=True, divisor_kind="strong"),
+    SumSpec("sun_a", (0, 3, 1), (((0, 2), (0, 1), 3),), -8),
+    SumSpec("sun_b", (0, 3, 1), (((0, 2), (0, 1), 3),), 16),
+    SumSpec("sun_c", (0, 6, 1), (((0, 2), (0, 1), 3),), 256),
+    SumSpec("sun_d", (0, 6, 1), (((0, 2), (0, 1), 3),), -512),
+    SumSpec("sun_e", (0, 42, 5), (((0, 2), (0, 1), 3),), 4096),
+    SumSpec("guillera1", (20, 8, 1), (((0, 2), (0, 1), 5),), -4096,
+            divisor_kind="strong"),
+    SumSpec("guillera2", (120, 34, 3),
+            (((0, 2), (0, 1), 4), ((0, 4), (0, 2), 1)), 65536,
+            divisor_kind="strong"),
 )}
 
 

@@ -7,14 +7,15 @@ routes (division with remainder vs. prime valuations, floor terms vs.
 fractional parts, binomial products vs. Legendre exponents), both routes
 are implemented separately and compared rather than merged.
 
-The binomials of the seven sums, of their divisors and of lemmas 2.2,
-2.3 and 2.5 are declared once, as tables of binomials linear in (n, k)
-(_summand_table, _DIVISOR_TABLES, _LEMMA22_TABLE, ...), and one stepper,
+The binomials of the seven sums (SumSpec.binomials), of their divisors
+and of lemmas 2.2, 2.3 and 2.5 (_DIVISOR_TABLES, _LEMMA22_TABLE, ...) are
+declared once, as tables of binomials linear in (n, k), and one stepper,
 _binomial_rows, steps any of them along a row by exact term ratios.
 sums steps S(k+1) = base*S(k) + t(k) from k = 0 along one row of its
-summand's binomials and holds no prefix; eval_sum is its value at one n,
-and iter_sums builds every summand afresh by math.comb (exact.binomial).
-divisors steps C(2n, n) in a row of its own.
+summand's table and holds no prefix; eval_sum is its value at one n, and
+iter_sums builds that table's binomials afresh by math.comb
+(exact.binomial): the two share it as data, and the tests state each
+summand by hand.  divisors steps C(2n, n) in a row of its own.
 The valuation route (valuation_failures) takes every v_p of a divisor
 from Legendre's formula and decides all primes at once by one remainder
 modulo their product.  lemma22_row, lemma23_rows and lemma25_row read the
@@ -57,8 +58,8 @@ from .pairs import DIVISOR_KINDS, SUM_SPECS, SumSpec, WZPairSpec, \
 # Each entry ((a0, *a), (b0, *b), p) of a binomial table stands for
 # C(a0 + a.v, b0 + b.v)**p, v being a head of fixed variables and then the
 # variable t that _binomial_rows steps.  lemma22_point, lemma23_point,
-# lemma25_w, _summand and divisor state the same products independently;
-# the tests tie the tables to them.
+# lemma25_w and divisor state the same products independently, and the
+# tests tie the tables to them and to summands stated by hand.
 
 # C(2n, n)**e along n, the weak (e = 1) and strong (e = 2) divisor over 2n**e
 _DIVISOR_TABLES = {"weak": (((0, 2), (0, 1), 1),),
@@ -78,13 +79,6 @@ _LEMMA23_TABLE = (((-2, 2), (-1, 1), 1), ((0, 2), (0, 1), 1),
 _LEMMA25_TABLE = (((0, 2, 0), (0, 1, 0), 1), ((0, 1, 0), (0, 0, 1), 1),
                   ((0, 1, 1), (0, 0, 2), 1), ((-1, 2, 1), (-1, 1, 0), 1),
                   ((-2, 4, 2), (-1, 2, 1), 1), ((0, 0, 2), (0, 0, 1), -2))
-
-
-def _summand_table(spec: SumSpec) -> tuple:
-    """t(k)'s binomials along k: C(2k, k)**central_power, times C(4k, 2k)
-    for a sum with include_quad_central."""
-    return ((((0, 2), (0, 1), spec.central_power),)
-            + (((0, 4), (0, 2), 1),) * spec.include_quad_central)
 
 
 # Each entry ((c0, c_n[, c_k]), w) stands for w factorials of the argument
@@ -163,10 +157,9 @@ def _binomial_rows(table, head: tuple[int, ...], ts: range):
 
 def _summand(spec: SumSpec, k: int) -> int:
     c2, c1, c0 = spec.coeff
-    t = (c2 * k * k + c1 * k + c0) * binomial(2 * k, k) ** spec.central_power
-    if spec.include_quad_central:
-        t *= binomial(4 * k, 2 * k)
-    return t
+    return (c2 * k * k + c1 * k + c0) * prod(
+        binomial(a0 + a * k, b0 + b * k) ** p
+        for (a0, a), (b0, b), p in spec.binomials)
 
 
 def sums(spec: SumSpec | str, ns: range):
@@ -174,7 +167,7 @@ def sums(spec: SumSpec | str, ns: range):
     step 1, and keep nothing once the last is yielded.
 
     S(0) = 0 and S(k+1) = base*S(k) + t(k), with t(k)'s binomials one row
-    of _binomial_rows over _summand_table, built at its anchor k = 0 and
+    of _binomial_rows over spec.binomials, built at its anchor k = 0 and
     stepped from there, so the row is never built again and no prefix is
     held.  A range that starts late still steps every k below it.
     iter_sums stays the per-point reference.
@@ -190,7 +183,7 @@ def sums(spec: SumSpec | str, ns: range):
     c2, c1, c0 = spec.coeff
     total = 0
     for k, (num, _) in enumerate(_binomial_rows(
-            _summand_table(spec), (), range(ns.stop - 1))):  # S(k+1)
+            spec.binomials, (), range(ns.stop - 1))):  # S(k+1)
         total = spec.base * total + (c2 * k * k + c1 * k + c0) * num
         if k >= ns.start - 1:
             yield total
@@ -208,8 +201,8 @@ def iter_sums(spec: SumSpec | str, n_max: int):
     """Yield (n, S(n)) for n = 1..n_max via S(n+1) = base*S(n) + t(n).
 
     The second route to the values of sums: every summand is built
-    afresh by _summand from factorial quotients, never stepped, and the
-    two routes are compared in the test suite rather than shared.
+    afresh by _summand from factorial quotients, never stepped.  The two
+    routes share spec.binomials as data only and are compared in tests.
     """
     if isinstance(spec, str):
         spec = sum_spec(spec)

@@ -18,7 +18,8 @@ ALLOWED = {
     "verify.floor_margin": "reference for the lemma 2.4 row kernel",
     "verify.floor_margin_fractional": "the fractional route of floor_margin",
     "verify.lemma26_floor_margin": "reference for the lemma 2.6 row kernel",
-    "verify.iter_sums": "the second route to the values of sums",
+    "verify.iter_sums": "the second route to the values of sums, sharing "
+                        "SumSpec.binomials with sums as data only",
     # Benchmark tracer targets (perfbench/tracer.py TARGETS).
     "verify.check_divisibility": "traced by the benchmark's sums workload, "
                                  "and the per-point reference of sumcheck",

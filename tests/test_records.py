@@ -92,7 +92,13 @@ def _pair():
 # (a valid record, fields that break one of its invariants)
 INVALID = {
     "sum-base": (lambda: sum_spec("sun_a"), {"base": 0}),
-    "sum-power": (lambda: sum_spec("sun_a"), {"central_power": 0}),
+    "sum-binomials-power": (lambda: sum_spec("sun_a"),
+                            {"binomials": (((0, 2), (0, 1), -1),)}),
+    "sum-binomials-zero-power": (lambda: sum_spec("sun_a"),
+                                 {"binomials": (((0, 2), (0, 1), 0),)}),
+    "sum-binomials-empty": (lambda: sum_spec("sun_a"), {"binomials": ()}),
+    "sum-binomials-range": (lambda: sum_spec("sun_a"),    # C(k, 2k)
+                            {"binomials": (((0, 1), (0, 2), 1),)}),
     "sum-kind": (lambda: sum_spec("sun_a"), {"divisor_kind": "medium"}),
     "term-base": (lambda: _pair().f.term,
                   {"base_factors": (BaseFactor(-1, LinearForm(1)),)}),

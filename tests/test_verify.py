@@ -10,6 +10,7 @@ import binomsum.verify as verify_module
 from binomsum.cli import main
 from binomsum.exact import binomial, factorial, int_text, int_valuation, \
     legendre_valuation, primes_upto, rat_valuation, smallest_prime_factors
+from binomsum.pairs import SumSpec
 from binomsum.verify import RATIO_IDENTITIES, SUM_SPECS, MarginRecord, \
     check_divisibility, check_divisibility_valuations, divide, divisor, \
     divisors, eval_sum, floor_margin, floor_margin_fractional, iter_sums, \
@@ -55,30 +56,58 @@ def test_iter_sums_matches_direct_evaluation():
         assert direct == recurrent
 
 
+# Sums declared for the tests alone, outside SUM_SPECS and its reports:
+# Guillera's series for 128/pi^2, and a Chudnovsky-shaped sum, whose
+# (6k)!/((3k)! k!^3) = C(6k,3k) C(3k,k) C(2k,k) no central power states.
+G820 = SumSpec("g820", (820, 180, 13), (((0, 2), (0, 1), 5),), -2 ** 20,
+               divisor_kind="strong")
+CHUDNOVSKY = SumSpec("chudnovsky", (0, 545140134, 13591409),
+                     (((0, 6), (0, 3), 1), ((0, 3), (0, 1), 1),
+                      ((0, 2), (0, 1), 1)), -640320 ** 3)
+
+# Each summand's binomials as the paper's formulas state them, apart from
+# the SumSpec.binomials that sums and iter_sums both read.
+_BINOMIALS_BY_HAND = {
+    **dict.fromkeys(("sun_a", "sun_b", "sun_c", "sun_d", "sun_e"),
+                    lambda k: math.comb(2 * k, k) ** 3),
+    "guillera1": lambda k: math.comb(2 * k, k) ** 5,
+    "guillera2": lambda k: math.comb(2 * k, k) ** 4 * math.comb(4 * k, 2 * k),
+    "g820": lambda k: math.comb(2 * k, k) ** 5,
+    "chudnovsky": lambda k: math.factorial(6 * k)
+    // (math.factorial(3 * k) * math.factorial(k) ** 3),
+}
+
+
 def _direct_sum(spec, n):
-    """sum t(k)*base**(n-1-k) term by term, each t(k) from factorials."""
+    """sum t(k)*base**(n-1-k) term by term, each t(k) stated by hand and
+    only coeff and base read from spec."""
     c2, c1, c0 = spec.coeff
-    total = 0
-    for k in range(n):
-        t = (c2 * k * k + c1 * k + c0) * binomial(2 * k, k) ** spec.central_power
-        if spec.include_quad_central:
-            t *= binomial(4 * k, 2 * k)
-        total += t * spec.base ** (n - 1 - k)
-    return total
+    binomials = _BINOMIALS_BY_HAND[spec.name]
+    return sum((c2 * k * k + c1 * k + c0) * binomials(k)
+               * spec.base ** (n - 1 - k) for k in range(n))
 
 
-def test_eval_sum_matches_recurrence_in_any_call_order():
+def test_eval_sum_matches_recurrence_and_the_direct_sum():
     # eval_sum's stepped binomials against iter_sums' factorial quotients
-    # and the term-by-term sum
+    # and the term-by-term sum stated by hand
     n_max = 80
-    for name, spec in SUM_SPECS.items():
-        expected = dict(iter_sums(name, n_max))
+    assert set(_BINOMIALS_BY_HAND) == {*SUM_SPECS, G820.name, CHUDNOVSKY.name}
+    for spec in (*SUM_SPECS.values(), G820, CHUDNOVSKY):
+        expected = dict(iter_sums(spec, n_max))
         ns = range(1, n_max + 1)
         assert [expected[n] for n in ns] == [_direct_sum(spec, n) for n in ns] \
-            == [eval_sum(name, n) for n in ns], name
+            == [eval_sum(spec, n) for n in ns] == list(sums(spec, ns)), \
+            spec.name
     spec = sum_spec("guillera2")
     assert eval_sum(spec, 400) == _direct_sum(spec, 400) \
         == dict(iter_sums(spec, 400))[400]
+
+
+def test_g820_strong_divisor_divides_its_sum():
+    ns = range(2, 151)
+    assert [n for n, value, div in zip(ns, sums(G820, ns),
+                                       divisors("strong", ns))
+            if value % div] == []
 
 
 def test_eval_sum_holds_nothing_once_it_returns():
@@ -144,9 +173,9 @@ def test_tables_match_their_per_point_references(start):
         assert [(2 * n ** e * num, den) for n, (num, den)
                 in _table_rows(table, ts)] \
             == [(divisor(kind, n), 1) for n in ts], kind
-    for spec in SUM_SPECS.values():
+    for spec in (*SUM_SPECS.values(), CHUDNOVSKY):
         c2, c1, c0 = spec.coeff
-        rows = _table_rows(verify_module._summand_table(spec), ts)
+        rows = _table_rows(spec.binomials, ts)
         assert [((c2 * k * k + c1 * k + c0) * num, den)
                 for k, (num, den) in rows] \
             == [(verify_module._summand(spec, k), 1) for k in ts], spec.name
@@ -163,8 +192,7 @@ def test_eval_sum_resumes_its_row_without_a_binomial(monkeypatch):
             patch.setattr(verify_module, "binomial",
                           lambda a, b: built.append((a, b)) or binomial(a, b))
             assert list(sums(spec, ns)) == [expected[n] for n in ns], name
-        assert built == [(0, 0)] * len(verify_module._summand_table(spec)), \
-            name
+        assert built == [(0, 0)] * len(spec.binomials), name
 
 
 def test_lemma25_table_cancels_to_the_eight_floor_forms():

@@ -6,11 +6,13 @@ from binomsum.cli import main
 from binomsum.dsl import parse_document
 import binomsum.hyperterm as hyperterm_module
 import binomsum.wz as wz_module
-from binomsum.hyperterm import NotProportionalError, TermDocument, \
-    TermEvalError, eval_term
-from binomsum.pairs import WZPairSpec, builtin_pair, builtin_pair_names
+from binomsum.hyperterm import BaseFactor, BinomFactor, HypergeometricTerm, \
+    LinearForm, NotProportionalError, TermDocument, TermEvalError, \
+    eval_term, term_quotient
+from binomsum.pairs import SUM_SPECS, WZPairSpec, builtin_pair, \
+    builtin_pair_names
 from binomsum.polyalg import BivarPoly
-from binomsum.verify import eval_sum
+from binomsum.verify import _summand, eval_sum
 from binomsum.wz import telescope_audit, wz_certificate, wz_grid_row, \
     wz_grid_rows, wz_symbolic_check
 
@@ -134,6 +136,106 @@ def test_telescope_conclusion_matches_sum_route():
             audit = telescope_audit(pair, big_n)
             assert audit.ok
             assert audit.conclusion.value == eval_sum(pair.name, big_n)
+
+
+# The telescope concludes with B^(N-1) * sum(F(n, 0) for n < N), which is
+# the sum S(N) of the same name exactly when F(n, 0) * B^n = t(n), its
+# summand, for every n >= 0.  Both sides are hypergeometric in n, so their
+# term_quotient proves that link once it is the constant 1.
+
+def _at_k0(form: LinearForm) -> LinearForm:
+    return LinearForm(form.a, 0, form.c)
+
+
+def _scaled_k0_row(pair: WZPairSpec) -> HypergeometricTerm:
+    """F(n, 0) * B^n as a term in n alone: k = 0 in every linear form of F,
+    its polynomials without their k-monomials, and the base B^n."""
+    f = pair.f.term
+    return HypergeometricTerm(
+        _at_k0(f.sign_exponent),
+        tuple(BaseFactor(base, _at_k0(e)) for base, e in f.base_factors)
+        + (BaseFactor(pair.scale_base, LinearForm(1, 0, 0)),),
+        tuple(BinomFactor(_at_k0(top), _at_k0(bottom), power)
+              for top, bottom, power in f.binom_factors),
+        *(BivarPoly({(i, 0): c for (i, j), c in poly.items() if j == 0})
+          for poly in (f.numer_poly, f.denom_poly)))
+
+
+def _summand_term(spec) -> HypergeometricTerm:
+    """t(n), the summand of spec at k = n, as a term in n."""
+    c2, c1, c0 = spec.coeff
+    return HypergeometricTerm(
+        binom_factors=tuple(BinomFactor(LinearForm(a, 0, a0),
+                                        LinearForm(b, 0, b0), p)
+                            for (a0, a), (b0, b), p in spec.binomials),
+        numer_poly=BivarPoly({(2, 0): c2, (1, 0): c1, (0, 0): c0}))
+
+
+@pytest.mark.parametrize("name", builtin_pair_names())
+def test_k0_row_times_base_power_is_the_summand_for_all_n(name):
+    pair, spec = builtin_pair(name), SUM_SPECS[name]
+    row, summand = _scaled_k0_row(pair), _summand_term(spec)
+    # the proof: the quotient of the two terms is the constant 1 ...
+    assert term_quotient(row, summand) == 1
+    # ... on a domain where both are products of factorials of arguments
+    # >= 0 for every n >= 0, with polynomials that do not vanish there
+    for term in (row, summand):
+        for top, bottom, _ in term.binom_factors:
+            for form in (top, bottom, top - bottom):
+                assert form.b == 0 and form.a >= 0 and form.c >= 0, form
+    assert row.denom_poly == 1
+    assert min(spec.coeff) >= 0 and spec.coeff[2] > 0
+    # the same link along a second, numeric route
+    for n in range(40):
+        assert eval_term(pair.f.term, n, 0) * pair.scale_base ** n \
+            == eval_term(row, n, 0) == eval_term(summand, n, 0) \
+            == _summand(spec, n)
+
+
+def _c1_plus_one(pair, spec):
+    c2, c1, c0 = spec.coeff
+    return pair, spec._replace(coeff=(c2, c1 + 1, c0))
+
+
+def _f_n_coefficient_plus_one(pair, spec):
+    f = pair.f.term
+    poly = f.numer_poly + BivarPoly({(1, 0): 1})
+    return pair._replace(f=pair.f._replace(
+        term=f._replace(numer_poly=poly))), spec
+
+
+def _entry_replaced(old, new):
+    def plant(pair, spec):
+        assert old in spec.binomials
+        return pair, spec._replace(binomials=tuple(
+            new if entry == old else entry for entry in spec.binomials))
+    return plant
+
+
+@pytest.mark.parametrize("name,plant,match", [
+    ("guillera1", _c1_plus_one, None),
+    ("guillera2", _c1_plus_one, None),
+    ("guillera1", _f_n_coefficient_plus_one, None),
+    ("guillera2", _entry_replaced(((0, 4), (0, 2), 1), ((1, 4), (0, 2), 1)),
+     None),                                            # C(4k+1, 2k)
+    ("guillera2", _entry_replaced(((0, 2), (0, 1), 4), ((0, 2), (0, 1), 3)),
+     r"slope \(1,0\) do not cancel"),                  # C(2k, k)^3
+    ("guillera1", lambda pair, spec: (
+        pair._replace(scale_base=2 * pair.scale_base), spec),
+     "base 2 carries a non-constant exponent n"),
+    ("guillera2", lambda pair, spec: (
+        pair._replace(scale_base=-pair.scale_base), spec),
+     "sign exponent n is not constant"),
+], ids=["g1-c1", "g2-c1", "g1-f-poly", "g2-quad-top", "g2-central-power", "g1-double-base",
+        "g2-flip-base"])
+def test_k0_link_proof_fails_on_each_planted_fault(name, plant, match):
+    pair, spec = plant(builtin_pair(name), SUM_SPECS[name])
+    row, summand = _scaled_k0_row(pair), _summand_term(spec)
+    if match is None:
+        assert term_quotient(row, summand) != 1
+    else:
+        with pytest.raises(NotProportionalError, match=match):
+            term_quotient(row, summand)
 
 
 def _telescoped_equation_holds(audit) -> bool:
