@@ -2,25 +2,39 @@
 
 All functions operate on Python ints (arbitrary precision) and
 fractions.Fraction; nothing here ever rounds, and int_text renders an int
-of any size in decimal.
+of any size in decimal.  Neither fractions nor decimal is imported here:
+rat_valuation reads numerator and denominator, which ints have too.
 
 DECIMAL_CONTEXT is the one context for integer arithmetic in base 10, for
 numbers that are only ever printed: it keeps every digit and traps every
 rounding, so each operation under it is exact or raises.  This module is
-the only one that imports decimal (fractions has loaded it already).
+the only one that imports decimal, on the first access to Decimal or
+DECIMAL_CONTEXT (PEP 562), so a process that makes no Decimal, such as a
+sumcheck or a lemma 2.2-2.5 audit, never loads it.
 """
 from __future__ import annotations
 
 import math
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, \
-    DivisionByZero, Inexact, InvalidOperation, Overflow, Rounded
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-DECIMAL_CONTEXT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
-                          traps=[Inexact, Rounded, InvalidOperation,
-                                 DivisionByZero, Overflow])
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 factorial = math.factorial
+
+
+def __getattr__(name: str):
+    """Decimal or DECIMAL_CONTEXT, made with decimal's import on first
+    access and the same object on every access after."""
+    if name not in ("Decimal", "DECIMAL_CONTEXT"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, \
+        DivisionByZero, Inexact, InvalidOperation, Overflow, Rounded
+    globals().update(Decimal=Decimal, DECIMAL_CONTEXT=Context(
+        prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+        traps=[Inexact, Rounded, InvalidOperation, DivisionByZero,
+               Overflow]))
+    return globals()[name]
 
 
 def binomial(a: int, b: int) -> int:
@@ -86,13 +100,13 @@ def int_valuation(p: int, m: int) -> int:
 
 
 def rat_valuation(p: int, x: Fraction | int) -> int:
-    """v_p of a nonzero rational: v_p(numerator) - v_p(denominator)."""
-    q = Fraction(x)
-    if q == 0:
+    """v_p of a nonzero rational, an int or a Fraction in lowest terms:
+    v_p(numerator) - v_p(denominator)."""
+    if x == 0:
         raise ValueError("valuation of 0 is undefined")
-    v = int_valuation(p, q.numerator)
-    if q.denominator != 1:
-        v -= int_valuation(p, q.denominator)
+    v = int_valuation(p, x.numerator)
+    if x.denominator != 1:
+        v -= int_valuation(p, x.denominator)
     return v
 
 

@@ -2,7 +2,10 @@
 
 Every value a record carries is exact: witnesses keep the ints, Fractions
 and integral Decimals the audits computed, and the writers render each one
-in decimal through number_text, which is exact at any size.  Records are
+in decimal through number_text, which is exact at any size.  This module
+imports neither fractions nor decimal: number_text names their classes
+only for a value that is neither an int nor a str, so a report of ints
+loads neither.  Records are
 taken one at a time from any iterable, and no writer holds more than the
 record in hand.  spill writes a report into a seekable text stream and
 returns the function that copies it out, in chunks of _CHUNK characters
@@ -19,12 +22,16 @@ identical no matter how the records were computed.
 from __future__ import annotations
 
 import io
-from fractions import Fraction
 from functools import partial
-from typing import Callable, NamedTuple, TextIO
+from typing import TYPE_CHECKING, Callable, NamedTuple, TextIO
 
-from .exact import Decimal, int_text
+from .exact import int_text
 from .records import Validated
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .exact import Decimal
 
 FORMATS = ("json", "csv", "human")
 
@@ -54,23 +61,31 @@ class ReportRecord(Validated, _RecordFields):
 # Exact decimal text of any size
 # ---------------------------------------------------------------------------
 
-_UNIT = Decimal(1)  # exponent 0: the only quantum number_text renders
-
-
 def number_text(value: int | Fraction | Decimal | str) -> str:
     """str(value), exact at any size: an int in decimal, a Fraction as
     p/q (or p when q is 1), an integral Decimal of exponent 0 by str in
     linear time, and any other value as str gives it.  Any other Decimal
     (1E+3, 2.5, NaN) raises ValueError, so no report prints scientific
-    notation."""
+    notation.
+
+    Ints and strs are rendered before either class is named, so a report
+    of ints loads neither fractions nor decimal.  Any other value is a
+    Decimal, whose module is loaded by then, or a Fraction, whose module
+    has loaded decimal too."""
     if isinstance(value, int):
         return int_text(value)
+    if isinstance(value, str):
+        return value
+    from .exact import Decimal
+    if isinstance(value, Decimal):
+        if not value.same_quantum(1):  # exponent 0: the only one rendered
+            raise ValueError(f"{value!r} is not an integer of exponent 0")
+        return str(value)
+    from fractions import Fraction
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return int_text(value.numerator)
         return f"{int_text(value.numerator)}/{int_text(value.denominator)}"
-    if isinstance(value, Decimal) and not value.same_quantum(_UNIT):
-        raise ValueError(f"{value!r} is not an integer of exponent 0")
     return str(value)
 
 

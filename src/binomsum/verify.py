@@ -33,22 +33,28 @@ ratio_identity evaluates one point over Fractions; ratio_row_failures runs
 the whole k row of g1_gen or g2_gen at once, on unreduced integer pairs
 against the stepped lemma22_row and lemma25_row, and stays tested against
 ratio_identity.
+Fraction is imported where one is built, and Decimal and its context
+(exact.DECIMAL_CONTEXT) where lemma26_rows runs, so the sums and lemmas
+2.2-2.5, which compute with ints only, load neither fractions nor decimal.
 """
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, count, groupby, islice, repeat
 from math import gcd, prod
 from operator import add, itemgetter, mul
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
-from .exact import DECIMAL_CONTEXT, Decimal, binomial, factorial, \
-    int_valuation, legendre_valuation, primes_upto, rat_valuation, \
-    smallest_prime_factors
+from .exact import binomial, factorial, int_valuation, legendre_valuation, \
+    primes_upto, rat_valuation, smallest_prime_factors
 from .pairs import DIVISOR_KINDS, SUM_SPECS, SumSpec, WZPairSpec, \
     builtin_pair, sum_spec
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .exact import Decimal
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +278,7 @@ class DivisionCheck(NamedTuple):
     @property
     def exact_quotient(self) -> Fraction:
         """value / divisor as a Fraction, whether or not it divides."""
+        from fractions import Fraction
         return Fraction(self.value) / Fraction(self.divisor)
 
 
@@ -499,6 +506,7 @@ def floor_margin_fractional(m: int, n: int, k: int) -> Fraction:
         raise ValueError("floor_margin_fractional needs m >= 2")
     if not 0 <= k <= n:
         raise ValueError("floor_margin_fractional needs n >= k >= 0")
+    from fractions import Fraction
     return Fraction(-sum(w * (x % m) for x, w
                          in _form_values(_EIGHT_FLOOR_FORMS, n, k)), m)
 
@@ -626,6 +634,7 @@ def lemma25_w(n: int, k: int) -> Fraction:
     *(k+2n-1)!) by cross-multiplication."""
     if n < 1 or not 0 <= k <= n:
         raise ValueError("lemma25_w needs n >= 1 and 0 <= k <= n")
+    from fractions import Fraction
     num = (binomial(2 * n, n) * binomial(n, k) * binomial(k + n, 2 * k)
            * binomial(k + 2 * n - 1, n - 1)
            * binomial(2 * k + 4 * n - 2, k + 2 * n - 1))
@@ -758,6 +767,7 @@ def lemma25_scan(n_max: int, n_range: range | None = None) -> LemmaAudit:
             checked += 1
             if not negatives and reconstructed * central_sq == product:
                 continue
+            from fractions import Fraction  # only a failing point builds W
             w = Fraction(product, central_sq)
             if w.denominator != 1:
                 violations.append(("non-integral", n, k, w))
@@ -806,8 +816,8 @@ def lemma26_rows(n_max: int) -> Iterator[DivisionCheck]:
     products are integral Decimals under exact.DECIMAL_CONTEXT, where
     nothing rounds, so every field of a check is a Decimal that str renders
     in linear time; no large int is built or converted."""
+    from .exact import DECIMAL_CONTEXT as ctx, Decimal
     moving = _moving_forms(_FIVE_FLOOR_FORMS)
-    ctx = DECIMAL_CONTEXT
     num = den = Decimal(1)
     for n in range(1, n_max + 1):
         if n > 1:  # from n - 1 to n
@@ -888,12 +898,13 @@ def ratio_k_values(identity: str, big_n: int):
 
 def _scaled(pair: WZPairSpec, big_n: int, x: Fraction) -> DivisionCheck:
     """B^(N-1)*x against P(N): the pair's scale base B, divisor family P."""
-    return divide(Fraction(pair.scale_base) ** (big_n - 1) * x,
+    return divide(pair.scale_base ** (big_n - 1) * x,
                   divisor(pair.divisor_kind, big_n))
 
 
 def _catalan(n: int) -> Fraction:
     """C(4n-4, 2n-2) / (2n-1), the Catalan number of index 2n-2."""
+    from fractions import Fraction
     return Fraction(binomial(4 * n - 4, 2 * n - 2), 2 * n - 1)
 
 
@@ -918,6 +929,8 @@ def ratio_identity(identity: str, big_n: int, k: int | None = None) -> RatioChec
             raise ValueError(f"{identity} needs k in {k_range}")
         if k not in k_range:
             raise ValueError(f"{identity} needs k in {k_range}, got {k}")
+    from fractions import Fraction
+
     from .hyperterm import eval_term, k0_prefix_sum
     n = big_n
     alt: Fraction | None = None
@@ -980,6 +993,8 @@ def ratio_row_failures(identity: str, big_n: int) -> list[RatioCheck]:
                          f"{sorted(_TWO_POWER_OFFSETS)}, not {identity!r}")
     if big_n < 2:
         raise ValueError("ratio identities need N >= 2")
+    from fractions import Fraction
+
     from .hyperterm import eval_term_pair
     n = big_n
     pair = builtin_pair("guillera1" if identity == "g1_gen" else "guillera2")

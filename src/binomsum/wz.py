@@ -102,7 +102,8 @@ def wz_certificate(pair: WZPairSpec) -> RationalFunction:
     return term_quotient(pair.f.term, pair.g.term)
 
 
-def wz_symbolic_check(pair: WZPairSpec) -> tuple[bool, RationalFunction]:
+def wz_symbolic_check(pair: WZPairSpec
+                      ) -> tuple[bool, RationalFunction, RationalFunction]:
     """Prove the pair identity for all (n, k) at once.
 
     Dividing the defining equation by G(n,k) leaves only rational
@@ -110,14 +111,15 @@ def wz_symbolic_check(pair: WZPairSpec) -> tuple[bool, RationalFunction]:
 
         (F(n,k-1)/F(n,k)) * r - r - G(n+1,k)/G(n,k) + 1 = 0.
 
-    Returns the residual of that equation together with its vanishing flag;
-    the residual is identically zero exactly when the pair telescopes.
+    Returns the vanishing flag, the residual of that equation and the
+    certificate r it was built from; the residual is identically zero
+    exactly when the pair telescopes.
     """
     cert = wz_certificate(pair)
     f_back = shift_quotient(pair.f.term, 0, -1)
     g_up = shift_quotient(pair.g.term, 1, 0)
     residual = f_back * cert - cert - g_up + RationalFunction.const(1)
-    return residual.is_zero(), residual
+    return residual.is_zero(), residual, cert
 
 
 class TelescopeAudit(NamedTuple):

@@ -83,7 +83,7 @@ def test_criterion_4_pair_difference_grid_and_symbolic():
             skipped = [s for _, _, ss in rows for s in ss]
             assert checked == 60 * 61 // 2
             assert not violations and not skipped
-            ok, residual = wz_symbolic_check(pair)
+            ok, residual, _ = wz_symbolic_check(pair)
             assert ok and residual.render() == "0"
 
         pair1 = builtin_pair("guillera1")
@@ -96,7 +96,7 @@ def test_criterion_4_pair_difference_grid_and_symbolic():
         bad_term = g._replace(numer_poly=BivarPoly({(3, 0): 3}))
         bad_doc = TermDocument(name=pair1.g.name, term=bad_term)
         bad_pair = pair1._replace(g=bad_doc)
-        flipped, residual = wz_symbolic_check(bad_pair)
+        flipped, residual, _ = wz_symbolic_check(bad_pair)
         assert not flipped and not residual.is_zero()
 
 

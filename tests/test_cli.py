@@ -851,6 +851,62 @@ def test_sum_and_lemma_audits_load_neither_terms_nor_certificates():
         "'binomsum.wz']"]
 
 
+def test_integer_audits_load_neither_fractions_nor_decimal():
+    # exact makes Decimal and DECIMAL_CONTEXT on first access (PEP 562),
+    # report names the two classes only for a value that is neither an int
+    # nor a str, and verify imports Fraction where one is built; so the
+    # sum audits and lemmas 2.2-2.5, lemma 2.4's failing default run
+    # included, load neither module, and lemma 2.6 loads decimal only.
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import io, sys, contextlib, binomsum.cli\n"
+         "def loaded(): return sorted(m for m in sys.modules if m in "
+         "('decimal', 'fractions'))\n"
+         "for argv in ('sumcheck', 'sumcheck --valuation-check',\n"
+         "             'lemma --id 2.2', 'lemma --id 2.3', 'lemma --id 2.4',\n"
+         "             'lemma --id 2.5', 'lemma --id 2.6 --n-max 40 "
+         "--m-max 40'):\n"
+         "    with contextlib.redirect_stdout(io.StringIO()):\n"
+         "        code = binomsum.cli.main(argv.split())\n"
+         "    print(code, loaded())\n"
+         "import binomsum.exact as exact\n"
+         "print(exact.DECIMAL_CONTEXT is exact.DECIMAL_CONTEXT, loaded())"],
+        capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "0 []", "0 []", "0 []", "0 []", "1 []", "0 []", "0 ['decimal']",
+        "True ['decimal']"]
+
+
+def test_a_planted_lemma25_failure_builds_its_fraction_where_it_fails():
+    # The scan builds W as a Fraction only at a failing point, importing
+    # fractions there; the record is the one a passing import would give.
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, binomsum.cli, binomsum.verify as verify\n"
+         "real = verify.lemma25_row\n"
+         "def planted(n):\n"
+         "    return [(p, d * 101) if (n, k) == (4, 3) else (p, d)\n"
+         "            for k, (p, d) in enumerate(real(n), 1)]\n"
+         "verify.lemma25_row = planted\n"
+         "print('fractions' in sys.modules)\n"
+         "code = binomsum.cli.main('lemma --id 2.5 --n-max 5 --format csv'"
+         ".split())\n"
+         "print(code, 'fractions' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    before, _, summary, record, after = proc.stdout.splitlines()
+    w = verify_module.lemma25_w(4, 3) / 101
+    assert (before, after) == ("False", "1 True")
+    assert summary.startswith("lemma,") and ",fail," in summary
+    assert record == ('lemma,"{""id"":""2.5"",""k"":3,""n"":4}",fail,'
+                      f'"{{""reason"":""non-integral"",""value"":""{w}""}}"')
+
+
 @pytest.mark.parametrize("n_max", [1, 2, 3, 7, 45, 60])
 @pytest.mark.parametrize("blocks", [1, 2, 8])
 def test_row_blocks_cover_the_rows_in_order(n_max, blocks):

@@ -78,6 +78,16 @@ def test_rat_valuation_signs():
     assert rat_valuation(2, Fraction(3, 8)) == -3
     assert rat_valuation(2, Fraction(-355, 256)) == -8
     assert rat_valuation(3, Fraction(9, 5)) == 2
+    # An int is read through the numerator and denominator it has too.
+    assert rat_valuation(2, 48) == rat_valuation(2, Fraction(-48, 5)) == 4
+    assert rat_valuation(3, -54) == 3
+    assert rat_valuation(5, 7) == 0
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0)])
+def test_rat_valuation_rejects_zero(zero):
+    with pytest.raises(ValueError):
+        rat_valuation(2, zero)
 
 
 def test_primes_upto_inclusive():

@@ -1,11 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import binomsum.report as report_module
 from binomsum.report import FORMATS, ReportRecord, number_text, render, write
 
 SAMPLE = [
@@ -140,6 +145,31 @@ def test_number_text_of_integral_decimals(int_str_limit):
                          (("value", "70"), ("remainder", "0")))
     for fmt in FORMATS:
         assert render([numbers], fmt) == render([texts], fmt)
+
+
+def test_number_text_names_each_class_only_for_its_own_values():
+    # report is imported before fractions and decimal, and number_text
+    # loads neither for an int or a str; a Decimal is rendered without
+    # fractions, and a Fraction after its own import.
+    src = str(Path(report_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys\n"
+         "from binomsum.report import number_text\n"
+         "def loaded(): return sorted(m for m in sys.modules if m in "
+         "('decimal', 'fractions'))\n"
+         "print(number_text(-6006), number_text('agree'), loaded())\n"
+         "from decimal import Decimal\n"
+         "print(number_text(Decimal(-6006)), loaded())\n"
+         "from fractions import Fraction\n"
+         "print(number_text(Fraction(-28755, 32768)), "
+         "number_text(Fraction(12, 4)), loaded())"],
+        capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "-6006 agree []", "-6006 ['decimal']",
+        "-28755/32768 3 ['decimal', 'fractions']"]
 
 
 @pytest.mark.parametrize("text", ["1E+3", "7E-2", "2.5", "70.0", "NaN",

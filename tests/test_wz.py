@@ -58,10 +58,12 @@ def test_first_pair_point_value():
 
 def test_symbolic_check_both_pairs():
     for name in builtin_pair_names():
-        ok, residual = wz_symbolic_check(builtin_pair(name))
+        pair = builtin_pair(name)
+        ok, residual, certificate = wz_symbolic_check(pair)
         assert ok
         assert residual.is_zero()
         assert residual.render() == "0"
+        assert certificate == wz_certificate(pair)
 
 
 def test_certificates_render_canonically():
@@ -84,7 +86,7 @@ def _perturb_g_poly(pair: WZPairSpec, poly: BivarPoly) -> WZPairSpec:
 def test_single_factor_perturbation_flips_symbolic_result():
     pair = builtin_pair("guillera1")
     bad = _perturb_g_poly(pair, BivarPoly({(3, 0): 3}))  # 2n^3 -> 3n^3
-    ok, residual = wz_symbolic_check(bad)
+    ok, residual, _ = wz_symbolic_check(bad)
     assert not ok
     assert not residual.is_zero()
 
