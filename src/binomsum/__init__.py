@@ -21,7 +21,7 @@ _EXPORTS = {
     "hyperterm": ("BaseFactor", "BinomFactor", "HypergeometricTerm",
                   "LinearForm", "NotProportionalError", "TermDocument",
                   "TermEvalError", "eval_term", "eval_term_pair",
-                  "shift_quotient", "term_quotient"),
+                  "k0_prefix_sums", "shift_quotient", "term_quotient"),
     "pairs": ("DIVISOR_KINDS", "WZPairSpec", "builtin_document",
               "builtin_document_names", "builtin_document_text",
               "builtin_pair", "builtin_pair_names"),
@@ -38,8 +38,9 @@ _EXPORTS = {
                "lemma26_ineq_scan", "lemma26_point", "lemma26_rows",
                "ratio_identity", "ratio_k_values", "ratio_row_failures",
                "sum_spec", "sums"),
-    "wz": ("TelescopeAudit", "telescope_audit", "wz_certificate",
-           "wz_grid_row", "wz_grid_rows", "wz_symbolic_check"),
+    "wz": ("TelescopeAudit", "telescope_audit", "telescope_audits",
+           "wz_certificate", "wz_grid_row", "wz_grid_rows",
+           "wz_symbolic_check"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

@@ -3,7 +3,9 @@
 Scans parallelize over their outer parameter with an ordered merge, so
 report bytes are identical for every --jobs value.  --jobs is an upper
 bound: work items run in this process until the work left pays for a pool,
-which then keeps a bounded window of chunks in flight.
+which then keeps a bounded window of chunks in flight.  The grid and
+telescope modes hand it runs of n or N (_pmap_blocks), one run when serial,
+and a run re-steps only its own prefix.
 
 Records stream.  Each handler yields them as they are computed, and main()
 counts each status as it passes and hands the record to report.spill,
@@ -21,6 +23,9 @@ Exit codes:
   2  usage, configuration or parse error; nothing was audited;
   3  internal error: the program itself went wrong.  No report is written
      and stderr carries one line, ``binomsum: internal error: <Type>: <msg>``.
+
+An undefined term is a SKIPPED grid point, and a FAIL record (reason
+undefined) at its telescope N.
 
 A mismatch between the two routes of a floor margin (floor division against
 fractional parts) is an internal error, not a FAIL record: it means the
@@ -312,27 +317,34 @@ def _grid_block_records(pair: WZPairSpec, rows: range
     return out
 
 
-def _telescope_record(args: tuple) -> ReportRecord:
-    pair, big_n, scale_exp, kind = args
-    from .wz import telescope_audit
-    audit = telescope_audit(pair, big_n, scale_exp=scale_exp, divisor_kind=kind)
-    params = (("pair", pair.name), ("mode", "telescope"), ("N", big_n),
-              ("divisor_kind", audit.divisor_kind), ("scale_exp", audit.scale_exp))
-    witness: list[tuple] = [("divisor", audit.divisor)]
-    if audit.ok:
-        witness += [("g_sum_quotient", audit.g_sum.quotient),
-                    ("corner_quotient", audit.corner.quotient),
-                    ("conclusion_quotient", audit.conclusion.quotient)]
-        return ReportRecord("wzcheck", params, PASS, tuple(witness))
-    for label, rec in ([(f"g_term_k{k}", r) for k, r in audit.g_terms]
-                       + [("g_sum", audit.g_sum), ("corner", audit.corner),
-                          ("conclusion", audit.conclusion)]):
-        if not rec.ok:
-            reason = "non-integral" if not rec.integral else "not-divisible"
-            witness += [("failed_at", label), ("reason", reason),
-                        ("value", rec.value)]
-            break
-    return ReportRecord("wzcheck", params, FAIL, tuple(witness))
+def _telescope_records(pair: WZPairSpec, scale_exp: int | None,
+                       kind: str | None, big_ns: range) -> list[ReportRecord]:
+    """One record per N of a run, from telescope_audits over the run."""
+    from .hyperterm import TermEvalError
+    from .wz import telescope_audits
+    records = []
+    for audit in telescope_audits(pair, big_ns, scale_exp=scale_exp,
+                                  divisor_kind=kind):
+        params = (("pair", pair.name), ("mode", "telescope"),
+                  ("N", audit.big_n), ("divisor_kind", audit.divisor_kind),
+                  ("scale_exp", audit.scale_exp))
+        witness: tuple = (("divisor", audit.divisor),)
+        failure = audit.failure
+        if failure is None:
+            witness += (("g_sum_quotient", audit.g_sum.quotient),
+                        ("corner_quotient", audit.corner.quotient),
+                        ("conclusion_quotient", audit.conclusion.quotient))
+        else:
+            label, rec = failure
+            if isinstance(rec, TermEvalError):
+                last = (("reason", "undefined"), ("message", str(rec)))
+            else:
+                last = (("reason", "not-divisible" if rec.integral
+                         else "non-integral"), ("value", rec.value))
+            witness += (("failed_at", label),) + last
+        records.append(ReportRecord("wzcheck", params,
+                                    FAIL if failure else PASS, witness))
+    return records
 
 
 def _wz_options(args: argparse.Namespace) -> None:
@@ -392,8 +404,11 @@ def _cmd_wzcheck(args: argparse.Namespace):
     big_ns = _n_range(args, "telescope audits need")
     if not args.pair.startswith("builtin:") and args.scale_base is None:
         raise ConfigError("telescope mode on a path pair needs --scale-base")
-    items = [(pair, big_n, args.scale_exp, args.divisor) for big_n in big_ns]
-    yield from _pmap(_telescope_record, items, args.jobs)
+    # Row N has N - 1 G terms; a run re-steps only its own F(n, 0) prefix.
+    for block in _pmap_blocks(
+            partial(_telescope_records, pair, args.scale_exp, args.divisor),
+            big_ns, lambda n: n, args.jobs):
+        yield from block
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +538,32 @@ def _cmd_lemma(args: argparse.Namespace):
 # ratio
 # ---------------------------------------------------------------------------
 
+def _telescoped_sum_records(big_ns: range) -> list[ReportRecord]:
+    """ratio_identity("telescoped_sum", N) along N: B^(N-1) times the sum
+    of guillera2's F(n, 0) from k0_prefix_sums against S(N) from sums, one
+    divmod each, with a Fraction only for a non-integral side."""
+    from .hyperterm import k0_prefix_sums
+    pair = builtin_pair("guillera2")
+    records = []
+    for n, (num, den), total in zip(big_ns,
+                                    k0_prefix_sums(pair.f.term, big_ns),
+                                    sums(pair.name, big_ns)):
+        scaled = pair.scale_base ** (n - 1) * num
+        lhs, r = divmod(scaled, den)
+        if r:
+            from fractions import Fraction
+            lhs = Fraction(scaled, den)
+        records.append(ReportRecord(
+            "ratio", (("id", "telescoped_sum"), ("N", n)),
+            PASS if lhs == total else FAIL, (("lhs", lhs), ("rhs", total))))
+    return records
+
+
 def _ratio_records(args: tuple) -> list[ReportRecord]:
+    """One identity at one N, or telescoped_sum over its whole range."""
     identity, big_n = args
+    if identity == "telescoped_sum":
+        return _telescoped_sum_records(big_n)
     k_range = ratio_k_values(identity, big_n)
     if k_range is None:
         check = ratio_identity(identity, big_n)
@@ -547,8 +586,10 @@ def _cmd_ratio(args: argparse.Namespace):
     # against its first item.
     for name in builtin_pair_names():
         builtin_pair(name)
-    items = [(identity, big_n) for identity in identities
-             for big_n in _n_range(args, "ratio identities need")]
+    big_ns = _n_range(args, "ratio identities need")
+    # One item per N, but one for all of telescoped_sum: its row steps.
+    items = [(identity, big_n) for identity in identities for big_n in
+             ([big_ns] if identity == "telescoped_sum" else big_ns)]
     for group in _pmap(_ratio_records, items, args.jobs):
         yield from group
 

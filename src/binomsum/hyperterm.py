@@ -15,14 +15,14 @@ therefore only asserted on grids where no factorial argument goes negative.
 A term is evaluated by one kernel, eval_term_pair, to an unreduced pair
 (num, den) of ints; eval_term is that pair reduced once to a Fraction.
 The certificate audits compare pairs by cross-multiplication and build a
-Fraction only for a value they report.
+Fraction only for a value they report.  k0_prefix_sums steps the sum of
+term(n, 0) over n < N along a range of N, as verify.sums steps S(n).
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .exact import binomial, int_valuation, primes_upto
@@ -201,31 +201,29 @@ def eval_term(term: HypergeometricTerm, n: int, k: int) -> Fraction:
     return Fraction(*eval_term_pair(term, n, k))
 
 
-@lru_cache(maxsize=1)
-def _k0_prefix_table(term: HypergeometricTerm) -> list[tuple[int, int]]:
-    """Entry i is the sum of term(n, 0) over n < i, as far as computed."""
-    return [(0, 1)]
+def k0_prefix_sums(term: HypergeometricTerm, big_ns: range):
+    """Yield the sum of term(n, 0) over 0 <= n < N for each N of big_ns, a
+    range of N >= 0 of step 1, as a pair (num, den), den > 0 the lcm of the
+    denominators of the eval_term_pair summands.
 
-
-def k0_prefix_sum(term: HypergeometricTerm, big_n: int) -> tuple[int, int]:
-    """The sum of term(n, 0) over 0 <= n < big_n as a pair (num, den),
-    den > 0 the lcm of the denominators of the eval_term_pair summands.
-
-    Each term(n, 0) is evaluated once per process: the prefix sums of the
-    most recent term are kept and grown to the largest big_n asked for.
-    A TermEvalError at some n < big_n propagates, and the table keeps the
-    sums before that n.
+    The sum steps from n = 0 and keeps only its running value, evaluating
+    each term(n, 0) with n < big_ns.stop - 1 once.  Past an n where
+    term(n, 0) is undefined, each N yields that TermEvalError instead.
     """
-    if big_n < 0:
-        raise ValueError("k0_prefix_sum needs big_n >= 0")
-    table = _k0_prefix_table(term)
-    for n in range(len(table) - 1, big_n):
-        num, den = table[-1]
-        t_num, t_den = eval_term_pair(term, n, 0)
-        common = math.lcm(den, t_den)
-        table.append((num * (common // den) + t_num * (common // t_den),
-                      common))
-    return table[big_n]
+    if big_ns.step != 1 or big_ns.start < 0:
+        raise ValueError("k0_prefix_sums needs a range of N >= 0 of step 1")
+    num, den, error = 0, 1, None
+    for n in range(big_ns.stop if big_ns else 0):
+        if n >= big_ns.start:
+            yield (num, den) if error is None else error
+        if error is None and n < big_ns.stop - 1:
+            try:
+                t_num, t_den = eval_term_pair(term, n, 0)
+                common = math.lcm(den, t_den)
+                num = num * (common // den) + t_num * (common // t_den)
+                den = common
+            except TermEvalError as exc:
+                error = exc
 
 
 def _factorial_atoms(term: HypergeometricTerm) -> dict[LinearForm, int]:

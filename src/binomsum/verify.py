@@ -32,7 +32,7 @@ divisor (pairs.SUM_SPECS) and compares it with a lemma function's quantity.
 ratio_identity evaluates one point over Fractions; ratio_row_failures runs
 the whole k row of g1_gen or g2_gen at once, on unreduced integer pairs
 against the stepped lemma22_row and lemma25_row, and stays tested against
-ratio_identity.
+ratio_identity, as do the CLI's telescoped_sum rows that step along N.
 Fraction is imported where one is built, and Decimal and its context
 (exact.DECIMAL_CONTEXT) where lemma26_rows runs, so the sums and lemmas
 2.2-2.5, which compute with ints only, load neither fractions nor decimal.
@@ -931,7 +931,7 @@ def ratio_identity(identity: str, big_n: int, k: int | None = None) -> RatioChec
             raise ValueError(f"{identity} needs k in {k_range}, got {k}")
     from fractions import Fraction
 
-    from .hyperterm import eval_term, k0_prefix_sum
+    from .hyperterm import eval_term
     n = big_n
     alt: Fraction | None = None
     pair1, pair2 = builtin_pair("guillera1"), builtin_pair("guillera2")
@@ -971,8 +971,8 @@ def ratio_identity(identity: str, big_n: int, k: int | None = None) -> RatioChec
             n * n * binomial(2 * n, n) ** 2)
         rhs = 3 * 2 ** (4 * n - 7) * lemma26_point(n).exact_quotient
     else:  # telescoped_sum: the pair telescopes to its own sum
-        lhs = _scaled(pair2, n,
-                      Fraction(*k0_prefix_sum(pair2.f.term, n))).value
+        lhs = _scaled(pair2, n, sum(eval_term(pair2.f.term, j, 0)
+                                    for j in range(n))).value
         rhs = Fraction(eval_sum(pair2.name, n))
     return RatioCheck(identity, n, k, lhs, rhs, alt)
 

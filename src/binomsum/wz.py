@@ -6,6 +6,10 @@ check proves it for all (n, k) at once by cancelling the common
 hypergeometric part; the telescoping audit scales column sums of G to
 integers and divides them by the target divisor.
 
+telescope_audits steps the conclusions along a run of N by
+hyperterm.k0_prefix_sums, and telescope_audit is its value at one N.  An
+undefined term is an entry of its own, its TermEvalError, and fails that N.
+
 The grid and telescope audits work on the unreduced integer pairs of
 hyperterm.eval_term_pair.  The grid compares its two differences by
 cross-multiplication, and the telescope audit decides each scaled value
@@ -19,13 +23,14 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .hyperterm import HypergeometricTerm, TermEvalError, eval_term_pair, \
-    k0_prefix_sum, shift_quotient, term_quotient
+    k0_prefix_sums, shift_quotient, term_quotient
 from .pairs import WZPairSpec
 from .polyalg import RationalFunction
-from .verify import DivisionCheck, divide, divisor
+from .verify import DivisionCheck, divide, divisors
 
 GridPoint = tuple[int, int]
 Pair = tuple[int, int]  # (num, den), den > 0: an unreduced exact value
+Entry = DivisionCheck | TermEvalError  # a telescope entry or why it is not
 
 
 def _pair_or_error(term: HypergeometricTerm, n: int,
@@ -128,7 +133,8 @@ class TelescopeAudit(NamedTuple):
     Writing B for the scale base and s = B**scale_exp, the audit records
     s*G(N,k) for k = 1..N-1, their sum, the scaled corner s*F(N-1,N-1),
     and the telescoped conclusion s * sum(F(n,0) for n < N); each entry is
-    a DivisionCheck by P(N), ok only for an integer that P(N) divides.
+    a DivisionCheck by P(N), ok only for an integer that P(N) divides, or
+    the TermEvalError of an undefined term (the sum's is the first G's).
     """
 
     pair_name: str
@@ -136,51 +142,74 @@ class TelescopeAudit(NamedTuple):
     divisor_kind: str
     divisor: int
     scale_exp: int
-    g_terms: tuple[tuple[int, DivisionCheck], ...]
-    g_sum: DivisionCheck
-    corner: DivisionCheck
-    conclusion: DivisionCheck
+    g_terms: tuple[tuple[int, Entry], ...]
+    g_sum: Entry
+    corner: Entry
+    conclusion: Entry
+
+    @property
+    def failure(self) -> tuple[str, Entry] | None:
+        """(label, entry) of the first undefined entry, else of the first
+        failing one, in the order g_term_k<k>, g_sum, corner, conclusion."""
+        entries = ([(f"g_term_k{k}", rec) for k, rec in self.g_terms]
+                   + [("g_sum", self.g_sum), ("corner", self.corner),
+                      ("conclusion", self.conclusion)])
+        return (next((e for e in entries if isinstance(e[1], TermEvalError)),
+                     None)
+                or next((e for e in entries if not e[1].ok), None))
 
     @property
     def ok(self) -> bool:
-        return (all(rec.ok for _, rec in self.g_terms)
-                and self.g_sum.ok and self.corner.ok and self.conclusion.ok)
+        return self.failure is None
 
 
-def telescope_audit(pair: WZPairSpec, big_n: int, *,
-                    scale_exp: int | None = None,
-                    divisor_kind: str | None = None) -> TelescopeAudit:
-    """Audit row N of the telescoped identity for one pair.
+def _scaled_division(value: Pair | TermEvalError, scale: Pair,
+                     div: int) -> Entry:
+    """scale * value, an int or a non-integral Fraction, divided by div."""
+    if isinstance(value, TermEvalError):
+        return value
+    num, den = scale[0] * value[0], scale[1] * value[1]
+    q, r = divmod(num, den)
+    return divide(Fraction(num, den) if r else q, div)
+
+
+def telescope_audits(pair: WZPairSpec, big_ns: range, *,
+                     scale_exp: int | None = None,
+                     divisor_kind: str | None = None):
+    """Audit each row N of big_ns, a range of N >= 2 of step 1, of the
+    telescoped identity for one pair.
 
     scale_exp defaults to N-1, which clears every denominator for the
     builtin pairs; pass a different exponent to probe how sharp that
     scaling is.  divisor_kind defaults to the pair's own convention.
     """
-    if big_n < 2:
-        raise ValueError("telescoping audit needs N >= 2")
+    if big_ns.step != 1 or (big_ns and big_ns.start < 2):
+        raise ValueError("telescoping audits need a range of N >= 2 of step 1")
     kind = pair.divisor_kind if divisor_kind is None else divisor_kind
-    exp = big_n - 1 if scale_exp is None else scale_exp
-    # The scale B**exp as a pair (s_num, s_den) with s_den > 0.
-    power = pair.scale_base ** abs(exp)
-    s_num, s_den = ((power, 1) if exp >= 0
-                    else (1, power) if power > 0 else (-1, -power))
-    div = divisor(kind, big_n)
     f, g = pair.f.term, pair.g.term
+    for big_n, prefix, div in zip(big_ns, k0_prefix_sums(f, big_ns),
+                                  divisors(kind, big_ns)):
+        exp = big_n - 1 if scale_exp is None else scale_exp
+        # B**exp as a pair; its den may be negative, which divmod allows.
+        scale = ((pair.scale_base ** exp, 1) if exp >= 0
+                 else (1, pair.scale_base ** -exp))
+        g_terms = tuple((k, _scaled_division(_pair_or_error(g, big_n, k),
+                                             scale, div))
+                        for k in range(1, big_n))
+        errors = [rec for _, rec in g_terms if isinstance(rec, TermEvalError)]
+        g_sum = errors[0] if errors else divide(
+            sum(rec.value for _, rec in g_terms), div)
+        corner = _pair_or_error(f, big_n - 1, big_n - 1)
+        yield TelescopeAudit(pair.name, big_n, kind, div, exp, g_terms, g_sum,
+                             _scaled_division(corner, scale, div),
+                             _scaled_division(prefix, scale, div))
 
-    def scaled(value: Pair) -> int | Fraction:
-        """The scale times value: an int when integral, else a Fraction."""
-        num, den = s_num * value[0], s_den * value[1]
-        q, r = divmod(num, den)
-        return Fraction(num, den) if r else q
 
-    g_terms = []
-    total = 0  # an int until a non-integral term makes it a Fraction
-    for k in range(1, big_n):
-        value = scaled(eval_term_pair(g, big_n, k))
-        total += value
-        g_terms.append((k, divide(value, div)))
-    g_sum = divide(total, div)
-    corner = divide(scaled(eval_term_pair(f, big_n - 1, big_n - 1)), div)
-    conclusion = divide(scaled(k0_prefix_sum(f, big_n)), div)
-    return TelescopeAudit(pair.name, big_n, kind, div, exp,
-                          tuple(g_terms), g_sum, corner, conclusion)
+def telescope_audit(pair: WZPairSpec, big_n: int, *,
+                    scale_exp: int | None = None,
+                    divisor_kind: str | None = None) -> TelescopeAudit:
+    """Audit row N of the telescoped identity: telescope_audits over N
+    alone, which steps the sum of F(n, 0) for n < N afresh."""
+    return next(telescope_audits(pair, range(big_n, big_n + 1),
+                                 scale_exp=scale_exp,
+                                 divisor_kind=divisor_kind))

@@ -16,6 +16,7 @@ from binomsum.cli import LEMMA_IDS, _blocks, _merged, _worker_count, main
 from binomsum.exact import legendre_valuation
 from binomsum.hyperterm import eval_term
 from binomsum.pairs import builtin_document, builtin_document_text
+from binomsum.report import number_text
 from binomsum.verify import check_divisibility, lemma24_scan, lemma25_scan, \
     lemma26_ineq_scan
 
@@ -289,6 +290,60 @@ def test_ratio_all(capsys):
                    "f1_corner", "catalan_split", "catalan_split", "g2_gen",
                    "g2_gen", "f2_corner", "f2_corner", "telescoped_sum",
                    "telescoped_sum"]
+
+
+def _telescoped_sum_report(capsys):
+    code, out, _ = run_cli(capsys, "ratio", "--id", "telescoped_sum",
+                           "--n-max", "60", "--format", "json")
+    return code, json_lines(out)
+
+
+def test_telescoped_sum_row_equals_ratio_identity_and_fails_where_perturbed(
+        capsys, monkeypatch):
+    expected = [{"check": "ratio", "params": {"N": n, "id": "telescoped_sum"},
+                 "status": "pass" if check.equal else "fail",
+                 "witness": {"lhs": number_text(check.lhs),
+                             "rhs": number_text(check.rhs)}}
+                for n in range(2, 61)
+                for check in [verify_module.ratio_identity("telescoped_sum",
+                                                           n)]]
+    assert _telescoped_sum_report(capsys) == (0, expected)
+
+    real = cli_module.sums
+
+    def one_too_many_at_37(spec, ns):
+        for n, value in zip(ns, real(spec, ns)):
+            yield value + (n == 37)
+
+    monkeypatch.setattr(cli_module, "sums", one_too_many_at_37)
+    code, records = _telescoped_sum_report(capsys)
+    assert code == 1
+    assert [rec["params"]["N"] for rec in records
+            if rec["status"] == "fail"] == [37]
+    assert records[35]["witness"] == {
+        "lhs": expected[35]["witness"]["lhs"],
+        "rhs": str(int(expected[35]["witness"]["rhs"]) + 1)}
+    assert records[:35] + records[36:] == expected[:35] + expected[36:]
+
+
+def test_telescoped_sum_rows_start_anywhere_and_build_no_fraction(
+        monkeypatch):
+    from fractions import Fraction
+    cli_module.builtin_pair("guillera2")  # parsed before counting
+    whole = cli_module._telescoped_sum_records(range(2, 41))
+    built = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    late = cli_module._telescoped_sum_records(range(17, 41))
+    monkeypatch.undo()
+    assert built == []
+    assert late == whole[15:]
+    assert {rec.status for rec in whole} == {"pass"}
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ ALLOWED = {
                                             "workload, and the per-point "
                                             "reference of the valuation route",
     "wz.wz_grid_row": "traced by the benchmark's certificates workload",
+    "wz.telescope_audit": "per-N reference and tracer target",
 }
 
 

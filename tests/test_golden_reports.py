@@ -20,7 +20,9 @@ SUFFIX = {"json": "json", "csv": "csv", "human": "txt"}
 
 # (name, argv, exit code).  {pair} is a directory holding guillera1.F with
 # guillera2.G, a pair that fails every mode; {pole} is a document whose
-# denominator vanishes at n = 2.
+# denominator vanishes at n = 2; {telescope_pole} holds an F whose
+# denominator vanishes at (3, 0), in the conclusion of every N >= 4, with
+# guillera1.G.
 CASES = [
     ("sumcheck_all", ["sumcheck", "--n-max", "8"], 0),
     ("sumcheck_valuation", ["sumcheck", "--sum", "guillera1", "--n-max",
@@ -42,6 +44,9 @@ CASES = [
                            "-4096"], 1),
     ("wz_symbolic_fail", ["wzcheck", "--pair", "{pair}", "--mode",
                           "symbolic"], 1),
+    ("wz_telescope_pole", ["wzcheck", "--pair", "{telescope_pole}", "--mode",
+                           "telescope", "--n-max", "5", "--scale-base", "2"],
+     1),
     ("lemma22", ["lemma", "--id", "2.2", "--n-max", "20"], 0),
     ("lemma23", ["lemma", "--id", "2.3", "--n-max", "20"], 0),
     ("lemma24_fail", ["lemma", "--id", "2.4", "--m-max", "2"], 1),
@@ -103,7 +108,14 @@ def inputs(tmp_path_factory):
     (pair / "mixed.G").write_text(builtin_document_text("guillera2.G"), "utf-8")
     pole = root / "pole.F"
     pole.write_text("term pole\npoly 1\ndenompoly n-2\nend\n", "utf-8")
-    return {"pair": str(pair), "pole": str(pole)}
+    telescope_pole = root / "tpole"
+    telescope_pole.mkdir()
+    (telescope_pole / "tpole.F").write_text(
+        "term tpole.F\npoly 1\ndenompoly n+k-3\nend\n", "utf-8")
+    (telescope_pole / "tpole.G").write_text(
+        builtin_document_text("guillera1.G"), "utf-8")
+    return {"pair": str(pair), "pole": str(pole),
+            "telescope_pole": str(telescope_pole)}
 
 
 def _run(capsys, argv, inputs):
@@ -175,6 +187,11 @@ SPLIT_SCANS = [
      b'"witness":{"checked":"20100","violations":"0"}}\n'),
     (["lemma", "--id", "2.6", "--n-max", "200"],
      "64fd56d07b8f90ea3c055df3828d9283ad3b60a6b1837182cd01605ff27522fa"),
+    (["wzcheck", "--pair", "builtin:guillera1", "--mode", "telescope",
+      "--n-max", "45"],
+     "83820b43dfcac82d5fa9d0bca9d163443d89ad63d33952e35cbb6bf8bf2b347f"),
+    (["ratio", "--id", "all", "--n-max", "40"],
+     "0ff20b1bdd60c6036803a80c8f5197bb73ad7a968cb5bd1c026c0c8f504f6cdd"),
 ]
 
 

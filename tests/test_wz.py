@@ -13,8 +13,8 @@ from binomsum.pairs import SUM_SPECS, WZPairSpec, builtin_pair, \
     builtin_pair_names
 from binomsum.polyalg import BivarPoly
 from binomsum.verify import _summand, eval_sum
-from binomsum.wz import telescope_audit, wz_certificate, wz_grid_row, \
-    wz_grid_rows, wz_symbolic_check
+from binomsum.wz import telescope_audit, telescope_audits, wz_certificate, \
+    wz_grid_row, wz_grid_rows, wz_symbolic_check
 
 
 def test_builtin_pair_names():
@@ -281,18 +281,51 @@ def test_telescope_requires_n_at_least_two():
         telescope_audit(builtin_pair("guillera1"), 1)
 
 
-def test_telescope_audit_independent_of_call_order():
+@pytest.mark.parametrize("big_ns", [range(0, 12), range(1, 12),
+                                    range(7, 20), range(5, 5)])
+def test_k0_prefix_sums_equal_the_summed_terms(monkeypatch, big_ns):
     for name in builtin_pair_names():
-        pair = builtin_pair(name)
-        hyperterm_module._k0_prefix_table.cache_clear()
-        descending = [telescope_audit(pair, n) for n in range(30, 1, -1)]
-        hyperterm_module._k0_prefix_table.cache_clear()
-        ascending = [telescope_audit(pair, n) for n in range(2, 31)]
-        assert descending[::-1] == ascending
-        for audit in ascending:
-            n = audit.big_n
-            assert audit.conclusion.value == pair.scale_base ** (n - 1) * sum(
-                eval_term(pair.f.term, j, 0) for j in range(n))
+        term = builtin_pair(name).f.term
+        calls = []
+        real = hyperterm_module.eval_term_pair
+
+        def counting(t, n, k):
+            calls.append((n, k))
+            return real(t, n, k)
+
+        monkeypatch.setattr(hyperterm_module, "eval_term_pair", counting)
+        got = list(hyperterm_module.k0_prefix_sums(term, big_ns))
+        monkeypatch.undo()
+        assert [Fraction(*pair) for pair in got] == [
+            sum((eval_term(term, n, 0) for n in range(big_n)), Fraction(0))
+            for big_n in big_ns]
+        # Each term(n, 0) below the last N once, from n = 0; none if empty.
+        assert calls == ([(n, 0) for n in range(big_ns.stop - 1)]
+                         if big_ns else [])
+
+
+@pytest.mark.parametrize("big_ns", [range(2, 9, 2), range(-1, 4)])
+def test_k0_prefix_sums_reject_bad_ranges(big_ns):
+    term = builtin_pair("guillera1").f.term
+    with pytest.raises(ValueError):
+        list(hyperterm_module.k0_prefix_sums(term, big_ns))
+
+
+@pytest.mark.parametrize("name", ["guillera1", "guillera2"])
+def test_telescope_audits_whole_or_split_equal_single_audits(name):
+    pair = builtin_pair(name)
+    single = [telescope_audit(pair, big_n) for big_n in range(2, 31)]
+    for audit in single:
+        n = audit.big_n
+        assert audit.ok
+        assert audit.conclusion.value == pair.scale_base ** (n - 1) * sum(
+            eval_term(pair.f.term, j, 0) for j in range(n))
+    assert list(telescope_audits(pair, range(2, 31))) == single
+    for cut in range(3, 31):
+        assert (list(telescope_audits(pair, range(2, cut)))
+                + list(telescope_audits(pair, range(cut, 31)))) == single
+    with pytest.raises(ValueError):
+        list(telescope_audits(pair, range(2, 9, 2)))
 
 
 def test_telescope_pole_in_conclusion_propagates():
@@ -302,14 +335,40 @@ def test_telescope_pole_in_conclusion_propagates():
     with pytest.raises(TermEvalError) as pole:
         eval_term(f_doc.term, 3, 0)
     for big_n in (5, 3, 4, 6):
+        audit = telescope_audit(pair, big_n)
         if big_n > 3:
-            with pytest.raises(TermEvalError) as raised:
-                telescope_audit(pair, big_n)
-            assert str(raised.value) == str(pole.value)
+            assert isinstance(audit.conclusion, TermEvalError)
+            assert str(audit.conclusion) == str(pole.value)
+            assert audit.failure == ("conclusion", audit.conclusion)
         else:
-            audit = telescope_audit(pair, big_n)
             assert audit.conclusion.value == 4 * (Fraction(-1, 3)
                                                   + Fraction(-1, 2) - 1)
+
+
+def test_telescope_undefined_entries_fail_in_order():
+    # G is undefined on all of row 4; F at (2, 2), the corner of N = 3,
+    # and at (4, 0), in the conclusion of every N >= 5.
+    f_doc = parse_document("term u.F\npoly 1\ndenompoly n+k-4\nend\n")
+    g_doc = parse_document("term u.G\npoly 1\ndenompoly n-4\nend\n")
+    pair = WZPairSpec(name="undefined", f=f_doc, g=g_doc, scale_base=2,
+                      divisor_kind="strong")
+    vanishes = "denominator polynomial vanishes at "
+    expected = {3: ("corner", vanishes + "(n=2, k=2)"),
+                4: ("g_term_k1", vanishes + "(n=4, k=1)"),
+                5: ("conclusion", vanishes + "(n=4, k=0)"),
+                6: ("conclusion", vanishes + "(n=4, k=0)")}
+    for audits in ([telescope_audit(pair, n) for n in range(3, 7)],
+                   list(telescope_audits(pair, range(3, 7))),
+                   [*telescope_audits(pair, range(3, 5)),
+                    *telescope_audits(pair, range(5, 7))]):
+        for audit in audits:
+            label, entry = audit.failure
+            assert isinstance(entry, TermEvalError)
+            assert (label, str(entry)) == expected[audit.big_n]
+            assert not audit.ok
+    row4 = telescope_audit(pair, 4)
+    assert row4.g_sum is row4.g_terms[0][1]
+    assert row4.corner.integral  # F(3, 3) = 1/2, scaled by 8
 
 
 # guillera1 with F and G each multiplied by a removable factor: F by
@@ -429,7 +488,6 @@ def test_passing_grid_and_telescope_build_no_fraction(monkeypatch):
     # A passing audit prints no term value, so it reduces none: values
     # stay unreduced integer pairs, and only a witness becomes a Fraction.
     pair = builtin_pair("guillera1")  # parsed before counting
-    hyperterm_module._k0_prefix_table.cache_clear()
     built = []
     real_new = Fraction.__new__
 
@@ -440,6 +498,7 @@ def test_passing_grid_and_telescope_build_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     rows = wz_grid_rows(pair, range(1, 21))
     audits = [telescope_audit(pair, big_n) for big_n in range(2, 21)]
+    audits += telescope_audits(pair, range(2, 21))
     monkeypatch.undo()
     assert all(not violations for _, violations, _ in rows)
     assert all(audit.ok for audit in audits)
