@@ -21,7 +21,8 @@ _EXPORTS = {
     "hyperterm": ("BaseFactor", "BinomFactor", "HypergeometricTerm",
                   "LinearForm", "NotProportionalError", "TermDocument",
                   "TermEvalError", "eval_term", "eval_term_pair",
-                  "k0_prefix_sums", "shift_quotient", "term_quotient"),
+                  "eval_term_row", "k0_prefix_sums", "shift_quotient",
+                  "term_quotient"),
     "pairs": ("DIVISOR_KINDS", "WZPairSpec", "builtin_document",
               "builtin_document_names", "builtin_document_text",
               "builtin_pair", "builtin_pair_names"),

@@ -12,9 +12,13 @@ term_quotient, which returns a formal RationalFunction (a shift quotient is
 the term_quotient of the shifted term and the term).  Formal identities are
 therefore only asserted on grids where no factorial argument goes negative.
 
-A term is evaluated by one kernel, eval_term_pair, to an unreduced pair
-(num, den) of ints; eval_term is that pair reduced once to a Fraction.
-The certificate audits compare pairs by cross-multiplication and build a
+A term is evaluated at one point by one kernel, eval_term_pair, to an
+unreduced pair (num, den) of ints; eval_term is that pair reduced once to
+a Fraction.  eval_term_row gives eval_term_pair's pairs along a run of k
+at fixed n: it maps math.comb over each binomial's argument runs, takes
+what does not move with k once per row, and falls back to eval_term_pair
+point by point on a run where some binomial can vanish.  The certificate
+audits read rows, compare pairs by cross-multiplication and build a
 Fraction only for a value they report.  k0_prefix_sums steps the sum of
 term(n, 0) over n < N along a range of N, as verify.sums steps S(n).
 """
@@ -23,6 +27,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import partial, reduce
+from itertools import repeat
+from operator import mul
 from typing import NamedTuple
 
 from .exact import binomial, int_valuation, primes_upto
@@ -143,6 +150,10 @@ class TermDocument(Validated, _DocumentFields):
             raise ValueError(f"invalid term name {self.name!r}")
 
 
+def _pole(n: int, k: int) -> TermEvalError:
+    return TermEvalError(f"denominator polynomial vanishes at (n={n}, k={k})")
+
+
 def eval_term_pair(term: HypergeometricTerm, n: int,
                    k: int) -> tuple[int, int]:
     """Exact value of the term at integer (n, k) as an unreduced pair
@@ -161,7 +172,7 @@ def eval_term_pair(term: HypergeometricTerm, n: int,
     """
     denom_total, denom_lcm = term.denom_poly.evaluate_pair(n, k)
     if denom_total == 0:
-        raise TermEvalError(f"denominator polynomial vanishes at (n={n}, k={k})")
+        raise _pole(n, k)
     num = den = 1
     vanishes = False
     for bf in term.binom_factors:
@@ -193,6 +204,99 @@ def eval_term_pair(term: HypergeometricTerm, n: int,
     if term.sign_exponent.evaluate(n, k) % 2:
         num = -num
     return (-num, -den) if den < 0 else (num, den)
+
+
+def _pair_or_error(term: HypergeometricTerm, n: int,
+                   k: int) -> tuple[int, int] | TermEvalError:
+    try:
+        return eval_term_pair(term, n, k)
+    except TermEvalError as exc:
+        return exc
+
+
+def _run(start: int, step: int, size: int):
+    """start, start + step, ...: size values of a form linear in k."""
+    return range(start, start + step * size, step) if step \
+        else repeat(start, size)
+
+
+def _moves_in_k(poly: BivarPoly) -> bool:
+    return any(j for (_, j), _ in poly.items())
+
+
+def eval_term_row(term: HypergeometricTerm, n: int,
+                  ks: range) -> list[tuple[int, int] | TermEvalError]:
+    """eval_term_pair(term, n, k) for each k of ks, a run of step 1: the
+    same unreduced pair of ints, or the TermEvalError it raises, as a value.
+
+    When every binomial factor C(t, b) has 0 <= b <= t at both ends of the
+    run, it has them throughout, t and b being linear in k, and none is 0.
+    Each is then math.comb mapped over its two argument runs and folded
+    into the numerators or the denominators by map(mul, ...).  A binomial
+    or a polynomial that does not move with k is evaluated once per row;
+    the other polynomials, the bases and the sign are multiplied in at
+    each point.  A run on which some binomial leaves that interior is
+    evaluated by eval_term_pair point by point, so the zero convention and
+    its errors are that kernel's own.  Integer products do not depend on
+    their order, so each pair is eval_term_pair's, int for int; that
+    kernel stays the reference.
+    """
+    if ks.step != 1:
+        raise ValueError("eval_term_row needs a run of k of step 1")
+    size, k0 = len(ks), ks.start
+    fixed = [1, 1]  # numerator and denominator of the factors fixed in k
+    moving: tuple[list, list] = ([], [])  # their runs for those that move
+    for (ta, tb, tc), (ba, bb, bc), power in term.binom_factors:
+        top, bottom = ta * n + tb * k0 + tc, ba * n + bb * k0 + bc
+        if not (0 <= bottom <= top
+                and 0 <= bottom + bb * (size - 1) <= top + tb * (size - 1)):
+            return [_pair_or_error(term, n, k) for k in ks]
+        side, power = power < 0, abs(power)
+        if not power:
+            continue
+        if tb == bb == 0:
+            fixed[side] *= math.comb(top, bottom) ** power
+            continue
+        values = map(math.comb, _run(top, tb, size), _run(bottom, bb, size))
+        moving[side].append(values if power == 1
+                            else map(pow, values, repeat(power)))
+    numer, denom = term.numer_poly, term.denom_poly
+    numer_moves, denom_moves = _moves_in_k(numer), _moves_in_k(denom)
+    if not numer_moves:
+        total, lcm = numer.evaluate_pair(n, k0)
+        fixed[0] *= total
+        fixed[1] *= lcm
+    if not denom_moves:
+        total, lcm = denom.evaluate_pair(n, k0)
+        if not total:
+            return [_pole(n, k) for k in ks]
+        fixed[0] *= lcm
+        fixed[1] *= total
+    nums, dens = (reduce(partial(map, mul), runs, repeat(start, size))
+                  for start, runs in zip(fixed, moving))
+    bases = [(base, a * n + c, b) for base, (a, b, c) in term.base_factors]
+    sa, sb, sc = term.sign_exponent
+    row: list[tuple[int, int] | TermEvalError] = []
+    for k, num, den in zip(ks, nums, dens):
+        if denom_moves:
+            total, lcm = denom.evaluate_pair(n, k)
+            if not total:
+                row.append(_pole(n, k))
+                continue
+            num, den = num * lcm, den * total
+        if numer_moves:
+            total, lcm = numer.evaluate_pair(n, k)
+            num, den = num * total, den * lcm
+        for base, e0, b in bases:
+            e = e0 + b * k
+            if e >= 0:
+                num *= base ** e
+            else:
+                den *= base ** -e
+        if (sa * n + sb * k + sc) % 2:
+            num = -num
+        row.append((-num, -den) if den < 0 else (num, den))
+    return row
 
 
 def eval_term(term: HypergeometricTerm, n: int, k: int) -> Fraction:

@@ -30,9 +30,10 @@ printed) read them.
 Each ratio identity scales a stored pair term by its sum's base and
 divisor (pairs.SUM_SPECS) and compares it with a lemma function's quantity.
 ratio_identity evaluates one point over Fractions; ratio_row_failures runs
-the whole k row of g1_gen or g2_gen at once, on unreduced integer pairs
-against the stepped lemma22_row and lemma25_row, and stays tested against
-ratio_identity, as do the CLI's telescoped_sum rows that step along N.
+the whole k row of g1_gen or g2_gen at once, on the unreduced integer
+pairs of one hyperterm.eval_term_row against the stepped lemma22_row and
+lemma25_row, and stays tested against ratio_identity, as do the CLI's
+telescoped_sum rows that step along N.
 Fraction is imported where one is built, and Decimal and its context
 (exact.DECIMAL_CONTEXT) where lemma26_rows runs, so the sums and lemmas
 2.2-2.5, which compute with ints only, load neither fractions nor decimal.
@@ -982,11 +983,13 @@ def ratio_row_failures(identity: str, big_n: int) -> list[RatioCheck]:
     the order of k, for identity g1_gen or g2_gen: the whole row of N at
     once.
 
-    The left side is the pair's G(N, k) as an unreduced pair
-    (eval_term_pair) times B^(N-1) over P(N).  The right side reads the
-    stepped rows: lemma22_row(N) for g1_gen, and for g2_gen lemma25_w(N, 0)
-    at k = 0, then lemma25_row(N).  The sides are compared by
-    cross-multiplication, and only a failing k builds its Fractions.
+    The left side is the pair's G(N, k) as an unreduced pair, the row
+    G(N, k) over ratio_k_values(identity, N) taken by one eval_term_row,
+    times B^(N-1) over P(N); an undefined G(N, k) raises its TermEvalError.
+    The right side reads the stepped rows: lemma22_row(N) for g1_gen, and
+    for g2_gen lemma25_w(N, 0) at k = 0, then lemma25_row(N).  The sides
+    are compared by cross-multiplication, and only a failing k builds its
+    Fractions.
     """
     if identity not in _TWO_POWER_OFFSETS:
         raise ValueError(f"ratio rows are stated for "
@@ -995,7 +998,7 @@ def ratio_row_failures(identity: str, big_n: int) -> list[RatioCheck]:
         raise ValueError("ratio identities need N >= 2")
     from fractions import Fraction
 
-    from .hyperterm import eval_term_pair
+    from .hyperterm import TermEvalError, eval_term_row
     n = big_n
     pair = builtin_pair("guillera1" if identity == "g1_gen" else "guillera2")
     scale = pair.scale_base ** (n - 1)
@@ -1007,14 +1010,18 @@ def ratio_row_failures(identity: str, big_n: int) -> list[RatioCheck]:
     else:
         w0 = lemma25_w(n, 0)
         rights = chain([(w0.numerator, w0.denominator)], lemma25_row(n))
+    k_range = ratio_k_values(identity, n)
     failures = []
-    for k, (r_num, r_den) in zip(ratio_k_values(identity, n), rights):
+    for k, (r_num, r_den), g in zip(k_range, rights,
+                                    eval_term_row(pair.g.term, n, k_range)):
+        if isinstance(g, TermEvalError):
+            raise g
         e = 4 * k + _TWO_POWER_OFFSETS[identity]
         if e >= 0:
             r_num <<= e
         else:
             r_den <<= -e
-        g_num, g_den = eval_term_pair(pair.g.term, n, k)
+        g_num, g_den = g
         l_num, l_den = g_num * scale, g_den * div
         if l_num * r_den != r_num * l_den:
             failures.append(RatioCheck(identity, n, k, Fraction(l_num, l_den),

@@ -11,9 +11,11 @@ hyperterm.k0_prefix_sums, and telescope_audit is its value at one N.  An
 undefined term is an entry of its own, its TermEvalError, and fails that N.
 
 The grid and telescope audits work on the unreduced integer pairs of
-hyperterm.eval_term_pair.  The grid compares its two differences by
-cross-multiplication, and the telescope audit decides each scaled value
-by one divmod and sums the integers; a passing audit builds no Fraction.
+hyperterm.eval_term_row, which evaluates a term along a run of k and falls
+back to eval_term_pair per point where a binomial can vanish.  The grid
+compares its two differences by cross-multiplication, and the telescope
+audit decides each scaled value by one divmod and sums the integers; a
+passing audit builds no Fraction.
 Only a violation's sides and a non-integral value become Fractions, in
 lowest terms, so reports read as they would over Fractions throughout.
 """
@@ -22,8 +24,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .hyperterm import HypergeometricTerm, TermEvalError, eval_term_pair, \
-    k0_prefix_sums, shift_quotient, term_quotient
+from .hyperterm import TermEvalError, eval_term_row, k0_prefix_sums, \
+    shift_quotient, term_quotient
 from .pairs import WZPairSpec
 from .polyalg import RationalFunction
 from .verify import DivisionCheck, divide, divisors
@@ -31,14 +33,6 @@ from .verify import DivisionCheck, divide, divisors
 GridPoint = tuple[int, int]
 Pair = tuple[int, int]  # (num, den), den > 0: an unreduced exact value
 Entry = DivisionCheck | TermEvalError  # a telescope entry or why it is not
-
-
-def _pair_or_error(term: HypergeometricTerm, n: int,
-                   k: int) -> Pair | TermEvalError:
-    try:
-        return eval_term_pair(term, n, k)
-    except TermEvalError as exc:
-        return exc
 
 
 def _difference(p: Pair, q: Pair) -> Pair:
@@ -57,24 +51,23 @@ def wz_grid_rows(pair: WZPairSpec, rows: range) -> list[GridRow]:
     Points where some term is undefined (a denominator vanishes) are
     reported as skipped rather than failing the audit; the reason is the
     first failure among F(n,k-1), F(n,k), G(n+1,k), G(n,k) in that order.
-    F(n,k) is evaluated once for k = 0..n and shared by neighbouring
-    points; the row G(n+1,k) checked against row n is kept as G(n,k) for
-    row n+1, so each term value is evaluated once per block of rows.
-    Values are unreduced integer pairs (eval_term_pair) and the two sides
-    are compared by cross-multiplication; only a violation reduces them,
-    to the lowest-terms Fractions it reports.
+    F(n,k) is evaluated once for k = 0..n, as one eval_term_row, and
+    shared by neighbouring points; the row G(n+1,k) checked against row n
+    is kept as G(n,k) for row n+1, so each term value is evaluated once
+    per block of rows.  Values are unreduced integer pairs, those of
+    eval_term_pair, and the two sides are compared by cross-multiplication;
+    only a violation reduces them, to the lowest-terms Fractions it reports.
     """
     if rows.step != 1 or not rows or rows.start < 1:
         raise ValueError("rows must be a nonempty run of n >= 1")
     f, g = pair.f.term, pair.g.term
     # g_row[k - 1] holds G(n, k) for 1 <= k <= n; g_next likewise for n + 1.
-    g_row = [_pair_or_error(g, rows.start, k)
-             for k in range(1, rows.start + 1)]
+    g_row = eval_term_row(g, rows.start, range(1, rows.start + 1))
     results: list[GridRow] = []
     for n in rows:
-        f_row = [_pair_or_error(f, n, k) for k in range(n + 1)]
-        g_next = [_pair_or_error(g, n + 1, k)
-                  for k in range(1, n + 2 if n + 1 in rows else n + 1)]
+        f_row = eval_term_row(f, n, range(n + 1))
+        g_next = eval_term_row(g, n + 1,
+                               range(1, n + 2 if n + 1 in rows else n + 1))
         checked = 0
         violations: list[tuple[GridPoint, Fraction, Fraction]] = []
         skipped: list[tuple[GridPoint, str]] = []
@@ -193,13 +186,13 @@ def telescope_audits(pair: WZPairSpec, big_ns: range, *,
         # B**exp as a pair; its den may be negative, which divmod allows.
         scale = ((pair.scale_base ** exp, 1) if exp >= 0
                  else (1, pair.scale_base ** -exp))
-        g_terms = tuple((k, _scaled_division(_pair_or_error(g, big_n, k),
-                                             scale, div))
-                        for k in range(1, big_n))
+        g_terms = tuple((k, _scaled_division(value, scale, div))
+                        for k, value in enumerate(
+                            eval_term_row(g, big_n, range(1, big_n)), 1))
         errors = [rec for _, rec in g_terms if isinstance(rec, TermEvalError)]
         g_sum = errors[0] if errors else divide(
             sum(rec.value for _, rec in g_terms), div)
-        corner = _pair_or_error(f, big_n - 1, big_n - 1)
+        corner, = eval_term_row(f, big_n - 1, range(big_n - 1, big_n))
         yield TelescopeAudit(pair.name, big_n, kind, div, exp, g_terms, g_sum,
                              _scaled_division(corner, scale, div),
                              _scaled_division(prefix, scale, div))

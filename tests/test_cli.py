@@ -539,9 +539,11 @@ def test_console_script_installed():
 
 
 def test_usage_error_exit_code():
+    src = Path(cli_module.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, "-m", "binomsum.cli"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     # no subcommand: argparse usage failure
     assert proc.returncode == 2
 

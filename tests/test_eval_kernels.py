@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import binomsum.verify as verify_module
 from binomsum.exact import binomial
 from binomsum.hyperterm import BaseFactor, BinomFactor, HypergeometricTerm, \
-    LinearForm, TermDocument, TermEvalError, eval_term, eval_term_pair
+    LinearForm, TermDocument, TermEvalError, eval_term, eval_term_pair, \
+    eval_term_row
 from binomsum.pairs import builtin_pair
 from binomsum.polyalg import BivarPoly
 from binomsum.report import number_text
@@ -135,6 +136,37 @@ def test_eval_term_pair_is_zero_over_one_under_the_zero_convention():
     assert eval_term_pair(vanishing, 2, 5) == (0, 1)
     assert eval_term_pair(vanishing, 1, 3) == (0, 1)
     assert eval_term_pair(vanishing, 5, 2) != (0, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms, points, points, st.integers(0, 8))
+# factors that do not move with k, taken once per row: C(2n,n)^3, 2n^3 and
+# a denominator n + 1
+@example(term(binoms=[BinomFactor(N.scale(2), N, 3), BinomFactor(N + K, K, 1)],
+              numer=BivarPoly({(3, 0): 2}), denom=BivarPoly.linear(1, 0, 1)),
+         4, 0, 6)
+# a k-free denominator that vanishes at this n: every point is a pole
+@example(term(binoms=[BinomFactor(N + K, K, 1)],
+              denom=BivarPoly.linear(1, 0, -3)), 3, 0, 4)
+# C(n,k)^-1 leaves 0 <= k <= n at k = 4: the run falls back per point
+@example(term(binoms=[BinomFactor(N + K, K, 1), BinomFactor(N, K, -1)],
+              bases=[BaseFactor(-3, K - N)]), 3, 1, 6)
+# a denominator pole at k = 3 only: 1 / (n - k)
+@example(term(binoms=[BinomFactor(N + K, K, 2)], sign=N + K,
+              denom=BivarPoly.linear(1, -1, 0)), 3, 0, 6)
+# an empty run
+@example(term(binoms=[BinomFactor(N, K, 1)]), 2, 5, 0)
+def test_eval_term_row_matches_eval_term_pair(t, n, start, length):
+    ks = range(start, start + length)
+    row = eval_term_row(t, n, ks)
+    assert len(row) == length
+    for k, got in zip(ks, row):
+        expected = outcome(eval_term_pair, t, n, k)
+        if isinstance(got, TermEvalError):  # the same message, as a value
+            assert ("TermEvalError", str(got)) == expected
+        else:  # the same ints, unreduced
+            assert got == expected
+            assert [type(x) for x in got] == [int, int]
 
 
 @settings(max_examples=200, deadline=None)

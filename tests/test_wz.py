@@ -469,16 +469,17 @@ def test_grid_block_matches_single_rows(skip_pair_dir, rows):
 
 def test_grid_block_evaluates_each_term_once(monkeypatch):
     # rows 1..N need F(n, k) for 0 <= k <= n and G(n, k) for 1 <= k <= n,
-    # n <= N + 1: N(N+1) + 2N values, each evaluated once.
+    # n <= N + 1: N(N+1) + 2N values, each requested once from the row
+    # kernel.
     pair = builtin_pair("guillera1")
     calls = []
-    real = wz_module.eval_term_pair
+    real = wz_module.eval_term_row
 
-    def counting(term, n, k):
-        calls.append((term is pair.f.term, n, k))
-        return real(term, n, k)
+    def counting(term, n, ks):
+        calls.extend((term is pair.f.term, n, k) for k in ks)
+        return real(term, n, ks)
 
-    monkeypatch.setattr(wz_module, "eval_term_pair", counting)
+    monkeypatch.setattr(wz_module, "eval_term_row", counting)
     big_n = 45
     wz_grid_rows(pair, range(1, big_n + 1))
     assert len(calls) == len(set(calls)) == big_n * (big_n + 1) + 2 * big_n
